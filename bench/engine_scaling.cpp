@@ -4,18 +4,14 @@
 //   1. Window growth: ValkyrieEngine::step() cost as the accumulated
 //      measurement window grows (target: ns/epoch flat in window length,
 //      i.e. O(1) per-epoch inference — the PR 1 contract).
-//   2. Shard sweep: ns/epoch across a process-count x worker-thread x
-//      step-schedule grid (8..4096 processes, 1..8 threads; fused vs.
-//      split vs. batched dispatch), measuring the sharded step's speedup
-//      over the sequential path (PR 2), the fused single-dispatch
-//      schedule's gain over the split schedule (PR 3), and the cross-slot
-//      batched-inference schedule's gain over fused (PR 4, reported as
-//      batch_speedup on the batched rows). Every variant is bit-identical
-//      to the sequential engine, so this is pure throughput. Each row also
+//   2. Shard sweep: ns/epoch across a process-count x worker-thread grid
+//      (8..4096 processes, 1..8 threads), measuring the sharded step's
+//      speedup over the sequential path. Every point is bit-identical to
+//      the sequential engine, so this is pure throughput. Each row also
 //      records the schedule executions per epoch — pool dispatches PLUS
-//      inline runs, so single-shard rows report the true schedule (fused/
-//      batched: 1, split: 2) instead of the 0.0 the dispatch counter alone
-//      used to under-report — plus an `inline` flag for single-shard rows.
+//      inline runs, so single-shard rows report the true 1 per epoch
+//      instead of the 0.0 the dispatch counter alone under-reports — plus
+//      an `inline` flag for single-shard rows.
 //   3. Batch kernels: scalar-vs-batch per-item cost of the shipped
 //      detector kernels (MLP window inference, SVM/GBT/stat measurement
 //      votes) over a feature plane at batch sizes 16/256/4096, recording
@@ -29,14 +25,10 @@
 //      processes — capture latency (synchronous on the engine thread),
 //      off-thread encode latency, artifact bytes, and parse+restore
 //      latency into a fresh engine.
-//   6. Sim breakdown + sim-floor A/B (PR 9): per-component timing of one
-//      simulated epoch (workload/HPC draw per RNG kind, feature extract,
-//      history append vector-vs-ring, window fold scalar-vs-plane, batch
-//      inference, serial commit, full-step reference), then single-thread
-//      ns/proc/epoch for baseline vs the bit-exact perf configuration
-//      (plane-major fold + counter RNG + bounded ring) vs perf + the fast
-//      inference tier — with the fast tier's detection-efficacy deltas
-//      measured fig. 1 style (accuracy vs window length, both tiers).
+//   6. Sim breakdown: per-component timing of one simulated epoch
+//      (workload/HPC draw per RNG kind, feature extract, history append
+//      vector-vs-ring, window fold, batch inference, serial commit,
+//      full-step reference).
 //   7. Faults: what graceful degradation costs (PR 7). Closed-population
 //      rows measure the hardened step against the fault-free baseline —
 //      an armed-but-idle plane (the overhead contract: ~0), then 1% and
@@ -70,7 +62,6 @@
 #include "fault/fault_plane.hpp"
 #include "hpc/hpc.hpp"
 #include "ml/gbt.hpp"
-#include "ml/plane_fold.hpp"
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
@@ -85,19 +76,6 @@ namespace {
 
 using namespace valkyrie;
 using Clock = std::chrono::steady_clock;
-using StepMode = core::ValkyrieEngine::StepMode;
-
-const char* mode_name(StepMode mode) {
-  switch (mode) {
-    case StepMode::kFused:
-      return "fused";
-    case StepMode::kSplit:
-      return "split";
-    case StepMode::kBatched:
-      return "batched";
-  }
-  return "unknown";
-}
 
 struct Point {
   std::uint64_t epoch;
@@ -143,16 +121,15 @@ struct SweepPoint {
   std::size_t processes;
   std::size_t threads;         // requested
   std::size_t effective_shards;  // after the engine's hardware clamp
-  StepMode mode;
   double ns_per_epoch;
   double ns_per_proc_epoch;
   double dispatches_per_epoch;  // schedule executions (incl. inline runs)
 };
 
 SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
-                           std::size_t threads, StepMode mode) {
+                           std::size_t threads) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   for (std::size_t p = 0; p < processes; ++p) {
     const sim::ProcessId pid = sys.spawn(std::make_unique<bench::SignatureWorkload>(
         bench::engine_bench_benign_signature()));
@@ -173,8 +150,8 @@ SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
   for (std::uint64_t i = 0; i < warmup; ++i) engine.step();
 
   // schedule_run_count counts inline executions too, so a single-shard run
-  // reports its real schedule (fused/batched: 1 per epoch, split: 2)
-  // instead of the dispatch counter's misleading 0.
+  // reports its real schedule (1 per epoch) instead of the dispatch
+  // counter's misleading 0.
   const std::uint64_t runs_before = engine.schedule_run_count();
   double best_ns = 0.0;
   for (std::uint64_t r = 0; r < kRepeats; ++r) {
@@ -194,7 +171,6 @@ SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
   return {processes,
           threads,
           engine.shard_count(),
-          mode,
           best_ns,
           best_ns / static_cast<double>(processes),
           dispatches};
@@ -219,7 +195,6 @@ struct ChurnPoint {
   std::size_t target_live;
   double arrival_rate;
   std::size_t threads;
-  StepMode mode;
   double ns_per_epoch;
   double ns_per_proc_epoch;
   double mean_live;
@@ -229,10 +204,10 @@ struct ChurnPoint {
 
 ChurnPoint run_churn_point(const ml::Detector& detector,
                            std::size_t target_live, double arrival_rate,
-                           std::size_t threads, StepMode mode, bool smoke,
+                           std::size_t threads, bool smoke,
                            const fault::FaultPlane* plane = nullptr) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   if (plane != nullptr) engine.arm_faults(plane);
 
   sim::ScenarioScript script;
@@ -303,9 +278,14 @@ ChurnPoint run_churn_point(const ml::Detector& detector,
                           (before.driver_kills + before.completed +
                            before.policy_kills)) /
       measured;
-  return {target_live, arrival_rate, threads,
-          mode,        best_ns,      best_ns / best_mean_live,
-          mean_live,   admissions,   exits};
+  return {target_live,
+          arrival_rate,
+          threads,
+          best_ns,
+          best_ns / best_mean_live,
+          mean_live,
+          admissions,
+          exits};
 }
 
 // --- Snapshot measurements ---------------------------------------------------
@@ -378,7 +358,7 @@ SnapshotPoint run_snapshot_point(const ml::Detector& detector,
 // Scalar-vs-batch per-item cost of one detector family over a synthetic
 // feature plane: the scalar side walks the per-process streaming path (one
 // WindowSummary / one measurement vote per column), the batch side issues
-// the single plane-sweep call the batched engine schedule issues per shard.
+// the single plane-sweep call the engine's batch route issues per shard.
 
 struct KernelRow {
   const char* detector;
@@ -427,8 +407,8 @@ std::vector<KernelRow> run_batch_kernels(bool smoke) {
     std::vector<std::uint8_t> votes(n);
     volatile std::size_t sink = 0;
 
-    // MLP: the per-epoch window inference (its "vote" in the batched
-    // schedule), scalar streaming path vs. the blocked batch GEMV.
+    // MLP: the per-epoch window inference (its "vote" on the batch route),
+    // scalar streaming path vs. the blocked batch GEMV.
     const double mlp_scalar =
         best_of_ns_per_item(n * inner, repeats, [&] {
           std::size_t acc = 0;
@@ -753,10 +733,10 @@ PidLookupPoint run_pid_lookup_point(std::size_t live,
 // Where one simulated epoch's nanoseconds actually go, component by
 // component, each timed in isolation over the same population size: the RNG
 // + signature draw that is workload execution and HPC capture for the bench
-// workload (xoshiro stream vs the counter stream the perf tier swaps in),
-// feature extraction, the history append (unbounded vector vs bounded
-// ring), the window fold (scalar per-slot Welford vs the plane-major batch
-// kernel), batch inference, and the serial epoch bookkeeping — plus one
+// workload (xoshiro stream vs the opt-in counter stream), feature
+// extraction, the history append (unbounded vector vs bounded ring), the
+// per-slot Welford window fold, batch inference, and the serial epoch
+// bookkeeping — plus one
 // full engine step as the reference total. This is the map that justifies
 // which component the next optimisation should attack.
 
@@ -809,7 +789,7 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
   samples.reserve(n);
   for (std::size_t c = 0; c < n; ++c) samples.push_back(sig.sample(rng));
 
-  // Feature extraction into a plane column (the fold-staging write).
+  // Feature extraction into a plane column.
   const std::size_t stride = (n + 7) / 8 * 8;
   std::vector<double> newest_rows(hpc::kFeatureDim * stride, 0.0);
   {
@@ -858,9 +838,9 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
                     })});
   }
 
-  // Window fold: per-slot scalar Welford vs the plane-major batch kernel
-  // over the identical column data (fold cost is count-independent, so the
-  // accumulating state does not skew the repeats).
+  // Window fold: the per-slot Welford update (fold cost is
+  // count-independent, so the accumulating state does not skew the
+  // repeats).
   {
     std::vector<ml::WindowAccumulator> accs(n);
     hpc::FeatureVec f;
@@ -874,32 +854,9 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
                       }
                     })});
   }
-  {
-    // 5 row groups x kFeatureDim: newest, mean, stddev, m2, fcount.
-    std::vector<double> plane(5 * hpc::kFeatureDim * stride, 0.0);
-    std::vector<std::uint8_t> pending(n, 1);
-    std::vector<std::uint32_t> masks(n, 0);
-    ml::PlaneFoldRows fold_rows;
-    fold_rows.newest = plane.data();
-    fold_rows.mean = plane.data() + hpc::kFeatureDim * stride;
-    fold_rows.stddev = plane.data() + 2 * hpc::kFeatureDim * stride;
-    fold_rows.m2 = plane.data() + 3 * hpc::kFeatureDim * stride;
-    fold_rows.fcount = plane.data() + 4 * hpc::kFeatureDim * stride;
-    fold_rows.stride = stride;
-    for (std::size_t c = 0; c < n; ++c) {
-      hpc::to_features(samples[c], plane.data() + c, stride);
-    }
-    rows.push_back({"window_fold_plane",
-                    best_of_ns_per_item(n * inner, reps, [&] {
-                      for (int k = 0; k < inner; ++k) {
-                        ml::fold_plane_columns(fold_rows, pending.data(),
-                                               masks.data(), 0, n);
-                      }
-                    })});
-  }
 
   // Batch inference over a populated plane (the per-epoch detector cost the
-  // batched schedule pays per live slot).
+  // batch route pays per live slot).
   {
     const bench::BatchPlane bp = bench::make_batch_plane(n);
     std::vector<ml::Inference> out(n);
@@ -929,10 +886,10 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
                     })});
   }
 
-  // Reference: one full single-thread batched engine step.
+  // Reference: one full single-thread engine step.
   {
     sim::SimSystem sys;
-    core::ValkyrieEngine engine(sys, detector, 1, StepMode::kBatched);
+    core::ValkyrieEngine engine(sys, detector, 1);
     for (std::size_t c = 0; c < n; ++c) {
       const sim::ProcessId pid =
           sys.spawn(std::make_unique<bench::SignatureWorkload>(sig));
@@ -945,151 +902,6 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
     rows.push_back({"total_epoch", best_of_ns_per_item(n * inner, reps, [&] {
                       for (int k = 0; k < inner; ++k) engine.step();
                     })});
-  }
-  return rows;
-}
-
-// --- The sim-floor A/B: perf options vs the PR 8 baseline --------------------
-//
-// The headline rows: single-thread ns/proc/epoch for the stock system
-// (xoshiro, unbounded histories, per-slot scalar fold, bit-exact kernels)
-// vs the perf configuration (plane-major fold + counter RNG + bounded ring
-// histories, still bit-exact) vs perf + the approximate fast inference
-// tier. The exact-perf row must replay byte-identically to baseline; the
-// fast row trades pinned, measured accuracy deltas (fast_tier_efficacy) for
-// the last stretch of throughput.
-
-struct SimFastRow {
-  const char* config;
-  std::size_t processes;
-  double ns_per_proc_epoch;
-  double speedup;  // vs the baseline row at the same process count
-};
-
-struct SimFastTriple {
-  double baseline_ns = 0.0;  // ns/proc/epoch, best interleaved round
-  double exact_ns = 0.0;
-  double fast_ns = 0.0;
-};
-
-/// Measures all three configurations with their probe rounds INTERLEAVED
-/// (baseline, exact, fast, baseline, ...) so every configuration samples
-/// the same machine weather — on a shared-LLC box, minutes-apart
-/// measurements see different neighbors and the ratios drift. Each
-/// config's result is its best round; min filters the spikes that hit
-/// one round of one config.
-SimFastTriple run_sim_fast(const ml::Detector& detector,
-                           const ml::Detector& fast_detector,
-                           std::size_t processes, bool smoke) {
-  const std::uint64_t warmup = 20;
-  const std::uint64_t probe = std::clamp<std::uint64_t>(
-      40960 / static_cast<std::uint64_t>(processes), 10, 2000);
-  const std::uint64_t rounds = smoke ? 3 : 9;
-
-  struct World {
-    std::unique_ptr<sim::SimSystem> sys;
-    std::unique_ptr<core::ValkyrieEngine> engine;
-    double best_ns = 0.0;
-  };
-  const auto make_world = [&](const ml::Detector& d, bool perf_options) {
-    World w;
-    w.sys = std::make_unique<sim::SimSystem>();
-    if (perf_options) {
-      w.sys->enable_plane_major_fold();
-      w.sys->enable_counter_rng();
-      // 32 comfortably covers the monitor's N* = 15 measurement
-      // episodes; raw history is pure observability in this run, so the
-      // cap is sized for cache footprint (32 * 96 B = 3 KiB per live
-      // process).
-      w.sys->enable_bounded_history(32);
-    }
-    w.engine = std::make_unique<core::ValkyrieEngine>(*w.sys, d, 1,
-                                                      StepMode::kBatched);
-    for (std::size_t p = 0; p < processes; ++p) {
-      const sim::ProcessId pid =
-          w.sys->spawn(std::make_unique<bench::SignatureWorkload>(
-              bench::engine_bench_benign_signature()));
-      w.engine->attach(pid, core::ValkyrieConfig{},
-                       std::make_unique<core::SchedulerWeightActuator>());
-    }
-    w.sys->reserve_history(warmup + rounds * probe + 1);
-    for (std::uint64_t i = 0; i < warmup; ++i) w.engine->step();
-    return w;
-  };
-
-  World worlds[3] = {make_world(detector, false), make_world(detector, true),
-                     make_world(fast_detector, true)};
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    for (World& w : worlds) {
-      const auto start = Clock::now();
-      for (std::uint64_t i = 0; i < probe; ++i) w.engine->step();
-      const auto stop = Clock::now();
-      const double ns =
-          static_cast<double>(std::chrono::duration_cast<
-                                  std::chrono::nanoseconds>(stop - start)
-                                  .count()) /
-          static_cast<double>(probe);
-      if (r == 0 || ns < w.best_ns) w.best_ns = ns;
-    }
-  }
-  const double scale = static_cast<double>(processes);
-  return {worlds[0].best_ns / scale, worlds[1].best_ns / scale,
-          worlds[2].best_ns / scale};
-}
-
-// --- Fast-tier efficacy deltas (fig. 1 style) --------------------------------
-//
-// The fast tier is only shippable with its accuracy cost measured, not
-// assumed. Windows are drawn from signatures blended between the benign and
-// attack poles (partially expressed attack behaviour — the regime where
-// detection actually operates near the decision boundary), and classified
-// by both tiers at growing window lengths: the fig. 1 shape (efficacy vs
-// measurement count) with one curve per tier, committed as deltas.
-
-struct EfficacyRow {
-  std::size_t window;
-  double exact_accuracy;
-  double fast_accuracy;
-};
-
-std::vector<EfficacyRow> run_tier_efficacy(bool smoke) {
-  ml::MlpDetector exact = bench::engine_bench_detector();
-  ml::MlpDetector fast = bench::engine_bench_detector();
-  fast.set_tier(ml::InferenceTier::kFast);
-  const hpc::HpcSignature benign = bench::engine_bench_benign_signature();
-  const hpc::HpcSignature attack = bench::engine_bench_attack_signature();
-  const std::size_t per_class = smoke ? 48 : 192;
-  util::Rng rng(0xeff1ca);
-  std::vector<EfficacyRow> rows;
-  for (const std::size_t w : {std::size_t{5}, std::size_t{10}, std::size_t{20},
-                              std::size_t{40}}) {
-    std::size_t exact_ok = 0;
-    std::size_t fast_ok = 0;
-    std::size_t total = 0;
-    for (int label = 0; label < 2; ++label) {
-      for (std::size_t t = 0; t < per_class; ++t) {
-        // Blend fraction toward the attack pole: benign windows sit at
-        // 0.15-0.45, attack windows at 0.55-0.85 — both near enough to the
-        // boundary that window length (and tier) genuinely matters.
-        const double a = label == 1 ? rng.uniform(0.55, 0.85)
-                                    : rng.uniform(0.15, 0.45);
-        hpc::HpcSignature mixed = benign;
-        for (std::size_t e = 0; e < hpc::kNumEvents; ++e) {
-          mixed.mean[e] = (1.0 - a) * benign.mean[e] + a * attack.mean[e];
-        }
-        std::vector<hpc::HpcSample> window;
-        window.reserve(w);
-        for (std::size_t i = 0; i < w; ++i) window.push_back(mixed.sample(rng));
-        const ml::Inference want =
-            label == 1 ? ml::Inference::kMalicious : ml::Inference::kBenign;
-        const std::span<const hpc::HpcSample> span(window);
-        exact_ok += exact.infer(span) == want ? 1 : 0;
-        fast_ok += fast.infer(span) == want ? 1 : 0;
-        ++total;
-      }
-    }
-    rows.push_back({w, static_cast<double>(exact_ok) / static_cast<double>(total),
-                    static_cast<double>(fast_ok) / static_cast<double>(total)});
   }
   return rows;
 }
@@ -1109,10 +921,10 @@ std::vector<EfficacyRow> run_tier_efficacy(bool smoke) {
 
 double run_fault_ns(const ml::Detector& detector,
                     const fault::FaultPlane* plane, std::size_t processes,
-                    std::size_t threads, StepMode mode, bool smoke,
+                    std::size_t threads, bool smoke,
                     core::ValkyrieEngine::FaultHealth* health) {
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   if (plane != nullptr) engine.arm_faults(plane);
   for (std::size_t p = 0; p < processes; ++p) {
     const sim::ProcessId pid =
@@ -1541,10 +1353,7 @@ int main(int argc, char** argv) {
   sample_section_rss("series");
   json += "\n  ],\n  \"sweep\": [\n";
 
-  // Shard sweep: step-schedule x thread-count x process-count grid. The
-  // split rows keep the PR 2 two-dispatch schedule measurable next to the
-  // fused rows, and the batched rows record the cross-slot batch-inference
-  // gain over fused (batch_speedup) at identical configurations.
+  // Shard sweep: thread-count x process-count grid.
   std::vector<std::size_t> sweep_processes = {8, 64, 256, 1024, 4096};
   if (smoke) sweep_processes = {8, 64};
   std::vector<std::size_t> sweep_threads;
@@ -1553,100 +1362,72 @@ int main(int argc, char** argv) {
   if (sweep_threads.back() != max_threads) sweep_threads.push_back(max_threads);
   bool first_point = true;
   for (const std::size_t processes : sweep_processes) {
-    // ns_per_epoch of the fused row at the same thread count, for the
-    // batched rows' batch_speedup field (fused runs first).
-    std::vector<double> fused_ns(sweep_threads.size(), 0.0);
-    for (const StepMode mode :
-         {StepMode::kFused, StepMode::kSplit, StepMode::kBatched}) {
-      double baseline_ns = 0.0;
-      for (std::size_t ti = 0; ti < sweep_threads.size(); ++ti) {
-        const std::size_t threads = sweep_threads[ti];
-        const SweepPoint p = run_sweep_point(detector, processes, threads, mode);
-        if (threads == 1) baseline_ns = p.ns_per_epoch;
-        if (mode == StepMode::kFused) fused_ns[ti] = p.ns_per_epoch;
-        const double speedup =
-            baseline_ns > 0.0 ? baseline_ns / p.ns_per_epoch : 0.0;
-        if (!first_point) json += ",\n";
-        first_point = false;
-        char buf[384];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"processes\": %zu, \"threads\": %zu, "
-                      "\"effective_shards\": %zu, "
-                      "\"mode\": \"%s\", \"ns_per_epoch\": %.1f, "
-                      "\"ns_per_proc_epoch\": %.1f, \"speedup\": %.2f, "
-                      "\"dispatches_per_epoch\": %.1f, \"inline\": %s",
-                      p.processes, p.threads, p.effective_shards,
-                      mode_name(mode), p.ns_per_epoch, p.ns_per_proc_epoch,
-                      speedup, p.dispatches_per_epoch,
-                      p.effective_shards == 1 ? "true" : "false");
-        json += buf;
-        double batch_speedup = 0.0;
-        if (mode == StepMode::kBatched && p.ns_per_epoch > 0.0) {
-          batch_speedup = fused_ns[ti] / p.ns_per_epoch;
-          std::snprintf(buf, sizeof(buf), ", \"batch_speedup\": %.2f",
-                        batch_speedup);
-          json += buf;
-        }
-        json += "}";
-        std::printf(
-            "processes=%zu threads=%zu (shards=%zu) %s: %.0f ns/epoch  "
-            "%.1f ns/proc/epoch  speedup %.2fx  %.1f dispatches/epoch",
-            p.processes, p.threads, p.effective_shards, mode_name(mode),
-            p.ns_per_epoch, p.ns_per_proc_epoch, speedup,
-            p.dispatches_per_epoch);
-        if (mode == StepMode::kBatched) {
-          std::printf("  batch_speedup %.2fx", batch_speedup);
-        }
-        std::printf("\n");
-      }
+    double baseline_ns = 0.0;
+    for (const std::size_t threads : sweep_threads) {
+      const SweepPoint p = run_sweep_point(detector, processes, threads);
+      if (threads == 1) baseline_ns = p.ns_per_epoch;
+      const double speedup =
+          baseline_ns > 0.0 ? baseline_ns / p.ns_per_epoch : 0.0;
+      if (!first_point) json += ",\n";
+      first_point = false;
+      char buf[384];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"processes\": %zu, \"threads\": %zu, "
+                    "\"effective_shards\": %zu, \"ns_per_epoch\": %.1f, "
+                    "\"ns_per_proc_epoch\": %.1f, \"speedup\": %.2f, "
+                    "\"dispatches_per_epoch\": %.1f, \"inline\": %s}",
+                    p.processes, p.threads, p.effective_shards, p.ns_per_epoch,
+                    p.ns_per_proc_epoch, speedup, p.dispatches_per_epoch,
+                    p.effective_shards == 1 ? "true" : "false");
+      json += buf;
+      std::printf(
+          "processes=%zu threads=%zu (shards=%zu): %.0f ns/epoch  "
+          "%.1f ns/proc/epoch  speedup %.2fx  %.1f dispatches/epoch\n",
+          p.processes, p.threads, p.effective_shards, p.ns_per_epoch,
+          p.ns_per_proc_epoch, speedup, p.dispatches_per_epoch);
     }
   }
   sample_section_rss("sweep");
   json += "\n  ],\n  \"churn\": [\n";
 
   // Churn sweep: open population, arrivals/exits balanced at the target
-  // live count. The batched schedule is the production default; the fused
-  // rows isolate what the lifecycle costs without batch inference.
+  // live count.
   std::vector<std::size_t> churn_live = {1024, 4096};
   std::vector<double> churn_rate_div = {128.0, 32.0};  // rate = live / div
-  std::vector<StepMode> churn_modes = {StepMode::kFused, StepMode::kBatched};
   std::vector<std::size_t> churn_threads = {1};
   if (max_threads > 1) churn_threads.push_back(max_threads);
   if (smoke) {
     churn_live = {1024};
     churn_rate_div = {64.0};
-    churn_modes = {StepMode::kBatched};
     churn_threads = {max_threads};
   }
   bool first_churn = true;
   for (const std::size_t live : churn_live) {
     for (const double div : churn_rate_div) {
       const double rate = static_cast<double>(live) / div;
-      for (const StepMode mode : churn_modes) {
-        for (const std::size_t threads : churn_threads) {
-          const ChurnPoint p =
-              run_churn_point(detector, live, rate, threads, mode, smoke);
-          if (!first_churn) json += ",\n";
-          first_churn = false;
-          char buf[384];
-          std::snprintf(
-              buf, sizeof(buf),
-              "    {\"target_live\": %zu, \"arrival_rate\": %.1f, "
-              "\"threads\": %zu, \"mode\": \"%s\", \"ns_per_epoch\": %.1f, "
-              "\"ns_per_proc_epoch\": %.1f, \"mean_live\": %.1f, "
-              "\"admissions_per_epoch\": %.2f, \"exits_per_epoch\": %.2f}",
-              p.target_live, p.arrival_rate, p.threads, mode_name(p.mode),
-              p.ns_per_epoch, p.ns_per_proc_epoch, p.mean_live,
-              p.admissions_per_epoch, p.exits_per_epoch);
-          json += buf;
-          std::printf(
-              "churn live=%zu rate=%.1f/epoch threads=%zu %s: %.0f ns/epoch  "
-              "%.1f ns/proc/epoch  mean_live %.0f  %.2f admissions/epoch  "
-              "%.2f exits/epoch\n",
-              p.target_live, p.arrival_rate, p.threads, mode_name(p.mode),
-              p.ns_per_epoch, p.ns_per_proc_epoch, p.mean_live,
-              p.admissions_per_epoch, p.exits_per_epoch);
-        }
+      for (const std::size_t threads : churn_threads) {
+        const ChurnPoint p =
+            run_churn_point(detector, live, rate, threads, smoke);
+        if (!first_churn) json += ",\n";
+        first_churn = false;
+        char buf[384];
+        std::snprintf(
+            buf, sizeof(buf),
+            "    {\"target_live\": %zu, \"arrival_rate\": %.1f, "
+            "\"threads\": %zu, \"ns_per_epoch\": %.1f, "
+            "\"ns_per_proc_epoch\": %.1f, \"mean_live\": %.1f, "
+            "\"admissions_per_epoch\": %.2f, \"exits_per_epoch\": %.2f}",
+            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
+            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
+            p.exits_per_epoch);
+        json += buf;
+        std::printf(
+            "churn live=%zu rate=%.1f/epoch threads=%zu: %.0f ns/epoch  "
+            "%.1f ns/proc/epoch  mean_live %.0f  %.2f admissions/epoch  "
+            "%.2f exits/epoch\n",
+            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
+            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
+            p.exits_per_epoch);
       }
     }
   }
@@ -1701,8 +1482,8 @@ int main(int argc, char** argv) {
   json += "\n  ],\n  \"sim_breakdown\": [\n";
 
   // Component map of one simulated epoch: each row times one stage in
-  // isolation at the same population, so a reader can see which stage the
-  // perf options attack and which stage is the next floor.
+  // isolation at the same population, so a reader can see which stage is
+  // the next floor.
   {
     const std::vector<BreakdownRow> rows = run_sim_breakdown(detector, smoke);
     bool first_row = true;
@@ -1719,71 +1500,6 @@ int main(int argc, char** argv) {
     }
   }
   sample_section_rss("sim_breakdown");
-  json += "\n  ],\n  \"sim_fast\": [\n";
-
-  // The sim-floor A/B: stock system vs the bit-exact perf configuration
-  // (plane fold + counter RNG + bounded ring) vs perf + the fast inference
-  // tier, single-thread batched so the per-process floor is what's timed.
-  {
-    std::vector<std::size_t> fast_procs = {1024, 4096};
-    if (smoke) fast_procs = {256};
-    ml::MlpDetector fast_detector = bench::engine_bench_detector();
-    fast_detector.set_tier(ml::InferenceTier::kFast);
-    bool first_row = true;
-    for (const std::size_t processes : fast_procs) {
-      const SimFastTriple t =
-          run_sim_fast(detector, fast_detector, processes, smoke);
-      const SimFastRow rows[] = {
-          {"baseline", processes, t.baseline_ns, 1.0},
-          {"perf_exact", processes, t.exact_ns, 0.0},
-          {"perf_fast", processes, t.fast_ns, 0.0},
-      };
-      for (const SimFastRow& row : rows) {
-        const double speedup = row.ns_per_proc_epoch > 0.0
-                                   ? rows[0].ns_per_proc_epoch /
-                                         row.ns_per_proc_epoch
-                                   : 0.0;
-        if (!first_row) json += ",\n";
-        first_row = false;
-        char buf[224];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"config\": \"%s\", \"processes\": %zu, "
-                      "\"ns_per_proc_epoch\": %.1f, \"speedup\": %.2f}",
-                      row.config, row.processes, row.ns_per_proc_epoch,
-                      speedup);
-        json += buf;
-        std::printf("sim_fast %-10s procs=%zu: %.1f ns/proc/epoch  %.2fx\n",
-                    row.config, row.processes, row.ns_per_proc_epoch, speedup);
-      }
-    }
-  }
-  sample_section_rss("sim_fast");
-  json += "\n  ],\n  \"fast_tier_efficacy\": [\n";
-
-  // Detection-efficacy cost of the fast tier, fig. 1 style: accuracy vs
-  // window length for both tiers on boundary-blended signatures. The delta
-  // column is the number a deployment weighs against the speedup.
-  {
-    const std::vector<EfficacyRow> rows = run_tier_efficacy(smoke);
-    bool first_row = true;
-    for (const EfficacyRow& row : rows) {
-      if (!first_row) json += ",\n";
-      first_row = false;
-      char buf[224];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"window\": %zu, \"exact_accuracy\": %.4f, "
-                    "\"fast_accuracy\": %.4f, \"delta\": %.4f}",
-                    row.window, row.exact_accuracy, row.fast_accuracy,
-                    row.fast_accuracy - row.exact_accuracy);
-      json += buf;
-      std::printf(
-          "fast_tier_efficacy window=%-3zu exact %.4f  fast %.4f  "
-          "delta %+.4f\n",
-          row.window, row.exact_accuracy, row.fast_accuracy,
-          row.fast_accuracy - row.exact_accuracy);
-    }
-  }
-  sample_section_rss("fast_tier_efficacy");
   json += "\n  ],\n  \"faults\": [\n";
 
   // Fault-plane cost model: hardened-path overhead against baseline, then
@@ -1792,7 +1508,6 @@ int main(int argc, char** argv) {
   {
     const std::size_t fault_procs = smoke ? 256 : 1024;
     const std::size_t fault_threads = max_threads;
-    const StepMode fault_mode = StepMode::kBatched;
 
     fault::FaultPlane idle(0xbe9c);
     fault::FaultPlane sensor1(0xbe9c);
@@ -1818,8 +1533,8 @@ int main(int argc, char** argv) {
     for (const OverheadRow& row : overhead_rows) {
       core::ValkyrieEngine::FaultHealth health{};
       const double ns =
-          run_fault_ns(detector, row.plane, fault_procs, fault_threads,
-                       fault_mode, smoke, &health);
+          run_fault_ns(detector, row.plane, fault_procs, fault_threads, smoke,
+                       &health);
       if (row.plane == nullptr) baseline_ns = ns;
       const double overhead =
           baseline_ns > 0.0 ? ns / baseline_ns - 1.0 : 0.0;
@@ -1829,17 +1544,17 @@ int main(int argc, char** argv) {
       std::snprintf(
           buf, sizeof(buf),
           "    {\"scenario\": \"%s\", \"processes\": %zu, \"threads\": %zu, "
-          "\"mode\": \"%s\", \"ns_per_proc_epoch\": %.1f, "
+          "\"ns_per_proc_epoch\": %.1f, "
           "\"overhead_pct\": %.1f, \"coasted\": %llu, \"blind\": %llu}",
-          row.scenario, fault_procs, fault_threads, mode_name(fault_mode),
+          row.scenario, fault_procs, fault_threads,
           ns / static_cast<double>(fault_procs), overhead * 100.0,
           static_cast<unsigned long long>(health.coasted),
           static_cast<unsigned long long>(health.blind));
       json += buf;
       std::printf(
-          "faults %-12s procs=%zu threads=%zu %s: %.1f ns/proc/epoch  "
+          "faults %-12s procs=%zu threads=%zu: %.1f ns/proc/epoch  "
           "overhead %+.1f%%  coasted %llu  blind %llu\n",
-          row.scenario, fault_procs, fault_threads, mode_name(fault_mode),
+          row.scenario, fault_procs, fault_threads,
           ns / static_cast<double>(fault_procs), overhead * 100.0,
           static_cast<unsigned long long>(health.coasted),
           static_cast<unsigned long long>(health.blind));
@@ -1856,22 +1571,22 @@ int main(int argc, char** argv) {
     chaos.detector = {.throw_rate = 0.005, .garbage_rate = 0.005};
     chaos.actuator = {.transient_rate = 0.02, .permanent_rate = 0.01};
     const fault::FaultyDetector faulty(detector, chaos);
-    const ChurnPoint cp = run_churn_point(faulty, 1024, 16.0, max_threads,
-                                          fault_mode, smoke, &chaos);
+    const ChurnPoint cp =
+        run_churn_point(faulty, 1024, 16.0, max_threads, smoke, &chaos);
     char buf[384];
     std::snprintf(
         buf, sizeof(buf),
         ",\n    {\"scenario\": \"faulted_churn\", \"target_live\": %zu, "
-        "\"arrival_rate\": %.1f, \"threads\": %zu, \"mode\": \"%s\", "
+        "\"arrival_rate\": %.1f, \"threads\": %zu, "
         "\"ns_per_epoch\": %.1f, \"ns_per_proc_epoch\": %.1f, "
         "\"mean_live\": %.1f}",
-        cp.target_live, cp.arrival_rate, cp.threads, mode_name(cp.mode),
+        cp.target_live, cp.arrival_rate, cp.threads,
         cp.ns_per_epoch, cp.ns_per_proc_epoch, cp.mean_live);
     json += buf;
     std::printf(
-        "faults faulted_churn live=%zu threads=%zu %s: %.0f ns/epoch  "
+        "faults faulted_churn live=%zu threads=%zu: %.0f ns/epoch  "
         "%.1f ns/proc/epoch  mean_live %.0f\n",
-        cp.target_live, cp.threads, mode_name(cp.mode), cp.ns_per_epoch,
+        cp.target_live, cp.threads, cp.ns_per_epoch,
         cp.ns_per_proc_epoch, cp.mean_live);
 
     const RecoveryPoint rp =

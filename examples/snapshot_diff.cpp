@@ -4,7 +4,7 @@
 //   ./build/examples/snapshot_diff                 self-contained demo
 //
 // The demo runs a churn campaign, snapshots it mid-flight, restores a
-// SECOND engine from the bytes (different worker count and step mode) and
+// SECOND engine from the bytes (different worker count) and
 // races both to the same epoch: diff() comes back empty, which is the
 // restore determinism contract made visible. It then keeps the original
 // running one epoch longer and prints the first few fields that drift —
@@ -90,8 +90,7 @@ int run_demo() {
   // Original run: snapshot at epoch 80 (off-thread encode via Snapshotter,
   // exactly as a production checkpoint loop would).
   sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, /*worker_threads=*/2,
-                              core::ValkyrieEngine::StepMode::kFused);
+  core::ValkyrieEngine engine(sys, detector, /*worker_threads=*/2);
   sim::ScenarioDriver driver(engine, script);
 
   std::vector<std::uint8_t> checkpoint;
@@ -106,12 +105,11 @@ int run_demo() {
               static_cast<unsigned long long>(sys.current_epoch()),
               checkpoint.size());
 
-  // Recovery: a fresh engine with a DIFFERENT run configuration (8 workers,
-  // batched inference) restored from the checkpoint bytes.
+  // Recovery: a fresh engine with a DIFFERENT run configuration (8 workers)
+  // restored from the checkpoint bytes.
   const snapshot::SnapshotImage image = snapshot::parse(checkpoint);
   sim::SimSystem sys2;
-  core::ValkyrieEngine engine2(sys2, detector, /*worker_threads=*/8,
-                               core::ValkyrieEngine::StepMode::kBatched);
+  core::ValkyrieEngine engine2(sys2, detector, /*worker_threads=*/8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   sim::ScenarioDriver restored(engine2, script, image.driver);
 
@@ -120,7 +118,7 @@ int run_demo() {
     driver.step();
     restored.step();
   }
-  std::printf("\nepoch %llu, original (fused/2w) vs restored (batched/8w):\n",
+  std::printf("\nepoch %llu, original (2 workers) vs restored (8 workers):\n",
               static_cast<unsigned long long>(sys.current_epoch()));
   print_diff(snapshot::capture(driver), snapshot::capture(restored), 12);
 

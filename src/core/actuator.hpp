@@ -57,9 +57,9 @@ class Actuator {
 /// still lands before the next epoch's workload execution, preserving the
 /// paper's Eq. 3 next-epoch timing. Every command targets only its own
 /// process's state and a process plans at most one command per epoch, so
-/// the committed state is invariant under drain order: attachment order
-/// (split schedule), live-slot order (fused schedule) and the sequential
-/// engine's interleaved application all produce identical results.
+/// the committed state is invariant under drain order: the engine's
+/// live-slot order and a sequential loop's interleaved application produce
+/// identical results.
 struct ActuatorCommand {
   enum class Kind : std::uint8_t {
     kNone,   // nothing to apply

@@ -56,7 +56,7 @@ class SupervisedEngine {
   /// then restore system + engine from the image (snapshot::restore) and,
   /// when it runs a driver, construct it with the restore constructor over
   /// image->driver. Run configuration that is code — detector, fault
-  /// plane, step mode, worker count, tolerance knobs — is the factory's to
+  /// plane, worker count, tolerance knobs — is the factory's to
   /// re-establish identically each time; that is what makes replay
   /// deterministic.
   using WorldFactory =

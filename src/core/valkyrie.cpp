@@ -103,20 +103,14 @@ ValkyrieMonitor::Action ValkyrieMonitor::on_epoch(
 
 ValkyrieEngine::ValkyrieEngine(sim::SimSystem& sys,
                                const ml::Detector& detector,
-                               std::size_t worker_threads, StepMode mode)
-    : sys_(sys), detector_(detector), mode_(mode) {
+                               std::size_t worker_threads)
+    : sys_(sys), detector_(detector) {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw != 0 && worker_threads > hw) worker_threads = hw;
   if (worker_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(worker_threads);
   }
   shard_commands_.resize(shard_count());
-  // The batched schedule reads the detector's declared sections straight
-  // off the system's feature plane; arm exactly that much per-slot
-  // maintenance now so the very first epoch already fills it.
-  if (mode_ == StepMode::kBatched) {
-    sys_.enable_feature_plane(detector_.plane_sections());
-  }
 }
 
 void ValkyrieEngine::reserve_shard_buffers(std::size_t per_shard) {
@@ -128,8 +122,8 @@ void ValkyrieEngine::reserve_shard_buffers(std::size_t per_shard) {
 void ValkyrieEngine::reserve(std::size_t max_processes) {
   attached_.reserve(max_processes);
   attached_index_.reserve(max_processes);
-  // The batched schedule's per-slot scratch follows the live count, which
-  // never exceeds the processes ever spawned.
+  // The per-slot scratch follows the live count, which never exceeds the
+  // processes ever spawned.
   batch_finished_.reserve(max_processes);
   batch_votes_.reserve(max_processes);
   batch_infer_.reserve(max_processes);
@@ -156,8 +150,8 @@ void ValkyrieEngine::attach(sim::ProcessId pid, ValkyrieConfig config,
   attached_.push_back(std::move(a));
   // A shard emits at most one command per attachment it owns; sizing to one
   // ceil-chunk keeps the per-epoch hot path allocation-free without
-  // shard_count-fold overcommit. (The fused schedule re-checks per step
-  // against its live-slot ranges, which may cluster attachments.)
+  // shard_count-fold overcommit. (step() re-checks against its live-slot
+  // ranges, which may cluster attachments.)
   reserve_shard_buffers(shard_quota(attached_.size()));
 }
 
@@ -169,8 +163,6 @@ void ValkyrieEngine::detach(sim::ProcessId pid) {
   // Tombstone, don't erase: k detaches between steps cost one stable
   // compaction pass (prune_detached) instead of k ordered erases — the
   // same mark-then-compact pattern SimSystem uses for slot retirement.
-  // Stability keeps attachment order, so runs that mix detaches stay
-  // bit-comparable across schedules by construction.
   const auto idx = static_cast<std::size_t>(*idx_entry);
   attached_index_.erase(pid);
   attached_[idx].detached = true;
@@ -292,9 +284,9 @@ void ValkyrieEngine::finish_attachment(Attached& a,
 // Serial commit phase: apply the batched responses once the shards have
 // joined. Every command targets only its own process's state (weights,
 // caps, liveness), so the committed state is independent of drain order —
-// the fused schedule drains in live-slot order, the split schedule in
-// attachment order, and both land exactly where the sequential engine
-// does, before the next epoch's workload execution (Eq. 3 timing).
+// the live-slot order drained here lands exactly where a sequential loop
+// applying each command as it is planned does, before the next epoch's
+// workload execution (Eq. 3 timing).
 void ValkyrieEngine::commit_shard_commands() {
   if (fault_plane_ == nullptr && retry_.empty()) {
     // Fault-free fast path: exactly the seed behaviour, no plane draws, no
@@ -305,10 +297,10 @@ void ValkyrieEngine::commit_shard_commands() {
     return;
   }
   // Hardened path. The epoch counter has already advanced (end_epoch ran),
-  // so every mode keys the plane's transient-failure schedule and the
-  // backoff deadlines on the same value. Each process plans at most one
-  // command per epoch, so per-pid outcomes are independent of the order
-  // the shards emitted them in.
+  // so the plane's transient-failure schedule and the backoff deadlines
+  // key on the epoch just closed. Each process plans at most one command
+  // per epoch, so per-pid outcomes are independent of the order the shards
+  // emitted them in.
   const std::uint64_t epoch = sys_.current_epoch();
   for (const std::vector<ActuatorCommand>& buf : shard_commands_) {
     for (const ActuatorCommand& cmd : buf) commit_command(cmd, epoch);
@@ -421,8 +413,8 @@ void ValkyrieEngine::commit_command(const ActuatorCommand& cmd,
 void ValkyrieEngine::process_retries(std::uint64_t epoch) {
   using Kind = ActuatorCommand::Kind;
   if (retry_.empty()) return;
-  // One stable in-place pass in pid order (deterministic across modes):
-  // purge, escalate, retry due entries, reschedule or drop.
+  // One stable in-place pass in pid order (deterministic for any shard
+  // layout): purge, escalate, retry due entries, reschedule or drop.
   std::size_t w = 0;
   for (std::size_t i = 0; i < retry_.size(); ++i) {
     PendingRetry entry = retry_[i];
@@ -501,29 +493,76 @@ std::size_t ValkyrieEngine::live_attached_count() const {
   return live;
 }
 
+bool ValkyrieEngine::batch_segment(const ml::SummaryMatrixView& segment,
+                                   std::size_t begin,
+                                   const std::optional<double>& fraction) {
+  // With the fault plane armed the batch kernels can throw (a faulted
+  // detector rejects the whole segment): contain it and let the caller
+  // serve the shard per slot.
+  try {
+    if (fraction) {
+      detector_.measurement_votes(
+          segment.newest_view(),
+          std::span<std::uint8_t>(batch_votes_).subspan(begin, segment.count));
+    } else {
+      detector_.infer_batch(segment, std::span<ml::Inference>(batch_infer_)
+                                         .subspan(begin, segment.count));
+    }
+    return true;
+  } catch (...) {
+    if (fault_plane_ == nullptr) throw;
+    health_batch_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+}
+
+std::optional<ml::Inference> ValkyrieEngine::batch_verdict(
+    Attached& a, std::size_t slot, std::size_t count,
+    const std::optional<double>& fraction) {
+  std::uint64_t streak = 0;
+  if (fault_plane_ != nullptr) {
+    streak = sys_.invalid_streak(a.pid);
+    // Past the staleness budget the slot goes blind; the per-slot path
+    // owns that accounting (the batch result was computed over stale bits
+    // and is discarded).
+    if (streak > fault_cfg_.staleness_budget) return std::nullopt;
+  }
+  // A vote folds only the common one-new-measurement step; mid-run attach
+  // catch-up, episode shrink and a quarantined (unchanged) count take the
+  // per-slot path — a one-time cost per attachment.
+  if (fraction && !a.stream.can_fold(count)) return std::nullopt;
+  if (fault_plane_ != nullptr) {
+    // guarded_infer's accounting, so both routes report the same health.
+    if (streak > 0) health_coasted_.fetch_add(1, std::memory_order_relaxed);
+    if (sys_.slot_accumulator(slot).newest_mask() != 0) {
+      health_masked_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (fraction) {
+    return a.stream.fold_vote(batch_votes_[slot] != 0, count, *fraction);
+  }
+  return fault_plane_ != nullptr ? sanitize(batch_infer_[slot])
+                                 : batch_infer_[slot];
+}
+
 std::size_t ValkyrieEngine::step() {
   ++step_tag_;
   if (detached_count_ != 0) prune_detached();
-  switch (mode_) {
-    case StepMode::kSplit:
-      return step_split();
-    case StepMode::kBatched:
-      return step_batched();
-    case StepMode::kFused:
-      break;
-  }
-  return step_fused();
-}
-
-std::size_t ValkyrieEngine::step_fused() {
+  // The route, from the detector's declaration — re-read every step, so a
+  // detector whose needs changed (e.g. StatisticalDetector::set_vote_window
+  // moving it onto the raw-window path) is served by what it declares now.
+  // Arming is widening-only and a no-op once the sections are maintained.
+  const ml::Detector::PlaneSections sections = detector_.plane_sections();
+  const bool batch_route = sections != ml::Detector::PlaneSections::kFull;
+  if (batch_route) sys_.enable_feature_plane(sections);
   // Serial open phase: CFS share snapshot; the live list and pid -> slot
-  // remap are frozen until the epoch closes, so slot i below is
-  // live[i] for the whole dispatch.
+  // remap are frozen until the epoch closes, so slot i below is live[i]
+  // for the whole dispatch.
   sys_.begin_epoch();
   const std::span<const sim::ProcessId> live = sys_.live_processes();
 
   for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
-  // The fused dispatch shards over live slots, not attachments, so a single
+  // The dispatch shards over live slots, not attachments, so a single
   // shard can own up to one ceil-chunk of *processes* worth of attachments
   // when they cluster. Re-check capacity against that bound (a no-op in
   // steady state; live counts only shrink between attaches).
@@ -531,56 +570,47 @@ std::size_t ValkyrieEngine::step_fused() {
     reserve_shard_buffers(
         std::min(shard_quota(live.size()), attached_.size()));
   }
-
-  // With the plane-major fold armed, step_slot only STAGES each slot's
-  // feature vector into the plane — the shard must step its whole range,
-  // fold it in one cross-slot Welford pass, and only then read summaries.
-  // The per-slot finished flags live in the batched schedule's scratch.
-  const bool fold = sys_.plane_major_fold_enabled();
-  if (fold && batch_finished_.size() < live.size()) {
+  // Per-slot scratch, sized to the live list; capacity only grows, so the
+  // steady-state epoch allocates nothing.
+  if (batch_finished_.size() < live.size()) {
     batch_finished_.resize(live.size());
+    batch_votes_.resize(live.size());
+    batch_infer_.resize(live.size(), ml::Inference::kBenign);
   }
+  const std::optional<double> fraction = detector_.vote_fraction();
 
-  // One fused shard dispatch: simulate the process, then consume its fresh
-  // HPC sample for inference + the monitor decision while it is still hot,
-  // emitting side effects as commands into the shard's buffer.
-  const auto fused_range = [&](std::size_t shard, std::size_t begin,
-                               std::size_t end) {
+  const auto run_range = [&](std::size_t shard, std::size_t begin,
+                             std::size_t end) {
     std::vector<ActuatorCommand>& commands = shard_commands_[shard];
-    if (fold) {
-      // Step-all / fold / infer-all. The sample is no longer L1-hot when
-      // the inference pass re-reads it, but the fold kernel's cross-slot
-      // vectorization repays the refetch. Bit-identical to the interleaved
-      // loop: per-slot work is independent and the fold preserves the
-      // scalar accumulation order.
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        batch_finished_[slot] = sys_.step_slot(slot) ? 1 : 0;
-      }
-      sys_.fold_plane_range(begin, end);
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        const sim::ProcessId pid = live[slot];
-        const std::uint32_t* idx = attached_index_.find(pid);
-        if (idx == nullptr) continue;
-        Attached& a = attached_[*idx];
-        a.last_action = ValkyrieMonitor::Action::kNone;
-        a.last_action_step = step_tag_;
-        if (batch_finished_[slot] != 0) continue;
-        infer_attachment(a, commands);
-      }
-      return;
-    }
+    // (1) Simulate every slot; on the batch route step_slot also fills the
+    // shard's plane segment.
     for (std::size_t slot = begin; slot < end; ++slot) {
-      const sim::ProcessId pid = live[slot];
-      const bool finished = sys_.step_slot(slot);
-      const std::uint32_t* idx = attached_index_.find(pid);
+      batch_finished_[slot] = sys_.step_slot(slot) ? 1 : 0;
+    }
+    // (2) One batch detector call over the segment.
+    const ml::SummaryMatrixView plane = sys_.feature_plane();
+    const bool batched =
+        batch_route && batch_segment(plane.slice(begin, end), begin, fraction);
+    // (3) Fold the batch results and plan every attached slot.
+    for (std::size_t slot = begin; slot < end; ++slot) {
+      const std::uint32_t* idx = attached_index_.find(live[slot]);
       if (idx == nullptr) continue;
       Attached& a = attached_[*idx];
       a.last_action = ValkyrieMonitor::Action::kNone;
       a.last_action_step = step_tag_;
-      // A process that completed this epoch gets no inference — exactly as
-      // the split schedule's inference pass sees it (already dead).
-      if (finished) continue;
-      infer_attachment(a, commands);
+      // A process that completed this epoch gets no inference.
+      if (batch_finished_[slot] != 0) continue;
+      std::optional<ml::Inference> verdict;
+      if (batched) {
+        // The plane's dense count row, not the accumulator array: phase
+        // (3) must not re-stream 300-byte accumulator strides per slot.
+        verdict = batch_verdict(a, slot, plane.counts[slot], fraction);
+      }
+      if (verdict) {
+        finish_attachment(a, nullptr, *verdict, commands);
+      } else {
+        infer_attachment(a, commands);
+      }
     }
   };
 
@@ -593,10 +623,10 @@ std::size_t ValkyrieEngine::step_fused() {
     if (pool_ != nullptr) {
       // n <= 1 runs inline inside the pool, which counts it — so the
       // schedule-run statistic stays exact for degenerate epochs too.
-      pool_->parallel_for_shards(live.size(), fused_range);
+      pool_->parallel_for_shards(live.size(), run_range);
     } else if (!live.empty()) {
       ++inline_runs_;
-      fused_range(0, 0, live.size());
+      run_range(0, 0, live.size());
     }
   } catch (...) {
     sys_.abort_epoch();
@@ -604,197 +634,6 @@ std::size_t ValkyrieEngine::step_fused() {
     throw;
   }
   sys_.end_epoch();
-  commit_shard_commands();
-
-  return live_attached_count();
-}
-
-std::size_t ValkyrieEngine::step_batched() {
-  // Re-arm the plane sections every step: a detector whose declared needs
-  // widened since construction (e.g. StatisticalDetector::set_vote_window
-  // switching it onto the raw-window default adapter) must find its
-  // sections maintained, not silently read never-written rows. Widening
-  // an armed plane is three flag ORs; narrowing never happens.
-  sys_.enable_feature_plane(detector_.plane_sections());
-  // Serial open phase, exactly as fused: CFS share snapshot; slot layout
-  // frozen for the whole dispatch.
-  sys_.begin_epoch();
-  const std::span<const sim::ProcessId> live = sys_.live_processes();
-
-  for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
-  if (!attached_.empty() && !live.empty()) {
-    reserve_shard_buffers(
-        std::min(shard_quota(live.size()), attached_.size()));
-  }
-  // Per-slot scratch (finished flags + batch outputs), sized to the live
-  // list; capacity only grows, so the steady-state epoch allocates nothing.
-  if (batch_finished_.size() < live.size()) {
-    batch_finished_.resize(live.size());
-    batch_votes_.resize(live.size());
-    batch_infer_.resize(live.size(), ml::Inference::kBenign);
-  }
-  const std::optional<double> fraction = detector_.vote_fraction();
-
-  // One shard dispatch, three phases per shard over its contiguous slot
-  // range: (A) simulate every slot — step_slot fills the shard's feature-
-  // plane segment as a side effect; (B) ONE batch detector call over that
-  // segment instead of one virtual call per process; (C) fold the batch
-  // results into the per-attachment running counts and plan the responses.
-  const auto batched_range = [&](std::size_t shard, std::size_t begin,
-                                 std::size_t end) {
-    std::vector<ActuatorCommand>& commands = shard_commands_[shard];
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      batch_finished_[slot] = sys_.step_slot(slot) ? 1 : 0;
-    }
-    // With the plane-major fold armed, step_slot only STAGED each slot's
-    // feature vector; fold the shard's whole range in one cross-slot
-    // Welford pass before the batch kernel (or any summary) reads the
-    // plane's stats rows. A no-op when the fold is off.
-    sys_.fold_plane_range(begin, end);
-
-    const std::size_t width = end - begin;
-    const ml::SummaryMatrixView plane = sys_.feature_plane();
-    const ml::SummaryMatrixView segment = plane.slice(begin, end);
-    // With the fault plane armed the batch kernels can throw (a faulted
-    // detector rejects the whole segment): contain it and drop this
-    // shard's segment to the per-slot scalar path, which re-applies the
-    // per-column fault decisions deterministically — so the faulted run
-    // stays bit-identical to the fused schedule's.
-    bool batch_ok = true;
-    try {
-      if (fraction) {
-        detector_.measurement_votes(
-            segment.newest_view(),
-            std::span<std::uint8_t>(batch_votes_).subspan(begin, width));
-      } else {
-        detector_.infer_batch(
-            segment,
-            std::span<ml::Inference>(batch_infer_).subspan(begin, width));
-      }
-    } catch (...) {
-      if (fault_plane_ == nullptr) throw;
-      batch_ok = false;
-      health_batch_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      const sim::ProcessId pid = live[slot];
-      const std::uint32_t* idx = attached_index_.find(pid);
-      if (idx == nullptr) continue;
-      Attached& a = attached_[*idx];
-      a.last_action = ValkyrieMonitor::Action::kNone;
-      a.last_action_step = step_tag_;
-      // A process that completed this epoch gets no inference — exactly as
-      // the fused and split schedules see it.
-      if (batch_finished_[slot] != 0) continue;
-      ml::Inference inference;
-      if (!batch_ok) {
-        inference = guarded_infer(a, sys_.window_summary(a.pid));
-      } else if (fraction) {
-        // The plane's dense count row, not the accumulator array: phase C
-        // must not re-stream 300-byte accumulator strides per slot.
-        const std::size_t count = plane.counts[slot];
-        if (fault_plane_ != nullptr &&
-            sys_.invalid_streak(a.pid) > fault_cfg_.staleness_budget) {
-          // Past the staleness budget the fused path goes blind without
-          // touching the stream; mirror it exactly (the batch vote for
-          // this slot was computed over stale bits and is discarded).
-          health_blind_.fetch_add(1, std::memory_order_relaxed);
-          inference = ml::Inference::kInvalid;
-        } else if (a.stream.can_fold(count)) {
-          if (fault_plane_ != nullptr &&
-              sys_.newest_stale_mask(slot) != 0) {
-            // Mirror guarded_infer's partial-plane accounting: the folded
-            // vote was computed over a column with substituted features.
-            health_masked_.fetch_add(1, std::memory_order_relaxed);
-          }
-          inference =
-              a.stream.fold_vote(batch_votes_[slot] != 0, count, *fraction);
-        } else if (fault_plane_ != nullptr) {
-          // Quarantined (stale count), mid-run catch-up or episode shrink
-          // under an armed plane: the guarded scalar path keeps coast
-          // accounting and containment identical to the fused schedule.
-          inference = guarded_infer(a, sys_.window_summary(a.pid));
-        } else {
-          // Mid-run attach catch-up or episode shrink: the scalar
-          // streaming path handles it (one-time cost per attachment).
-          inference = a.stream.infer(detector_, sys_.window_summary(a.pid));
-        }
-      } else {
-        inference = batch_infer_[slot];
-        if (fault_plane_ != nullptr) {
-          const std::uint64_t streak = sys_.invalid_streak(a.pid);
-          if (streak > fault_cfg_.staleness_budget) {
-            health_blind_.fetch_add(1, std::memory_order_relaxed);
-            inference = ml::Inference::kInvalid;
-          } else {
-            if (streak > 0) {
-              health_coasted_.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (sys_.newest_stale_mask(slot) != 0) {
-              health_masked_.fetch_add(1, std::memory_order_relaxed);
-            }
-            inference = sanitize(inference);
-          }
-        }
-      }
-      finish_attachment(a, nullptr, inference, commands);
-    }
-  };
-
-  try {
-    if (pool_ != nullptr) {
-      pool_->parallel_for_shards(live.size(), batched_range);
-    } else if (!live.empty()) {
-      ++inline_runs_;
-      batched_range(0, 0, live.size());
-    }
-  } catch (...) {
-    sys_.abort_epoch();
-    commit_shard_commands();
-    throw;
-  }
-  sys_.end_epoch();
-  commit_shard_commands();
-
-  return live_attached_count();
-}
-
-std::size_t ValkyrieEngine::step_split() {
-  // Shard phase 1: simulate the epoch (workloads, HPC capture, window
-  // statistics) across the pool. Without a pool the phase runs inline on
-  // this thread — counted here so schedule_run_count() reports the split
-  // schedule's two phases per epoch regardless of worker count.
-  if (pool_ == nullptr && !sys_.live_processes().empty()) ++inline_runs_;
-  sys_.run_epoch(pool_.get());
-
-  for (std::vector<ActuatorCommand>& buf : shard_commands_) buf.clear();
-
-  // Shard phase 2: streaming inference + monitor decisions. Each shard
-  // touches only its own attachments' state and reads the system, emitting
-  // side effects as commands into its own buffer.
-  const auto infer_range = [&](std::size_t shard, std::size_t begin,
-                               std::size_t end) {
-    std::vector<ActuatorCommand>& commands = shard_commands_[shard];
-    for (std::size_t i = begin; i < end; ++i) {
-      Attached& a = attached_[i];
-      a.last_action = ValkyrieMonitor::Action::kNone;
-      a.last_action_step = step_tag_;
-      if (!sys_.is_live(a.pid)) continue;
-      infer_attachment(a, commands);
-    }
-  };
-  try {
-    if (pool_ != nullptr) {
-      pool_->parallel_for_shards(attached_.size(), infer_range);
-    } else if (!attached_.empty()) {
-      ++inline_runs_;
-      infer_range(0, 0, attached_.size());
-    }
-  } catch (...) {
-    commit_shard_commands();
-    throw;
-  }
   commit_shard_commands();
 
   return live_attached_count();
@@ -820,8 +659,8 @@ const ValkyrieMonitor& ValkyrieEngine::monitor(sim::ProcessId pid) const {
 
 ValkyrieMonitor::Action ValkyrieEngine::last_action(sim::ProcessId pid) const {
   const Attached& a = attachment(pid);
-  // The fused schedule never visits attachments of already-dead processes,
-  // so an action from an older step reads as "nothing happened this epoch".
+  // The step never visits attachments of already-dead processes, so an
+  // action from an older step reads as "nothing happened this epoch".
   return a.last_action_step == step_tag_ ? a.last_action
                                          : ValkyrieMonitor::Action::kNone;
 }
@@ -879,9 +718,10 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
     att.stream_counted = a.stream.counted();
     att.terminal_malicious = a.terminal_stream.malicious_count();
     att.terminal_counted = a.terminal_stream.counted();
-    // Canonicalize to the observable view (see AttachmentImage): schedules
-    // differ in whether they record kNone actions, so only a real action
-    // from THIS step survives into the snapshot.
+    // Canonicalize to the observable view (see AttachmentImage): the raw
+    // pair also records idle kNone visits, which last_action() cannot tell
+    // from no visit, so only a real action from THIS step survives into
+    // the snapshot.
     const bool acted = a.last_action_step == step_tag_ &&
                        a.last_action != ValkyrieMonitor::Action::kNone;
     att.last_action = static_cast<std::uint8_t>(
@@ -891,7 +731,7 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
   }
   // The retry table is real state — a restored run must resume the same
   // backoff schedule. Already pid-sorted (an invariant commit maintains
-  // precisely so snapshots are byte-identical across StepModes).
+  // precisely so snapshots are byte-identical across worker counts).
   image.retries.reserve(retry_.size());
   for (const PendingRetry& r : retry_) {
     snapshot::RetryImage ri;

@@ -139,48 +139,42 @@ class ValkyrieMonitor {
 /// O(1) per process in the accumulated window length for every bundled
 /// detector family (previously O(window)).
 ///
-/// Two step schedules exist, selected at construction:
+/// Every step runs one schedule: ONE shard dispatch over the system's live
+/// slots. Each shard walks a contiguous slot range and
+///   (1) steps every slot (SimSystem::step_slot: workload execution, HPC
+///       capture, window fold, and its column of the feature plane),
+///   (2) makes ONE batch detector call over its segment of the plane — a
+///       measurement_votes sweep for vote-based detectors, infer_batch
+///       otherwise — instead of one virtual call per process,
+///   (3) folds the batch results into the per-attachment StreamingInference
+///       running counts and plans each slot's monitor decision.
 ///
-///   * StepMode::kFused (default) — ONE shard dispatch per epoch. Each
-///     shard walks a contiguous range of the system's live slots and, per
-///     process, runs workload execution + HPC capture + window fold
-///     (SimSystem::step_slot) immediately followed by streaming inference
-///     and the monitor decision — the HPC sample is consumed while still
-///     register/L1-hot instead of being re-fetched by a second pass.
-///   * StepMode::kSplit — the two-dispatch schedule (sim pass, then
-///     inference pass), kept for A/B benchmarking of the fused schedule.
-///   * StepMode::kBatched — the fused schedule with detector inference
-///     batched across slots: the system maintains a feature-major plane
-///     over the live slots (SimSystem::feature_plane), each shard first
-///     simulates its contiguous slot range (filling its plane segment),
-///     then issues ONE batch detector call for the whole segment — a
-///     measurement_votes sweep for vote-based detectors, an infer_batch
-///     call otherwise — and finally folds the batch results into the
-///     per-attachment StreamingInference running counts and plans the
-///     monitor decisions. Still exactly one pool dispatch per epoch, and
-///     bit-identical to the other schedules: the batch kernels preserve
-///     the scalar accumulation order, and any attachment the fast fold
-///     cannot serve (mid-run attach catch-up, episode shrink) drops to the
-///     scalar streaming path for that epoch.
+/// The route is what the detector declares (Detector::plane_sections),
+/// re-read every step; there is no caller option:
+///   * kNewestOnly / kStatsOnly — the detector has batch kernels over those
+///     rows: the system maintains exactly those plane sections and every
+///     shard takes phase (2);
+///   * kFull — a raw-window model with no batch kernel (the LSTM,
+///     out-of-tree detectors): no plane is armed, phase (2) is skipped and
+///     every slot is served per slot by the scalar streaming path.
+/// The per-slot path is also where the batch route sends any attachment the
+/// vote fold cannot serve (mid-run attach catch-up, episode shrink) and any
+/// shard whose batch call faulted, so neither route has code of its own
+/// past the batch call. The batch kernels preserve the scalar accumulation
+/// order, so both routes produce the same bits.
 ///
-/// Both schedules bracket the dispatch with the same serial phases: the CFS
-/// share snapshot before (SimSystem::begin_epoch) and the command commit
-/// after, so with `worker_threads > 1` every monitor emits its
-/// ActuatorCommand into a per-shard buffer and the buffers are drained
+/// The dispatch is bracketed by serial phases: the CFS share snapshot
+/// before (SimSystem::begin_epoch) and the command commit after. Every
+/// monitor emits its ActuatorCommand into a per-shard buffer, drained
 /// serially once the shards join (shared scheduler weights, cgroup caps and
 /// kills mutate shared state). Every command touches only its own process,
-/// so the committed state is independent of drain order — which is why the
-/// fused schedule (slot order), the split schedule (attachment order) and
-/// the sequential engine are all bit-identical for any worker count.
+/// so the committed state is independent of drain order and shard layout:
+/// a step is bit-identical for any worker count to a plain sequential loop
+/// (SimSystem::run_epoch, then per live attachment StreamingInference::infer
+/// over window_summary followed by ValkyrieMonitor::on_epoch).
 class ValkyrieEngine {
  public:
   using ActuatorFactory = std::unique_ptr<Actuator> (*)();
-
-  /// Epoch schedule: fused single-dispatch (default), the split
-  /// two-dispatch schedule it replaced (kept for benchmarking), or the
-  /// fused schedule with cross-slot batched detector inference over the
-  /// system's feature plane.
-  enum class StepMode : std::uint8_t { kFused, kSplit, kBatched };
 
   /// Degraded-mode policy knobs, all in epochs/attempts.
   struct FaultToleranceConfig {
@@ -247,8 +241,7 @@ class ValkyrieEngine {
   /// (when detectable): oversubscribed shards only add contention, and a
   /// silent 64-thread pool on a 4-core box is never what the caller meant.
   ValkyrieEngine(sim::SimSystem& sys, const ml::Detector& detector,
-                 std::size_t worker_threads = 1,
-                 StepMode mode = StepMode::kFused);
+                 std::size_t worker_threads = 1);
 
   /// Attaches a process with its own config and actuator. A process can be
   /// attached at most once at a time (re-attach after detach() starts a
@@ -276,8 +269,8 @@ class ValkyrieEngine {
   void detach(sim::ProcessId pid);
 
   /// Pre-sizes the engine's per-process tables (attachments, the pid ->
-  /// attachment index, per-shard command buffers and the batched
-  /// schedule's scratch) for up to `max_processes` processes over the
+  /// attachment index, per-shard command buffers and the per-slot batch
+  /// scratch) for up to `max_processes` processes over the
   /// run's lifetime, mirroring SimSystem::reserve: after both, a
   /// steady-state churn epoch — spawn, attach, step, retire — performs no
   /// heap allocation.
@@ -317,8 +310,8 @@ class ValkyrieEngine {
   /// fingerprint (and, per attachment, the terminal detector's) against
   /// this engine before committing — a mismatch throws
   /// SerialError(kIncompatible) and leaves the engine untouched. The
-  /// engine's own step mode and worker count are kept: bit-identity holds
-  /// across both, so they are run-configuration, not state.
+  /// engine's own worker count is kept: bit-identity holds across worker
+  /// counts, so it is run-configuration, not state.
   void restore_from(const snapshot::EngineImage& image,
                     const snapshot::RestoreContext& ctx);
 
@@ -327,11 +320,8 @@ class ValkyrieEngine {
     return pool_ != nullptr ? pool_->shard_count() : 1;
   }
 
-  [[nodiscard]] StepMode step_mode() const noexcept { return mode_; }
-
-  /// Shard dispatches issued to the pool so far (0 when sequential). The
-  /// fused and batched schedules cost exactly one per epoch; the split
-  /// schedule two.
+  /// Shard dispatches issued to the pool so far (0 when sequential): one
+  /// per epoch.
   [[nodiscard]] std::uint64_t pool_dispatch_count() const noexcept {
     return pool_ != nullptr ? pool_->dispatch_count() : 0;
   }
@@ -339,9 +329,8 @@ class ValkyrieEngine {
   /// Schedule phases actually executed: pool dispatches + pool-inline runs
   /// + the engine's own sequential-phase executions. Unlike
   /// pool_dispatch_count() this does not read zero for single-shard runs,
-  /// so it is the statistic the scaling bench records as
-  /// dispatches-per-epoch: fused/batched = 1 per epoch, split = 2,
-  /// independent of worker count.
+  /// so it is the statistic benches record as dispatches-per-epoch: 1 per
+  /// epoch, independent of worker count.
   [[nodiscard]] std::uint64_t schedule_run_count() const noexcept {
     const std::uint64_t pool_runs =
         pool_ != nullptr
@@ -358,19 +347,19 @@ class ValkyrieEngine {
     ml::StreamingInference stream;           // running state for detector_
     ml::StreamingInference terminal_stream;  // ... for terminal_detector
     ValkyrieMonitor::Action last_action = ValkyrieMonitor::Action::kNone;
-    // Step that wrote last_action. The fused schedule never visits
-    // attachments whose process is already dead, so staleness is detected
-    // by tag instead of by eagerly clearing every attachment.
+    // Step that wrote last_action. The step never visits attachments whose
+    // process is already dead, so staleness is detected by tag instead of
+    // by eagerly clearing every attachment.
     std::uint64_t last_action_step = 0;
-    // Tombstone set by detach(); the entry is skipped by every schedule
-    // (its index entry is already -1) and reclaimed by prune_detached().
+    // Tombstone set by detach(); the entry is skipped by the step (its
+    // index entry is already gone) and reclaimed by prune_detached().
     bool detached = false;
   };
 
   /// One failed actuator command awaiting its backoff expiry. The table is
   /// kept pid-sorted (each pid has at most one entry — commands coalesce),
-  /// so its contents are independent of the order schedules emit commands
-  /// in, which keeps snapshots byte-identical across StepModes.
+  /// so its contents are independent of the order shards emit commands
+  /// in, which keeps snapshots byte-identical across worker counts.
   struct PendingRetry {
     sim::ProcessId pid = 0;
     ActuatorCommand::Kind kind = ActuatorCommand::Kind::kNone;
@@ -387,21 +376,33 @@ class ValkyrieEngine {
   /// small.
   [[nodiscard]] std::size_t live_attached_count() const;
 
-  std::size_t step_fused();
-  std::size_t step_split();
-  std::size_t step_batched();
-
-  /// Runs one attachment's streaming inference + monitor decision for the
-  /// current step, appending any resulting command to `commands`. Shared by
-  /// the scalar schedules so they cannot drift.
+  /// The per-slot path: one attachment's streaming inference over its
+  /// window summary + monitor decision for the current step, appending any
+  /// resulting command to `commands`.
   void infer_attachment(Attached& a, std::vector<ActuatorCommand>& commands);
+
+  /// Phase (2) of a shard on the batch route: ONE detector call over the
+  /// shard's plane segment (columns [begin, begin + segment.count)),
+  /// writing the per-slot scratch. Returns false when the call threw under
+  /// an armed fault plane — the shard then serves every slot per slot,
+  /// which re-applies the per-column fault decisions deterministically.
+  bool batch_segment(const ml::SummaryMatrixView& segment, std::size_t begin,
+                     const std::optional<double>& fraction);
+
+  /// Phase (3) of the batch route for one slot: its inference from the
+  /// shard's batch results, with guarded_infer's fault accounting, or
+  /// nullopt when the per-slot path must serve it instead (blind past the
+  /// staleness budget, or a vote the fold cannot take: catch-up, episode
+  /// shrink, a quarantined count).
+  [[nodiscard]] std::optional<ml::Inference> batch_verdict(
+      Attached& a, std::size_t slot, std::size_t count,
+      const std::optional<double>& fraction);
 
   /// The hardened per-attachment inference (fault plane armed): coasts on
   /// stale streaming state while the slot's telemetry quarantine is within
   /// the staleness budget, goes blind (kInvalid) beyond it, contains any
   /// detector exception into kInvalid, and sanitizes out-of-range enum
-  /// bits. Shared by the fused scalar path and the batched schedule's
-  /// per-slot fallback so faulted runs stay bit-identical across modes.
+  /// bits.
   [[nodiscard]] ml::Inference guarded_infer(Attached& a,
                                             const ml::WindowSummary& summary);
 
@@ -428,10 +429,10 @@ class ValkyrieEngine {
   /// Pid-sorted lookup into retry_ (retry_.size() when absent).
   [[nodiscard]] std::size_t find_retry(sim::ProcessId pid) const noexcept;
 
-  /// The decision tail shared by every schedule: terminal-detector
+  /// The decision tail shared by both routes: terminal-detector
   /// consultation (when armed), monitor plan, action bookkeeping, command
   /// emission. `summary` may be null — the terminal path then assembles
-  /// one on demand, so the batched schedule only pays for summaries on the
+  /// one on demand, so the batch route only pays for summaries on the
   /// rare terminable epochs.
   void finish_attachment(Attached& a, const ml::WindowSummary* summary,
                          ml::Inference inference,
@@ -457,7 +458,6 @@ class ValkyrieEngine {
 
   sim::SimSystem& sys_;
   const ml::Detector& detector_;
-  StepMode mode_;
   std::vector<Attached> attached_;
   // pid -> index into attached_ (absent = not attached): O(1) monitor
   // lookup for callers and for the shards. Robin-hood hashed, so the table
@@ -468,8 +468,8 @@ class ValkyrieEngine {
   std::unique_ptr<util::ThreadPool> pool_;  // null when sequential
   // One pre-reserved command buffer per shard, reused every epoch.
   std::vector<std::vector<ActuatorCommand>> shard_commands_;
-  // Per-slot scratch for the batched schedule, indexed like the live list;
-  // each shard writes only its own slot range. Capacity grows
+  // Per-slot scratch (finished flags + batch outputs), indexed like the
+  // live list; each shard writes only its own slot range. Capacity grows
   // monotonically, so the steady-state epoch allocates nothing.
   std::vector<std::uint8_t> batch_finished_;
   std::vector<std::uint8_t> batch_votes_;

@@ -61,7 +61,7 @@ constexpr std::uint64_t kActuatorBurstTag = 0x4143544255525354ull; // "ACTBURST"
 /// `epoch` is found. Every dwell length is a hash of (seed-stream, domain,
 /// interval index), so the schedule is identical no matter who asks, when,
 /// or how many times — the property that keeps burst chaos bit-reproducible
-/// across StepModes and worker counts.
+/// across worker counts.
 /// Resume point for one domain's renewal walk: interval pair `i` starts at
 /// epoch `t`. Purely an accelerator — every dwell is a pure hash of
 /// (domain_key, interval index), so resuming mid-chain yields bit-identical

@@ -7,11 +7,10 @@
 // does it deterministically: every fault decision is a pure splitmix64
 // hash over a stable identity (seed x epoch x pid, or seed x feature
 // bits), never a stateful RNG draw. That is what keeps chaos runs
-// bit-reproducible across StepModes and worker counts: shards may consult
-// the plane in any order, any number of times, and always get the same
-// answer. Fault schedules therefore "commit" at epoch boundaries by
-// construction — the decision for (epoch E, pid P) is fixed the moment
-// the seed is chosen.
+// bit-reproducible across worker counts: shards may consult the plane in
+// any order, any number of times, and always get the same answer. Fault
+// schedules therefore "commit" at epoch boundaries by construction — the
+// decision for (epoch E, pid P) is fixed the moment the seed is chosen.
 //
 // The plane is code, not data: like detectors and scenario scripts it is
 // never serialized into snapshots — a restored run re-arms the same plane
@@ -86,8 +85,8 @@ struct ActuatorFaultConfig {
 /// a burst is answered by walking the domain's renewal intervals from
 /// epoch 0, each interval length drawn from a hash of (seed, domain,
 /// interval index). No state, no draws consumed — shards may ask in any
-/// order and chaos runs stay bit-reproducible across StepModes × worker
-/// counts exactly like the iid draws.
+/// order and chaos runs stay bit-reproducible across worker counts exactly
+/// like the iid draws.
 struct DomainFaultConfig {
   /// Number of fault domains; 0 disables the burst layer entirely.
   std::size_t domain_count = 0;
@@ -181,10 +180,9 @@ class FaultPlane {
       std::uint64_t epoch, std::uint32_t pid) const noexcept;
 
   /// Detector faults key on the *feature bits* being scored, so the
-  /// decision is identical wherever the score happens — the scalar fused
-  /// path, the split schedule and the batched plane sweep all present the
-  /// same bits for the same measurement. One draw, partitioned:
-  /// throw first, then garbage.
+  /// decision is identical wherever the score happens — the per-slot
+  /// scalar path and the batched plane sweep present the same bits for the
+  /// same measurement. One draw, partitioned: throw first, then garbage.
   [[nodiscard]] bool detector_throws(
       std::span<const double> features) const noexcept;
   [[nodiscard]] bool detector_garbage(
@@ -211,9 +209,9 @@ class DetectorFault : public std::runtime_error {
 /// inference, may instead return garbage enum bits the engine must
 /// sanitize). Batch kernels throw when ANY column in the batch is faulted
 /// — the engine then falls back to the per-slot scalar path, which
-/// re-applies the per-column decisions deterministically, so batched runs
-/// stay bit-identical to fused ones. Name and state hash forward to the
-/// wrapped detector: snapshots of faulted runs interoperate with the
+/// re-applies the per-column decisions deterministically, so faulted runs
+/// stay bit-identical for any shard layout. Name and state hash forward to
+/// the wrapped detector: snapshots of faulted runs interoperate with the
 /// fault-free engine.
 class FaultyDetector final : public ml::Detector {
  public:
@@ -227,8 +225,12 @@ class FaultyDetector final : public ml::Detector {
   [[nodiscard]] std::optional<double> vote_fraction() const override {
     return inner_.vote_fraction();
   }
+  /// The batch fault checks key on the newest-measurement rows, which a
+  /// stats-only plane does not carry — so a wrapped stats-only detector is
+  /// served per slot instead of batched.
   [[nodiscard]] PlaneSections plane_sections() const override {
-    return inner_.plane_sections();
+    const PlaneSections inner = inner_.plane_sections();
+    return inner == PlaneSections::kStatsOnly ? PlaneSections::kFull : inner;
   }
 
   [[nodiscard]] ml::Inference infer(

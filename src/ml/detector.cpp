@@ -55,9 +55,9 @@ WindowSummary SummaryMatrixView::gather(std::size_t c) const noexcept {
   WindowSummary out;
   out.count = counts[c];
   for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-    out.newest[f] = newest[f * stride + c];
-    out.mean[f] = mean[f * stride + c];
-    out.stddev[f] = stddev[f * stride + c];
+    if (newest != nullptr) out.newest[f] = newest[f * stride + c];
+    if (mean != nullptr) out.mean[f] = mean[f * stride + c];
+    if (stddev != nullptr) out.stddev[f] = stddev[f * stride + c];
   }
   if (windows != nullptr) out.window = windows[c];
   if (windows_wrap != nullptr) out.window_wrap = windows_wrap[c];

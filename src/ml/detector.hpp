@@ -42,19 +42,6 @@ namespace valkyrie::ml {
 /// instead of silently counting it as benign evidence.
 enum class Inference : std::uint8_t { kBenign, kMalicious, kInvalid };
 
-/// Numeric tier a detector's kernels run at. kBitExact (the default,
-/// always) calls libm and keeps the repository-wide bit-reproducibility
-/// contract: batch == scalar == every previous release, across StepModes
-/// and worker counts. kFast swaps the transcendentals for the fast_math
-/// approximations (and division for precomputed-reciprocal multiplies where
-/// a kernel is divide-bound): still deterministic — the same build produces
-/// the same bits on every run, and fast-scalar == fast-batch by the same
-/// operation-sequence argument as the exact tier — but NOT bit-identical to
-/// the exact tier, so detection decisions may differ near a model's
-/// threshold. The accuracy cost is measured, not assumed: BENCH_engine.json
-/// A/Bs both tiers including detection-efficacy deltas.
-enum class InferenceTier : std::uint8_t { kBitExact, kFast };
-
 /// Feature-major matrix view over a batch of measurement feature vectors:
 /// row f holds feature f of every batch item, consecutive items sit in
 /// consecutive doubles (unit stride), and consecutive feature rows are
@@ -89,8 +76,9 @@ struct FeatureMatrixView {
 /// the newest measurement's features, the running window mean and the
 /// running window standard deviation (each hpc::kFeatureDim rows x stride),
 /// plus per-column measurement counts and (optionally) the raw accumulated
-/// windows for detectors that still need them. Column c is exactly the
-/// WindowSummary of batch item c; gather(c) materialises it.
+/// windows. Any row group a producer does not carry is null (SimSystem's
+/// plane carries only its armed sections and never the windows). Column c
+/// is exactly the WindowSummary of batch item c; gather(c) materialises it.
 struct SummaryMatrixView {
   const double* newest = nullptr;  ///< features of the newest measurement
   const double* mean = nullptr;    ///< running window mean
@@ -112,21 +100,19 @@ struct SummaryMatrixView {
     return {newest, count, stride};
   }
 
-  /// Materialises column `c` as a scalar WindowSummary (defined after
-  /// WindowSummary below; see detector.cpp).
+  /// Materialises column `c` as a scalar WindowSummary; absent row groups
+  /// read as zeros (defined after WindowSummary below; see detector.cpp).
   [[nodiscard]] WindowSummary gather(std::size_t c) const noexcept;
 
-  /// Columns [begin, end) as a view (shard slicing).
+  /// Columns [begin, end) as a view (shard slicing); absent row groups
+  /// stay null.
   [[nodiscard]] SummaryMatrixView slice(std::size_t begin,
                                         std::size_t end) const noexcept {
-    return {newest + begin,
-            mean + begin,
-            stddev + begin,
-            counts + begin,
-            windows != nullptr ? windows + begin : nullptr,
-            windows_wrap != nullptr ? windows_wrap + begin : nullptr,
-            end - begin,
-            stride};
+    const auto at = [begin](const auto* p) {
+      return p != nullptr ? p + begin : nullptr;
+    };
+    return {at(newest),  at(mean),         at(stddev),  at(counts),
+            at(windows), at(windows_wrap), end - begin, stride};
   }
 };
 
@@ -190,19 +176,22 @@ class Detector {
   virtual void infer_batch(const SummaryMatrixView& batch,
                            std::span<Inference> out) const;
 
-  /// Which feature-plane sections a batched driver must maintain for this
-  /// detector, assuming the driver routes like StreamingInference does:
-  /// measurement_votes when vote_fraction() returns a value, infer_batch
-  /// otherwise (per-column counts are always maintained). Drivers skip
-  /// filling the rest — e.g. a pure vote detector never reads the running
-  /// mean/stddev rows, so the driver skips 2*kFeatureDim strided stores
-  /// AND the kFeatureDim stddev square roots per slot per epoch. The
-  /// default (kFull) is what the scalar-looping default adapters may
-  /// gather; detectors with narrower batch kernels override it.
+  /// How ValkyrieEngine serves this detector, and which feature-plane
+  /// sections its batch kernel reads. A detector with a batch kernel over
+  /// the plane declares the rows that kernel reads, assuming the engine
+  /// routes like StreamingInference does (measurement_votes when
+  /// vote_fraction() returns a value, infer_batch otherwise; per-column
+  /// counts are always maintained): the engine then maintains exactly those
+  /// rows and makes one batch call per shard — e.g. a pure vote detector
+  /// never reads the running mean/stddev rows, so no slot pays their
+  /// 2*kFeatureDim strided stores or kFeatureDim square roots. The default
+  /// (kFull) means "no batch kernel": the detector is served per slot from
+  /// its scalar streaming path and no plane is armed for it — right for
+  /// raw-window models and any detector that has not written a kernel.
   enum class PlaneSections : std::uint8_t {
-    kNewestOnly,  // newest-measurement feature rows
-    kStatsOnly,   // running mean + stddev rows
-    kFull,        // everything, including the raw-window spans
+    kNewestOnly,  // batch kernel reads the newest-measurement feature rows
+    kStatsOnly,   // batch kernel reads the running mean + stddev rows
+    kFull,        // no batch kernel: served per slot, no plane
   };
   [[nodiscard]] virtual PlaneSections plane_sections() const {
     return PlaneSections::kFull;

@@ -5,24 +5,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ml/fast_math.hpp"
 #include "util/simd.hpp"
 
 namespace valkyrie::ml {
 namespace {
 
 double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-
-// Tier-dispatched activations for the inference paths. The `fast` flag is
-// loop-invariant wherever these are called, so the compiler unswitches the
-// branch; the fast bodies are straight-line arithmetic the batch kernel
-// vectorizes across columns. forward() (training) never goes through these.
-double hid_act(double x, bool fast) noexcept {
-  return fast ? fast_tanh(x) : std::tanh(x);
-}
-double out_act(double x, bool fast) noexcept {
-  return fast ? fast_sigmoid(x) : sigmoid(x);
-}
 
 }  // namespace
 
@@ -80,13 +68,11 @@ double Mlp::predict(std::span<const double> input) const {
   // Inference needs no per-layer activation record; ping-pong between two
   // stack buffers instead so the per-epoch hot path never allocates.
   // (Networks wider than the scratch fall back to the allocating forward()
-  // pass, which is always bit-exact regardless of the tier — none of the
-  // paper's architectures take that path.)
+  // pass — none of the paper's architectures take that path.)
   constexpr std::size_t kStackWidth = 64;
   for (const std::size_t s : sizes_) {
     if (s > kStackWidth) return forward(input).back().front();
   }
-  const bool fast = tier_ == InferenceTier::kFast;
   std::array<double, kStackWidth> buf_a;
   std::array<double, kStackWidth> buf_b;
   std::copy(input.begin(), input.end(), buf_a.begin());
@@ -118,22 +104,22 @@ double Mlp::predict(std::span<const double> input) const {
         s3 += w3[i] * p;
       }
       if (is_output) {
-        next[o] = out_act(s0, fast);
-        next[o + 1] = out_act(s1, fast);
-        next[o + 2] = out_act(s2, fast);
-        next[o + 3] = out_act(s3, fast);
+        next[o] = sigmoid(s0);
+        next[o + 1] = sigmoid(s1);
+        next[o + 2] = sigmoid(s2);
+        next[o + 3] = sigmoid(s3);
       } else {
-        next[o] = hid_act(s0, fast);
-        next[o + 1] = hid_act(s1, fast);
-        next[o + 2] = hid_act(s2, fast);
-        next[o + 3] = hid_act(s3, fast);
+        next[o] = std::tanh(s0);
+        next[o + 1] = std::tanh(s1);
+        next[o + 2] = std::tanh(s2);
+        next[o + 3] = std::tanh(s3);
       }
     }
     for (; o < layer.out; ++o) {
       double sum = layer.bias[o];
       const double* w_row = layer.weights.data() + o * layer.in;
       for (std::size_t i = 0; i < layer.in; ++i) sum += w_row[i] * prev[i];
-      next[o] = is_output ? out_act(sum, fast) : hid_act(sum, fast);
+      next[o] = is_output ? sigmoid(sum) : std::tanh(sum);
     }
     std::swap(prev, next);
   }
@@ -170,7 +156,6 @@ void Mlp::predict_batch(const double* input, std::size_t stride, std::size_t n,
   // Layer 0 reads the input matrix in place (src_stride = the caller's row
   // stride); deeper layers ping-pong between two L1-resident blocks.
   constexpr std::size_t kBlock = 8;
-  const bool fast = tier_ == InferenceTier::kFast;
   double buf_a[kStackWidth * kBlock];
   double buf_b[kStackWidth * kBlock];
   for (std::size_t base = 0; base < n; base += kBlock) {
@@ -224,17 +209,8 @@ void Mlp::predict_batch(const double* input, std::size_t stride, std::size_t n,
         }
         for (std::size_t j = 0; j < 4; ++j) {
           double* row = next + (o + j) * kBlock;
-          if (fast) {
-            // Straight-line approximations: this loop vectorizes across the
-            // column block, which is where the fast tier earns its keep.
-            for (std::size_t c = 0; c < bw; ++c) {
-              row[c] =
-                  is_output ? fast_sigmoid(acc[j][c]) : fast_tanh(acc[j][c]);
-            }
-          } else {
-            for (std::size_t c = 0; c < bw; ++c) {
-              row[c] = is_output ? sigmoid(acc[j][c]) : std::tanh(acc[j][c]);
-            }
+          for (std::size_t c = 0; c < bw; ++c) {
+            row[c] = is_output ? sigmoid(acc[j][c]) : std::tanh(acc[j][c]);
           }
         }
       }
@@ -256,14 +232,8 @@ void Mlp::predict_batch(const double* input, std::size_t stride, std::size_t n,
           }
         }
         double* row = next + o * kBlock;
-        if (fast) {
-          for (std::size_t c = 0; c < bw; ++c) {
-            row[c] = is_output ? fast_sigmoid(acc[c]) : fast_tanh(acc[c]);
-          }
-        } else {
-          for (std::size_t c = 0; c < bw; ++c) {
-            row[c] = is_output ? sigmoid(acc[c]) : std::tanh(acc[c]);
-          }
+        for (std::size_t c = 0; c < bw; ++c) {
+          row[c] = is_output ? sigmoid(acc[c]) : std::tanh(acc[c]);
         }
       }
       src = next;

@@ -58,16 +58,6 @@ class Mlp {
   /// imbalanced trace mix still trains both classes.
   void train(std::vector<Example> examples, const MlpTrainOptions& options);
 
-  /// Selects the inference tier for predict()/predict_batch(): kBitExact
-  /// (default) calls libm tanh/sigmoid; kFast uses the fast_math
-  /// approximations, whose straight-line form lets the batch kernel
-  /// vectorize the activations across columns. Scalar and batch stay
-  /// bit-identical to each other WITHIN a tier (the fast functions execute
-  /// the same operation sequence per lane); training always runs bit-exact
-  /// regardless of the tier.
-  void set_tier(InferenceTier tier) noexcept { tier_ = tier; }
-  [[nodiscard]] InferenceTier tier() const noexcept { return tier_; }
-
   [[nodiscard]] const std::vector<std::size_t>& layer_sizes() const noexcept {
     return sizes_;
   }
@@ -88,7 +78,6 @@ class Mlp {
 
   std::vector<std::size_t> sizes_;
   std::vector<Layer> layers_;
-  InferenceTier tier_ = InferenceTier::kBitExact;
 };
 
 /// Detector adapter: window aggregate features -> standardise -> MLP ->
@@ -114,9 +103,8 @@ class MlpDetector final : public Detector {
   void infer_batch(const SummaryMatrixView& batch,
                    std::span<Inference> out) const override;
   /// The batch kernel consumes only the mean/stddev rows (and counts), so
-  /// batched drivers skip the newest-feature stores and the raw-window
-  /// spans — unless the geometry forces the full-gathering default
-  /// adapter.
+  /// the engine skips the newest-feature stores — unless the geometry
+  /// forces the scalar path (no batch kernel: served per slot).
   [[nodiscard]] PlaneSections plane_sections() const override {
     return mlp_.layer_sizes().front() == kWindowFeatureDim &&
                    scaler_.dim() == kWindowFeatureDim
@@ -125,11 +113,6 @@ class MlpDetector final : public Detector {
   }
 
   [[nodiscard]] const Mlp& model() const noexcept { return mlp_; }
-
-  /// Forwards the inference-tier switch to the model (see Mlp::set_tier and
-  /// InferenceTier for the accuracy contract).
-  void set_tier(InferenceTier tier) noexcept { mlp_.set_tier(tier); }
-  [[nodiscard]] InferenceTier tier() const noexcept { return mlp_.tier(); }
 
   /// Builds and trains the paper's small ANN (one hidden layer, 4 nodes)
   /// on whole-window aggregates of the given traces.

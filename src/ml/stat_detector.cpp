@@ -38,26 +38,16 @@ void fit_gaussian(const std::vector<const std::vector<double>*>& rows,
   }
 }
 
-/// Reciprocal table for the kFast tier's multiply-form z-scores.
-std::vector<double> reciprocals(const std::vector<double>& stddev) {
-  std::vector<double> inv(stddev.size());
-  for (std::size_t i = 0; i < stddev.size(); ++i) inv[i] = 1.0 / stddev[i];
-  return inv;
-}
-
 /// Diagonal-Gaussian negative log-likelihood (up to a constant), averaged
 /// per feature: 0.5*z^2 + log(sigma). Unlike a plain z-distance this
 /// rewards tight clusters, so "being inside your own mode" beats "being
 /// vaguely near a wide one". z is capped so one wild counter cannot
-/// dominate the decision. `inv` non-null selects the kFast tier's
-/// multiply-by-reciprocal z (deterministic, not bit-identical to the
-/// divide).
+/// dominate the decision.
 double avg_nll(std::span<const double> features, const std::vector<double>& mean,
-               const std::vector<double>& stddev, const double* inv = nullptr) {
+               const std::vector<double>& stddev) {
   double total = 0.0;
   for (std::size_t i = 0; i < mean.size(); ++i) {
-    const double d = std::abs(features[i] - mean[i]);
-    const double z = std::min(8.0, inv != nullptr ? d * inv[i] : d / stddev[i]);
+    const double z = std::min(8.0, std::abs(features[i] - mean[i]) / stddev[i]);
     total += 0.5 * z * z + std::log(stddev[i]);
   }
   return total / static_cast<double>(mean.size());
@@ -138,14 +128,11 @@ void StatisticalDetector::fit(std::span<const Example> examples) {
         "StatisticalDetector::fit: no benign examples");
   }
   fit_gaussian(benign_rows, mean_, stddev_);
-  inv_stddev_ = reciprocals(stddev_);
   benign_models_ = cluster_gaussians(benign_rows, config_.benign_clusters);
-  for (Gaussian& g : benign_models_) g.inv_stddev = reciprocals(g.stddev);
 
   attack_models_.clear();
   if (attack_rows.empty()) return;
   attack_models_ = cluster_gaussians(attack_rows, config_.attack_clusters);
-  for (Gaussian& g : attack_models_) g.inv_stddev = reciprocals(g.stddev);
 }
 
 double StatisticalDetector::score(std::span<const double> features) const {
@@ -155,23 +142,19 @@ double StatisticalDetector::score(std::span<const double> features) const {
   if (features.size() != mean_.size()) {
     throw std::invalid_argument("StatisticalDetector: feature dim mismatch");
   }
-  const bool fast = tier_ == InferenceTier::kFast;
   if (has_attack_model()) {
     // Nearest-cluster classification: positive when the epoch resembles
     // the nearest known attack signature more than the nearest benign
     // behaviour mode.
     double nearest_attack = std::numeric_limits<double>::infinity();
     for (const Gaussian& g : attack_models_) {
-      nearest_attack = std::min(
-          nearest_attack, avg_nll(features, g.mean, g.stddev,
-                                  fast ? g.inv_stddev.data() : nullptr));
+      nearest_attack =
+          std::min(nearest_attack, avg_nll(features, g.mean, g.stddev));
     }
-    double nearest_benign = avg_nll(features, mean_, stddev_,
-                                    fast ? inv_stddev_.data() : nullptr);
+    double nearest_benign = avg_nll(features, mean_, stddev_);
     for (const Gaussian& g : benign_models_) {
-      nearest_benign = std::min(
-          nearest_benign, avg_nll(features, g.mean, g.stddev,
-                                  fast ? g.inv_stddev.data() : nullptr));
+      nearest_benign =
+          std::min(nearest_benign, avg_nll(features, g.mean, g.stddev));
     }
     return nearest_benign - nearest_attack;
   }
@@ -179,13 +162,6 @@ double StatisticalDetector::score(std::span<const double> features) const {
   // counter sits too far from its benign distribution; a mean over all
   // counters would dilute the one or two events an attack actually moves.
   double worst = 0.0;
-  if (fast) {
-    for (std::size_t i = 0; i < mean_.size(); ++i) {
-      worst =
-          std::max(worst, std::abs(features[i] - mean_[i]) * inv_stddev_[i]);
-    }
-    return worst;
-  }
   for (std::size_t i = 0; i < mean_.size(); ++i) {
     worst = std::max(worst, std::abs(features[i] - mean_[i]) / stddev_[i]);
   }
@@ -197,30 +173,19 @@ namespace {
 /// Batch avg_nll for one Gaussian over a column block: total[c] accumulates
 /// 0.5*z^2 + log(sigma) in the scalar path's ascending-feature order (the
 /// log(sigma) term is the same double every column, hoisted per feature).
-/// `inv` non-null selects the kFast tier's multiply-form z (same hoisted
-/// reciprocal the scalar avg_nll reads, so scalar == batch within the tier).
 VALKYRIE_TARGET_CLONES
 void avg_nll_block(const double* features, std::size_t stride, std::size_t bw,
                    const std::vector<double>& mean,
-                   const std::vector<double>& stddev, const double* inv,
-                   double* out) {
+                   const std::vector<double>& stddev, double* out) {
   for (std::size_t c = 0; c < bw; ++c) out[c] = 0.0;
   for (std::size_t f = 0; f < mean.size(); ++f) {
     const double* row = features + f * stride;
     const double m = mean[f];
     const double s = stddev[f];
     const double log_s = std::log(s);
-    if (inv != nullptr) {
-      const double inv_s = inv[f];
-      for (std::size_t c = 0; c < bw; ++c) {
-        const double z = std::min(8.0, std::abs(row[c] - m) * inv_s);
-        out[c] += 0.5 * z * z + log_s;
-      }
-    } else {
-      for (std::size_t c = 0; c < bw; ++c) {
-        const double z = std::min(8.0, std::abs(row[c] - m) / s);
-        out[c] += 0.5 * z * z + log_s;
-      }
+    for (std::size_t c = 0; c < bw; ++c) {
+      const double z = std::min(8.0, std::abs(row[c] - m) / s);
+      out[c] += 0.5 * z * z + log_s;
     }
   }
   const double dim = static_cast<double>(mean.size());
@@ -241,7 +206,6 @@ void StatisticalDetector::scores_plane(const double* features,
   constexpr std::size_t kCols = 128;
   double nearest[kCols];
   double tmp[kCols];
-  const bool fast = tier_ == InferenceTier::kFast;
   for (std::size_t base = 0; base < n; base += kCols) {
     const std::size_t bw = std::min(kCols, n - base);
     const double* block = features + base;
@@ -251,17 +215,14 @@ void StatisticalDetector::scores_plane(const double* features,
         nearest[c] = std::numeric_limits<double>::infinity();
       }
       for (const Gaussian& g : attack_models_) {
-        avg_nll_block(block, stride, bw, g.mean, g.stddev,
-                      fast ? g.inv_stddev.data() : nullptr, tmp);
+        avg_nll_block(block, stride, bw, g.mean, g.stddev, tmp);
         for (std::size_t c = 0; c < bw; ++c) {
           nearest[c] = std::min(nearest[c], tmp[c]);
         }
       }
-      avg_nll_block(block, stride, bw, mean_, stddev_,
-                    fast ? inv_stddev_.data() : nullptr, out_block);
+      avg_nll_block(block, stride, bw, mean_, stddev_, out_block);
       for (const Gaussian& g : benign_models_) {
-        avg_nll_block(block, stride, bw, g.mean, g.stddev,
-                      fast ? g.inv_stddev.data() : nullptr, tmp);
+        avg_nll_block(block, stride, bw, g.mean, g.stddev, tmp);
         for (std::size_t c = 0; c < bw; ++c) {
           out_block[c] = std::min(out_block[c], tmp[c]);
         }
@@ -273,15 +234,8 @@ void StatisticalDetector::scores_plane(const double* features,
         const double* row = block + f * stride;
         const double m = mean_[f];
         const double s = stddev_[f];
-        if (fast) {
-          const double inv_s = inv_stddev_[f];
-          for (std::size_t c = 0; c < bw; ++c) {
-            out_block[c] = std::max(out_block[c], std::abs(row[c] - m) * inv_s);
-          }
-        } else {
-          for (std::size_t c = 0; c < bw; ++c) {
-            out_block[c] = std::max(out_block[c], std::abs(row[c] - m) / s);
-          }
+        for (std::size_t c = 0; c < bw; ++c) {
+          out_block[c] = std::max(out_block[c], std::abs(row[c] - m) / s);
         }
       }
     }

@@ -84,8 +84,9 @@ class StatisticalDetector final : public Detector {
   void infer_batch(const SummaryMatrixView& batch,
                    std::span<Inference> out) const override;
   /// Newest-only voting (the default) and the whole-window vote structure
-  /// both consume only the newest-measurement rows on the batched path;
-  /// any other vote_window falls back to the raw-window default adapter.
+  /// both consume only the newest-measurement rows on the batch route; any
+  /// other vote_window votes over the raw window (no batch kernel: served
+  /// per slot).
   [[nodiscard]] PlaneSections plane_sections() const override {
     return config_.vote_window == 1 || config_.vote_window == kWholeWindow
                ? PlaneSections::kNewestOnly
@@ -116,13 +117,6 @@ class StatisticalDetector final : public Detector {
     return config_;
   }
 
-  /// Inference tier (see InferenceTier). This detector has no
-  /// transcendentals in its hot path; its kFast lever is replacing the
-  /// per-element z-score divide with a multiply by the Gaussian's
-  /// precomputed reciprocal spread — the same trade (deterministic, not
-  /// bit-identical to the exact tier, scalar == batch within the tier).
-  void set_tier(InferenceTier tier) noexcept { tier_ = tier; }
-  [[nodiscard]] InferenceTier tier() const noexcept { return tier_; }
   void set_threshold(double threshold) noexcept { config_.threshold = threshold; }
   void set_vote_window(std::size_t window) noexcept {
     config_.vote_window = window;
@@ -142,9 +136,6 @@ class StatisticalDetector final : public Detector {
   struct Gaussian {
     std::vector<double> mean;
     std::vector<double> stddev;
-    /// 1/stddev, precomputed at fit time for the kFast tier's
-    /// multiply-instead-of-divide z-scores.
-    std::vector<double> inv_stddev;
   };
 
   /// k-means + per-cluster diagonal Gaussians over one class's examples.
@@ -154,10 +145,8 @@ class StatisticalDetector final : public Detector {
   StatDetectorConfig config_;
   std::vector<double> mean_;    // pooled benign model (anomaly fallback)
   std::vector<double> stddev_;
-  std::vector<double> inv_stddev_;  // kFast tier (see set_tier)
   std::vector<Gaussian> benign_models_;
   std::vector<Gaussian> attack_models_;
-  InferenceTier tier_ = InferenceTier::kBitExact;
 };
 
 }  // namespace valkyrie::ml

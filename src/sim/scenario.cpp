@@ -320,8 +320,7 @@ std::size_t ScenarioDriver::step() {
       ++stats_.policy_kills;  // terminated by the response, not the script
     }
     // Departed processes leave the engine too: keeping dead attachments
-    // would grow the attachment table (and the split schedule's per-epoch
-    // walk) with every process ever admitted.
+    // would grow the attachment table with every process ever admitted.
     if (engine_.is_attached(pid)) engine_.detach(pid);
   }
 

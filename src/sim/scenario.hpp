@@ -15,9 +15,8 @@
 //   driver.run(epochs);
 //
 // Everything is driven from one seeded RNG and executes in the engine's
-// serial phases, so a scenario is bit-reproducible for any StepMode and any
-// worker count — the churn determinism suite (tests/test_churn_engine.cpp)
-// pins that down.
+// serial phases, so a scenario is bit-reproducible for any worker count —
+// the churn determinism suite (tests/test_churn_engine.cpp) pins that down.
 //
 // Timing model: arrivals drawn for epoch E are admitted before E runs (they
 // first execute in E — they were spawned at the E-1/E boundary); departures

@@ -8,7 +8,6 @@
 #include <type_traits>
 
 #include "fault/fault_plane.hpp"
-#include "ml/plane_fold.hpp"
 #include "snapshot/image.hpp"
 #include "snapshot/registry.hpp"
 #include "util/serial.hpp"
@@ -95,22 +94,7 @@ void SimSystem::admit_slot(ProcessId pid) {
 
   if (plane_enabled_) {
     plane_count_.push_back(0);
-    plane_window_.push_back({});
-    plane_window_wrap_.push_back({});
-    if (fold_enabled_) {
-      fold_mask_.push_back(0);
-      fold_pending_.push_back(0);
-    }
     reserve_plane();
-    if (fold_enabled_) {
-      // The column may carry a retired process's Welford rows (capacity is
-      // never released); in fold mode the plane is authoritative window
-      // state, so a fresh admission must start from zeroed statistics.
-      double* col = plane_.data() + slot;
-      for (std::size_t r = 0; r < plane_rows_used(); ++r) {
-        col[r * plane_stride_] = 0.0;
-      }
-    }
   }
 }
 
@@ -149,12 +133,6 @@ void SimSystem::reserve(std::size_t max_processes) {
     reserved_capacity_ = max_processes;
     if (plane_enabled_) {
       plane_count_.reserve(max_processes);
-      plane_window_.reserve(max_processes);
-      plane_window_wrap_.reserve(max_processes);
-      if (fold_enabled_) {
-        fold_mask_.reserve(max_processes);
-        fold_pending_.reserve(max_processes);
-      }
       reserve_plane();
     }
   }
@@ -168,38 +146,12 @@ void SimSystem::enable_feature_plane(ml::Detector::PlaneSections sections) {
   // different needs compose); it never narrows under an existing driver.
   plane_newest_ |= sections != ml::Detector::PlaneSections::kStatsOnly;
   plane_stats_ |= sections != ml::Detector::PlaneSections::kNewestOnly;
-  plane_windows_ |= sections == ml::Detector::PlaneSections::kFull;
-  if (plane_enabled_) return;
-  plane_enabled_ = true;
-  plane_count_.reserve(reserved_capacity_);
-  plane_window_.reserve(reserved_capacity_);
-  plane_window_wrap_.reserve(reserved_capacity_);
-  plane_count_.assign(slot_pid_.size(), 0);
-  plane_window_.assign(slot_pid_.size(), {});
-  plane_window_wrap_.assign(slot_pid_.size(), {});
-  reserve_plane();
-}
-
-void SimSystem::enable_plane_major_fold() {
-  if (epoch_open_) {
-    throw std::logic_error("SimSystem::enable_plane_major_fold: epoch open");
+  if (!plane_enabled_) {
+    plane_enabled_ = true;
+    plane_count_.reserve(reserved_capacity_);
+    plane_count_.assign(slot_pid_.size(), 0);
   }
-  if (fold_enabled_) return;
-  // The fold both stages into the newest rows and maintains the stats
-  // rows, so the plane must carry them regardless of what any driver's
-  // detector declared; widening-only, like enable_feature_plane.
-  enable_feature_plane(ml::Detector::PlaneSections::kNewestOnly);
-  enable_feature_plane(ml::Detector::PlaneSections::kStatsOnly);
-  fold_enabled_ = true;
-  fold_mask_.reserve(reserved_capacity_);
-  fold_pending_.reserve(reserved_capacity_);
-  fold_mask_.assign(slot_pid_.size(), 0);
-  fold_pending_.assign(slot_pid_.size(), 0);
-  // Grow the plane to carry the m2/fold-count row groups, then hand the
-  // authoritative Welford state over from the slot accumulators.
   reserve_plane();
-  plane_.resize(plane_rows_used() * plane_stride_, 0.0);
-  scatter_accums_to_plane();
 }
 
 void SimSystem::reserve_plane() {
@@ -211,102 +163,30 @@ void SimSystem::reserve_plane() {
   // never regrow the plane.
   constexpr std::size_t kPad = 8;
   const std::size_t want = std::max(slot_pid_.size(), reserved_capacity_);
-  const std::size_t stride = (want + kPad - 1) / kPad * kPad;
-  if (stride <= plane_stride_) return;
-  const std::size_t rows = plane_rows_used();
-  if (fold_enabled_ && plane_stride_ != 0) {
-    // Fold mode: the plane IS the window state — migrate every existing
-    // column into the wider buffer instead of wiping.
-    std::vector<double> grown(rows * stride, 0.0);
-    const std::size_t cols = std::min(plane_stride_, slot_pid_.size());
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy_n(plane_.data() + r * plane_stride_, cols,
-                  grown.data() + r * stride);
-    }
-    plane_ = std::move(grown);
-  } else {
-    // Old columns need no migration: every live column is rewritten by the
-    // next epoch's per-slot phase before any batch kernel reads it.
-    plane_.assign(rows * stride, 0.0);
+  const std::size_t stride =
+      std::max(plane_stride_, (want + kPad - 1) / kPad * kPad);
+  if (stride == plane_stride_ && plane_.size() == plane_rows() * stride) {
+    return;
   }
+  plane_.assign(plane_rows() * stride, 0.0);
   plane_stride_ = stride;
 }
 
 ml::SummaryMatrixView SimSystem::feature_plane() const noexcept {
   ml::SummaryMatrixView view;
-  view.newest = plane_.data();
-  view.mean = plane_.data() + hpc::kFeatureDim * plane_stride_;
-  view.stddev = plane_.data() + 2 * hpc::kFeatureDim * plane_stride_;
+  const double* rows = plane_.data();
+  if (plane_newest_) {
+    view.newest = rows;
+    rows += hpc::kFeatureDim * plane_stride_;
+  }
+  if (plane_stats_) {
+    view.mean = rows;
+    view.stddev = rows + hpc::kFeatureDim * plane_stride_;
+  }
   view.counts = plane_count_.data();
-  // Absent spans read as empty windows; a detector that declared a
-  // narrower section set promised not to need them.
-  view.windows = plane_windows_ ? plane_window_.data() : nullptr;
-  view.windows_wrap = plane_windows_ ? plane_window_wrap_.data() : nullptr;
   view.count = slot_pid_.size();
   view.stride = plane_stride_;
   return view;
-}
-
-void SimSystem::fold_plane_range(std::size_t begin, std::size_t end) {
-  if (!fold_enabled_) return;
-  end = std::min(end, fold_pending_.size());
-  // Narrow to the staged sub-range so an idempotent safety-net call over
-  // an already-folded epoch touches nothing.
-  while (begin < end && fold_pending_[begin] == 0) ++begin;
-  while (end > begin && fold_pending_[end - 1] == 0) --end;
-  if (begin == end) return;
-  ml::PlaneFoldRows rows;
-  double* base = plane_.data();
-  rows.newest = base;
-  rows.mean = base + hpc::kFeatureDim * plane_stride_;
-  rows.stddev = base + 2 * hpc::kFeatureDim * plane_stride_;
-  rows.m2 = base + kPlaneRows * plane_stride_;
-  rows.fcount = base + (kPlaneRows + hpc::kFeatureDim) * plane_stride_;
-  rows.stride = plane_stride_;
-  ml::fold_plane_columns(rows, fold_pending_.data(), fold_mask_.data(), begin,
-                         end);
-  for (std::size_t s = begin; s < end; ++s) {
-    if (fold_pending_[s] != 0) {
-      ++plane_count_[s];
-      fold_pending_[s] = 0;
-    }
-  }
-}
-
-ml::WindowAccumulator::State SimSystem::fold_state(std::size_t slot) const {
-  ml::WindowAccumulator::State st;
-  st.count = plane_count_[slot];
-  st.newest_mask = fold_mask_[slot];
-  const double* col = plane_.data() + slot;
-  for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-    st.newest[f] = col[f * plane_stride_];
-    st.mean[f] = col[(hpc::kFeatureDim + f) * plane_stride_];
-    st.m2[f] = col[(kPlaneRows + f) * plane_stride_];
-    // Fold counts are whole numbers carried as doubles (exact <= 2^53).
-    st.fcount[f] = static_cast<std::size_t>(
-        col[(kPlaneRows + hpc::kFeatureDim + f) * plane_stride_]);
-  }
-  return st;
-}
-
-void SimSystem::scatter_accums_to_plane() {
-  const std::size_t stride = plane_stride_;
-  for (std::size_t s = 0; s < slot_pid_.size(); ++s) {
-    const ml::WindowAccumulator& acc = accum_s_[s];
-    const ml::WindowAccumulator::State st = acc.state();
-    double* col = plane_.data() + s;
-    acc.store_newest_column(col, stride);
-    acc.store_stats_columns(col + hpc::kFeatureDim * stride,
-                            col + 2 * hpc::kFeatureDim * stride, stride);
-    for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-      col[(kPlaneRows + f) * stride] = st.m2[f];
-      col[(kPlaneRows + hpc::kFeatureDim + f) * stride] =
-          static_cast<double>(st.fcount[f]);
-    }
-    plane_count_[s] = st.count;
-    fold_mask_[s] = st.newest_mask;
-    fold_pending_[s] = 0;
-  }
 }
 
 void SimSystem::enable_counter_rng() {
@@ -449,14 +329,7 @@ bool SimSystem::step_slot(std::size_t slot) {
     } else {
       cold.history.push_back(step.hpc);
     }
-    if (fold_enabled_) {
-      // Plane-major fold: STAGE the sample's features into the slot's
-      // newest-row column and flag it; the cross-slot kernel folds every
-      // staged column after the range's step loop (fold_plane_range).
-      hpc::to_features(step.hpc, plane_.data() + slot, plane_stride_);
-      fold_mask_[slot] = stale_mask;
-      fold_pending_[slot] = 1;
-    } else if (stale_mask != 0) {
+    if (stale_mask != 0) {
       // Partial quarantine: the sample was repaired in place (bad columns
       // held at their last committed values) — commit it, but exclude the
       // repaired columns from the window statistics.
@@ -480,28 +353,23 @@ bool SimSystem::step_slot(std::size_t slot) {
   last_progress_s_[slot] = step.progress;
   ++epochs_run_s_[slot];
   if (plane_enabled_) {
-    if (!fold_enabled_) {
-      // The slot's plane column — the same bits window_summary() would
-      // assemble, written while the accumulator state is register/L1-hot,
-      // and only the sections the batch driver's detector actually reads
-      // (a vote detector skips the mean/stddev stores and their stddev
-      // square roots entirely). Distinct slots write distinct columns, so
-      // the plane fill shards with the rest of the per-slot phase.
-      double* col = plane_.data() + slot;
-      const ml::WindowAccumulator& acc = accum_s_[slot];
-      if (plane_newest_) acc.store_newest_column(col, plane_stride_);
-      if (plane_stats_) {
-        acc.store_stats_columns(col + hpc::kFeatureDim * plane_stride_,
-                                col + 2 * hpc::kFeatureDim * plane_stride_,
-                                plane_stride_);
-      }
-      plane_count_[slot] = acc.count();
+    // The slot's plane column — the same bits window_summary() would
+    // assemble, written while the accumulator state is register/L1-hot,
+    // and only the sections the batch driver's detector actually reads
+    // (a vote detector skips the mean/stddev stores and their stddev
+    // square roots entirely). Distinct slots write distinct columns, so
+    // the plane fill shards with the rest of the per-slot phase.
+    double* col = plane_.data() + slot;
+    const ml::WindowAccumulator& acc = accum_s_[slot];
+    if (plane_newest_) {
+      acc.store_newest_column(col, plane_stride_);
+      col += hpc::kFeatureDim * plane_stride_;
     }
-    // Fold mode leaves the count to fold_plane_range (a quarantined epoch
-    // stages nothing, so the count correctly stands still).
-    if (plane_windows_) {
-      history_spans(cold, plane_window_[slot], plane_window_wrap_[slot]);
+    if (plane_stats_) {
+      acc.store_stats_columns(col, col + hpc::kFeatureDim * plane_stride_,
+                              plane_stride_);
     }
+    plane_count_[slot] = acc.count();
   }
   if (step.finished) {
     exit_s_[slot] = ExitReason::kCompleted;
@@ -646,10 +514,6 @@ void SimSystem::end_epoch() {
   if (!epoch_open_) {
     throw std::logic_error("SimSystem::end_epoch: no open epoch");
   }
-  // Fold safety net: a driver that stepped slots without folding its
-  // ranges still closes the epoch with consistent plane statistics. The
-  // staging flags make this idempotent — already-folded ranges are no-ops.
-  if (fold_enabled_) fold_plane_range(0, slot_pid_.size());
   epoch_open_ = false;
   ++epoch_;
   commit_lifecycle();
@@ -664,10 +528,6 @@ void SimSystem::abort_epoch() {
   // failed epoch, and only the first may commit — a second commit at a
   // closed boundary would double-apply queued deltas.
   if (!epoch_open_) return;
-  // Slots that staged before the dispatch failed did commit their samples
-  // (history append happens with staging), so their statistics must fold
-  // before the lifecycle commit snapshots any retiring slot.
-  if (fold_enabled_) fold_plane_range(0, slot_pid_.size());
   epoch_open_ = false;
   commit_lifecycle();
 }
@@ -705,9 +565,6 @@ void SimSystem::run_epoch(util::ThreadPool* pool) {
   const std::size_t live = slot_pid_.size();
   const auto run_range = [this](std::size_t begin, std::size_t end) {
     for (std::size_t slot = begin; slot < end; ++slot) (void)step_slot(slot);
-    // Plane-major fold of the range just stepped (no-op unless armed):
-    // per-slot independent, so shard boundaries cannot change the bits.
-    fold_plane_range(begin, end);
   };
 
   // Per-slot phase: every slot touches only its own hot-array entries and
@@ -838,16 +695,10 @@ void SimSystem::retire_dead_slots() {
         if (plane_enabled_) {
           // The plane follows the same stable remap as every hot array, so
           // column i always belongs to live_processes()[i].
-          for (std::size_t r = 0; r < plane_rows_used(); ++r) {
+          for (std::size_t r = 0; r < plane_rows(); ++r) {
             plane_[r * plane_stride_ + w] = plane_[r * plane_stride_ + s];
           }
           plane_count_[w] = plane_count_[s];
-          plane_window_[w] = plane_window_[s];
-          plane_window_wrap_[w] = plane_window_wrap_[s];
-          if (fold_enabled_) {
-            fold_mask_[w] = fold_mask_[s];
-            fold_pending_[w] = fold_pending_[s];
-          }
         }
       }
       ++w;
@@ -858,10 +709,6 @@ void SimSystem::retire_dead_slots() {
       retired.cgroup = cgroup_s_[s];
       retired.effective = effective_s_[s];
       retired.last_sample = last_sample_s_[s];
-      // Fold mode keeps the authoritative Welford state in the plane; the
-      // retirement snapshot gathers it back into accumulator form so the
-      // pid-addressed observers answer from the same bits as ever.
-      if (fold_enabled_) accum_s_[s].restore(fold_state(s));
       retired.accumulator = accum_s_[s];
       retired.last_progress = last_progress_s_[s];
       retired.epochs_run = epochs_run_s_[s];
@@ -892,15 +739,7 @@ void SimSystem::retire_dead_slots() {
   exit_s_.resize(w);
   invalid_streak_s_.resize(w);
   feature_streak_s_.resize(w);
-  if (plane_enabled_) {
-    plane_count_.resize(w);
-    plane_window_.resize(w);
-    plane_window_wrap_.resize(w);
-    if (fold_enabled_) {
-      fold_mask_.resize(w);
-      fold_pending_.resize(w);
-    }
-  }
+  if (plane_enabled_) plane_count_.resize(w);
 }
 
 void SimSystem::set_cgroup_caps(ProcessId pid, std::optional<double> cpu,
@@ -1019,31 +858,9 @@ const std::vector<hpc::HpcSample>& SimSystem::sample_history(
 
 ml::WindowSummary SimSystem::window_summary(ProcessId pid) const {
   const PidRec rec = rec_checked(pid);
-  const std::uint32_t slot = rec.slot;
   std::span<const hpc::HpcSample> older;
   std::span<const hpc::HpcSample> wrap;
   history_spans(cold_[rec.row], older, wrap);
-  if (fold_enabled_ && is_hot_slot(slot)) {
-    // Fold mode assembles BY VALUE straight off the plane rows: no shared
-    // accumulator refresh, so parallel fused shards can query their own
-    // (already-folded) slots concurrently.
-    ml::WindowSummary out;
-    out.count = plane_count_[slot];
-    out.stale_mask = fold_mask_[slot];
-    const double* col = plane_.data() + slot;
-    for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-      out.newest[f] = col[f * plane_stride_];
-    }
-    if (out.count != 0) {
-      for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-        out.mean[f] = col[(hpc::kFeatureDim + f) * plane_stride_];
-        out.stddev[f] = col[(2 * hpc::kFeatureDim + f) * plane_stride_];
-      }
-    }
-    out.window = older;
-    out.window_wrap = wrap;
-    return out;
-  }
   ml::WindowSummary out = window_accumulator(pid).summary(older);
   out.window_wrap = wrap;
   return out;
@@ -1052,16 +869,8 @@ ml::WindowSummary SimSystem::window_summary(ProcessId pid) const {
 const ml::WindowAccumulator& SimSystem::window_accumulator(
     ProcessId pid) const {
   const PidRec rec = rec_checked(pid);
-  const std::uint32_t slot = rec.slot;
-  if (!is_hot_slot(slot)) return cold_[rec.row].retired.accumulator;
-  if (fold_enabled_) {
-    // The authoritative state lives in the plane rows; refresh the slot's
-    // (otherwise stale) accumulator from them before handing it out.
-    // Logically const, like live_processes()'s compaction — and serial-
-    // phase only: parallel shards must use window_summary() instead.
-    const_cast<SimSystem*>(this)->accum_s_[slot].restore(fold_state(slot));
-  }
-  return accum_s_[slot];
+  return is_hot_slot(rec.slot) ? accum_s_[rec.slot]
+                               : cold_[rec.row].retired.accumulator;
 }
 
 double SimSystem::last_progress(ProcessId pid) const {
@@ -1123,10 +932,7 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
     slot.cgroup = cgroup_s_[s];
     slot.effective = effective_s_[s];
     slot.last_sample = last_sample_s_[s];
-    // Fold mode: gather the authoritative plane rows back into
-    // accumulator form (bit-exact round trip), so the image format is
-    // identical either way.
-    slot.accum = fold_enabled_ ? fold_state(s) : accum_s_[s].state();
+    slot.accum = accum_s_[s].state();
     slot.last_progress = last_progress_s_[s];
     slot.epochs_run = epochs_run_s_[s];
     slot.exit = static_cast<std::uint8_t>(exit_s_[s]);
@@ -1419,22 +1225,12 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
 
   // The feature-plane arming flags are run config, not snapshot state
   // (the image carries none): the target keeps whatever sections its own
-  // engine armed at construction. Without fold mode the plane CONTENTS are
-  // derived — step_slot rewrites every live column before the next batch
-  // kernel reads it, so size (not bits) is all restore must provide. Fold
-  // mode instead re-seeds the authoritative Welford rows from the restored
-  // accumulators (the exact bits the image's capture gathered out).
+  // engine armed. The plane CONTENTS are derived — step_slot rewrites every
+  // live column before the next batch kernel reads it, so size (not bits)
+  // is all restore must provide.
   if (plane_enabled_) {
     plane_count_.assign(live, 0);
-    plane_window_.assign(live, {});
-    plane_window_wrap_.assign(live, {});
     reserve_plane();
-    if (fold_enabled_) {
-      fold_mask_.assign(live, 0);
-      fold_pending_.assign(live, 0);
-      plane_.assign(plane_rows_used() * plane_stride_, 0.0);
-      scatter_accums_to_plane();
-    }
   }
 }
 

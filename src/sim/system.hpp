@@ -25,16 +25,20 @@
 // slots, and a serial close (end_epoch: epoch count + boundary commit of
 // every lifecycle delta — completions and deferred kills retire, deferred
 // admissions append). run_epoch() drives the three phases itself;
-// ValkyrieEngine's fused path interleaves its own per-process inference
-// with step_slot inside a single shard dispatch. Either way results are
-// bit-identical to the sequential path for any shard count.
+// ValkyrieEngine runs its own per-slot inference after step_slot inside a
+// single shard dispatch. Either way results are bit-identical to the
+// sequential path for any shard count.
+//
+// The per-slot WindowAccumulator is the only window state. The optional
+// feature plane (enable_feature_plane) is a cache derived from it for
+// batch detector kernels, rewritten every epoch.
 //
 // The process set is OPEN: spawn() and kill() are legal at any point of a
 // run, including while an epoch is open. Mid-epoch calls do not mutate the
 // hot arrays under the running shards — they enqueue, and the deltas commit
 // at the epoch boundary (see spawn/kill below), so the frozen slot layout
-// the dispatch relies on survives and every StepMode stays bit-identical at
-// any worker count. reserve() pre-grows every table so steady-state churn
+// the dispatch relies on survives and results stay bit-identical at any
+// worker count. reserve() pre-grows every table so steady-state churn
 // (spawn + retire every epoch) performs no heap allocation at all.
 #pragma once
 
@@ -131,8 +135,8 @@ class SimSystem {
   /// steady-state churn stays allocation-free. Applies to retirements from
   /// the call onward; processes already retired are never reclaimed.
   /// Reclamation runs at epoch boundaries (the same serial commit point as
-  /// every other lifecycle mutation, so all StepModes and worker counts
-  /// reclaim identically). Throws std::invalid_argument on a zero window
+  /// every other lifecycle mutation, so all worker counts reclaim
+  /// identically). Throws std::invalid_argument on a zero window
   /// (drivers read exit state at the boundary that retires a process, so
   /// the state must survive at least one epoch) and std::logic_error while
   /// an epoch is open. Calling again adjusts the window.
@@ -157,11 +161,11 @@ class SimSystem {
   /// allocation until the reservation is exhausted.
   void reserve_history(std::size_t epochs);
 
-  // --- Fused-epoch driver API ----------------------------------------------
+  // --- Epoch driver API -----------------------------------------------------
   //
   // run_epoch() is built from these three phases; external drivers (the
-  // engine's fused step) call them directly so per-process work of their own
-  // can run inside the same shard dispatch as the simulation:
+  // engine's step) call them directly so per-process work of their own can
+  // run inside the same shard dispatch as the simulation:
   //
   //   begin_epoch();                  // serial: share snapshot
   //   for slot in shards of [0, live_processes().size()):
@@ -205,89 +209,44 @@ class SimSystem {
 
   // --- Cross-slot feature plane --------------------------------------------
   //
-  // A feature-major matrix over the live slots, maintained as part of the
-  // SoA hot core when enabled: row f of each group (newest features, window
-  // mean, window stddev) holds that feature for every live slot, rows are
-  // `stride` doubles apart (stride = slot capacity padded to a full cache
-  // line of doubles), and slot columns follow the same compaction/remap as
-  // every other hot array. step_slot() writes its slot's column right after
-  // the window fold, so after an epoch's per-slot phase the plane carries
+  // A feature-major cache over the live slots for batch detector kernels:
+  // row f of each armed group (newest features; window mean + stddev) holds
+  // that feature for every live slot, rows are `stride` doubles apart
+  // (stride = slot capacity padded to a full cache line of doubles), and
+  // slot columns follow the same compaction/remap as every other hot array.
+  // step_slot() writes its slot's column from the freshly folded
+  // accumulator, so after an epoch's per-slot phase the plane carries
   // exactly the bits window_summary() would assemble per process — batch
-  // detector kernels sweep it with unit-stride inner loops instead of
-  // gathering one WindowSummary at a time.
+  // kernels sweep it with unit-stride inner loops instead of gathering one
+  // WindowSummary at a time. The plane holds no state of its own: rows
+  // exist only for the armed sections and nothing reads a column before
+  // the epoch's per-slot phase rewrites it.
 
-  /// Arms per-slot plane maintenance (StepMode::kBatched drivers) for the
-  /// given sections — what the driver's detector declares it reads
-  /// (Detector::plane_sections); re-enabling widens the maintained set.
-  /// A full plane costs ~3*kFeatureDim strided stores per slot per epoch,
-  /// a newest-only plane a third of that and no stddev square roots;
-  /// disabled by default so scalar drivers pay nothing. Must not be
+  /// Arms per-slot plane maintenance for the given sections — what a batch
+  /// driver's detector declares it reads (Detector::plane_sections; kFull
+  /// arms both groups). Re-enabling widens the maintained set and regrows
+  /// the rows. A newest-only plane costs kFeatureDim strided stores per
+  /// slot per epoch, the stats group twice that plus the stddev square
+  /// roots; disabled by default so scalar drivers pay nothing. Must not be
   /// called mid-epoch.
-  void enable_feature_plane(
-      ml::Detector::PlaneSections sections = ml::Detector::PlaneSections::kFull);
+  void enable_feature_plane(ml::Detector::PlaneSections sections);
 
   [[nodiscard]] bool feature_plane_enabled() const noexcept {
     return plane_enabled_;
   }
 
-  /// The plane over all live slots (column i = live_processes()[i]). Valid
-  /// after the epoch's per-slot phase has filled it and until the next
-  /// process-set mutation; the per-column raw-window spans additionally
-  /// follow sample_history() reallocation, so consume the view inside the
-  /// epoch that filled it.
+  /// The plane over all live slots (column i = live_processes()[i]). Rows
+  /// of an unarmed section read as null pointers, and `windows` is always
+  /// null. Valid after the epoch's per-slot phase has filled it and until
+  /// the next process-set mutation.
   [[nodiscard]] ml::SummaryMatrixView feature_plane() const noexcept;
 
   /// A live slot's window accumulator (batch drivers that already hold the
   /// slot index; the pid-addressed window_accumulator() re-derives it).
-  /// In plane-major fold mode the authoritative Welford state lives in the
-  /// plane rows — use newest_stale_mask()/window_accumulator() instead,
-  /// which route through the fold state.
   [[nodiscard]] const ml::WindowAccumulator& slot_accumulator(
       std::size_t slot) const noexcept {
     return accum_s_[slot];
   }
-
-  /// The stale mask of the slot's most recently committed sample,
-  /// regardless of fold mode (batch drivers' phase-C replacement for
-  /// slot_accumulator(slot).newest_mask()).
-  [[nodiscard]] std::uint32_t newest_stale_mask(
-      std::size_t slot) const noexcept {
-    return fold_enabled_ ? fold_mask_[slot] : accum_s_[slot].newest_mask();
-  }
-
-  // --- Plane-major window fold ----------------------------------------------
-  //
-  // Opt-in restructuring of the per-epoch window-statistics update: instead
-  // of each step_slot folding its sample into its slot's WindowAccumulator
-  // (slot-major: P scattered 12-feature dependent chains), step_slot only
-  // STAGES the sample's features into the slot's newest-row plane column,
-  // and a cross-slot kernel (ml::fold_plane_columns) later folds every
-  // staged column feature-major — unit-stride across slots, vectorized.
-  // The plane grows two extra row groups (Welford m2 and per-feature fold
-  // counts) and becomes the authoritative window state; accum_s_ entries
-  // are STALE while the mode is armed, and every accumulator read
-  // (window_summary, window_accumulator, retirement snapshots, snapshots)
-  // routes through a plane gather instead. Results are bit-identical to
-  // the scalar fold — same per-lane operation sequence (test-pinned) — for
-  // every StepMode and worker count, because the fold is per-slot
-  // independent and runs inside the same shard that stepped the slot.
-
-  /// Arms plane-major folding (forces the feature plane on with newest +
-  /// stats rows, seeds the fold rows from the current accumulators). Must
-  /// not be called while an epoch is open.
-  void enable_plane_major_fold();
-
-  [[nodiscard]] bool plane_major_fold_enabled() const noexcept {
-    return fold_enabled_;
-  }
-
-  /// Folds every staged slot in [begin, end) into the plane's Welford rows
-  /// (no-op when the mode is off or nothing in range is staged). Drivers
-  /// call it per shard right after the range's step_slot loop; distinct
-  /// ranges may fold concurrently. end_epoch/abort_epoch run a full-range
-  /// safety net, so a driver that forgets still closes the epoch with
-  /// consistent statistics (staging flags make the fold idempotent).
-  void fold_plane_range(std::size_t begin, std::size_t end);
 
   // --- Counter-based per-slot RNG -------------------------------------------
 
@@ -298,7 +257,7 @@ class SimSystem {
   /// Box-Muller (inverse-CDF on a single draw). The switch CHANGES the
   /// simulated randomness (opt-in, off by default: the xoshiro streams
   /// stay the repo-wide reproducibility baseline); within counter mode,
-  /// runs are deterministic across StepModes and worker counts and
+  /// runs are deterministic across worker counts and
   /// snapshot/restore replays bit-identically (the mode is carried by the
   /// image). Must not be called while an epoch is open; idempotent.
   void enable_counter_rng();
@@ -353,8 +312,7 @@ class SimSystem {
   // eventually blind the detector for that slot. Execution itself is
   // unaffected: the workload still runs, progress and epochs_run still
   // advance, and the per-slot RNG stream is untouched — which is what
-  // keeps faulted runs bit-reproducible across StepModes and worker
-  // counts.
+  // keeps faulted runs bit-reproducible across worker counts.
   //
   // With a per-feature plane (sensor.feature_fraction < 1), a non-dropout
   // fault corrupts individual counters and validation quarantines only the
@@ -516,7 +474,7 @@ class SimSystem {
 
   /// Rebuilds this system from a captured image, bit-identically: a run
   /// continued from the restored state produces exactly the bytes the
-  /// uninterrupted run would, for every StepMode and worker count. The
+  /// uninterrupted run would, for any worker count. The
   /// existing process population is discarded wholesale. Throws
   /// std::logic_error if an epoch is open (the same guard family as
   /// reserve/spawn-while-open), SerialError(kIncompatible) when the
@@ -615,26 +573,18 @@ class SimSystem {
   /// returning their history buffers to the retirement pool.
   void retire_dead_slots();
 
-  /// Grows the plane (and its per-slot side arrays) to the current slot
-  /// count; never shrinks capacity. No-op when the plane is disabled. In
-  /// fold mode a stride growth MIGRATES the existing columns (the plane is
-  /// authoritative window state there, not a derived cache).
+  /// Grows the plane to the current slot count and armed rows; never
+  /// shrinks. A growth wipes the columns instead of migrating them — the
+  /// next per-slot phase rewrites every live column before anything reads
+  /// it. No-op when the plane is disabled.
   void reserve_plane();
 
-  /// Rows the plane currently carries: the three summary groups, plus the
-  /// Welford m2 + fold-count groups in fold mode.
-  [[nodiscard]] std::size_t plane_rows_used() const noexcept {
-    return kPlaneRows + (fold_enabled_ ? 2 * hpc::kFeatureDim : 0);
+  /// Rows the plane carries: one kFeatureDim group per armed section
+  /// (newest; mean + stddev).
+  [[nodiscard]] std::size_t plane_rows() const noexcept {
+    return (plane_newest_ ? hpc::kFeatureDim : 0) +
+           (plane_stats_ ? 2 * hpc::kFeatureDim : 0);
   }
-
-  /// Gathers one slot's fold-mode plane column back into accumulator form
-  /// (bit-exact round trip; see scatter_accums_to_plane for the inverse).
-  [[nodiscard]] ml::WindowAccumulator::State fold_state(std::size_t slot) const;
-
-  /// Seeds every live slot's fold-mode plane column (all five row groups,
-  /// count and mask side arrays) from its accumulator — the enable/restore
-  /// handoff from scalar state to the plane-authoritative representation.
-  void scatter_accums_to_plane();
 
   /// The process's retained window as the oldest-first span pair (wrap
   /// empty until a bounded ring actually wraps).
@@ -696,29 +646,14 @@ class SimSystem {
   std::size_t next_pid_ = 0;
 
   // --- Feature plane (enabled on demand; see feature_plane()) --------------
-  static constexpr std::size_t kPlaneRows =
-      hpc::kFeatureDim + ml::kWindowFeatureDim;  // newest + mean + stddev
   bool plane_enabled_ = false;
-  bool plane_newest_ = false;   // maintain the newest-feature rows
-  bool plane_stats_ = false;    // maintain the mean/stddev rows
-  bool plane_windows_ = false;  // maintain the raw-window spans
+  bool plane_newest_ = false;  // maintain the newest-feature rows
+  bool plane_stats_ = false;   // maintain the mean/stddev rows
   std::size_t plane_stride_ = 0;  // slot capacity padded to 8 doubles,
                                   // floored at the reserve() capacity
-  std::vector<double> plane_;  // plane_rows_used() x plane_stride_,
-                               // feature-major
+  std::vector<double> plane_;  // plane_rows() x plane_stride_, feature-major:
+                               // [newest rows][mean rows][stddev rows]
   std::vector<std::size_t> plane_count_;  // per-slot measurement count
-  std::vector<std::span<const hpc::HpcSample>> plane_window_;  // raw windows
-  // Wrapped ring tails matching plane_window_ column for column (empty
-  // spans while histories are unbounded or still filling).
-  std::vector<std::span<const hpc::HpcSample>> plane_window_wrap_;
-
-  // --- Plane-major fold state (see enable_plane_major_fold) ----------------
-  bool fold_enabled_ = false;
-  // Stale mask of each slot's most recently staged/committed sample (the
-  // fold-mode twin of WindowAccumulator::newest_mask()).
-  std::vector<std::uint32_t> fold_mask_;
-  // 1 = the slot staged a sample this epoch and awaits the cross-slot fold.
-  std::vector<std::uint8_t> fold_pending_;
 
   // --- Counter RNG / bounded history (see the enable_* docs) ---------------
   bool counter_rng_ = false;

@@ -162,24 +162,24 @@ struct AttachmentImage {
   std::uint64_t terminal_malicious = 0;
   std::uint64_t terminal_counted = 0;
   /// The OBSERVABLE action view, canonicalized at capture: the raw
-  /// (last_action, last_action_step) pair differs across StepModes for
-  /// epochs where nothing happened (some schedules record kNone, others
-  /// skip the write), so capture stores what last_action() answers —
-  /// (kNone, 0) unless a real action landed this very step. This keeps
-  /// snapshots of bit-identical runs byte-identical across run configs.
+  /// (last_action, last_action_step) pair also records idle kNone visits,
+  /// which a restored engine cannot reproduce, so capture stores what
+  /// last_action() answers — (kNone, 0) unless a real action landed this
+  /// very step. This keeps an immediate re-capture of a restored world
+  /// byte-identical to the uninterrupted run's.
   std::uint8_t last_action = 0;  // ValkyrieMonitor::Action
   std::uint64_t last_action_step = 0;
 };
 
 /// ValkyrieEngine state. The detector itself is code — only its
 /// compatibility fingerprint is recorded; restore refuses an engine whose
-/// detector hashes differently. The step mode and worker count are run
-/// configuration, not state (bit-identity holds across all of them), so
-/// the restored engine keeps its own.
+/// detector hashes differently. The worker count is run configuration, not
+/// state (bit-identity holds across all of them), so the restored engine
+/// keeps its own.
 /// One pending actuator-command retry (v2). The engine's retry table is
 /// real state — a restored run must resume the same backoff schedule — and
 /// is kept pid-sorted so snapshots of bit-identical runs are byte-identical
-/// regardless of the StepMode that produced the failures.
+/// regardless of the shard layout that produced the failures.
 struct RetryImage {
   sim::ProcessId pid = 0;
   std::uint8_t kind = 0;      // core::ActuatorCommand::Kind

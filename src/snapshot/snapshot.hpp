@@ -11,9 +11,9 @@
 //
 // The restore determinism contract: an engine restored from a snapshot
 // taken at epoch E and run to epoch E+k produces BIT-IDENTICAL histories,
-// actions and threat indices to the uninterrupted run, for every StepMode
-// and worker count — including snapshots taken mid-churn with dead-marked
-// slots awaiting compaction.
+// actions and threat indices to the uninterrupted run, for any worker
+// count — including snapshots taken mid-churn with dead-marked slots
+// awaiting compaction.
 //
 // Corruption robustness: every parse failure is a typed SnapshotError
 // (truncation -> kTruncated, any flipped payload bit -> kBadChecksum, a

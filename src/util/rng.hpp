@@ -10,8 +10,7 @@
 // value depends only on those three words — never on how many draws any
 // other epoch consumed. That is what lets SimSystem rebase every per-slot
 // stream at each epoch boundary (set_epoch) and stay bit-reproducible across
-// StepModes, worker counts and snapshot/restore while the state shrinks to a
-// counter. Counter-mode normal() uses the Acklam inverse-CDF polynomial
+// worker counts and snapshot/restore while the state shrinks to a counter. Counter-mode normal() uses the Acklam inverse-CDF polynomial
 // (one uniform per normal, no log/cos on the central ~95% of draws) instead
 // of Box-Muller — the dominant sim-side cost at scale. The default mode is
 // untouched: an Rng constructed normally is bit-identical to every previous

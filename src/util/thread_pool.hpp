@@ -42,7 +42,7 @@ class ThreadPool {
   /// Jobs dispatched to the worker shards since construction. Degenerate
   /// runs that stay inline on the caller (no workers, or n <= 1) are not
   /// counted here — they land in inline_run_count(). This is the
-  /// observability hook behind the fused-step contract: one engine epoch
+  /// observability hook behind the engine-step contract: one engine epoch
   /// must cost exactly one dispatch.
   [[nodiscard]] std::uint64_t dispatch_count() const noexcept {
     return dispatch_count_;

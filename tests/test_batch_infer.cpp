@@ -10,13 +10,13 @@
 //      kernel (the LSTM) must get the same guarantee through the default
 //      adapters.
 //
-//   2. Engine level: StepMode::kBatched runs — across vote-based (SVM,
-//      accumulated-view statistical), summary-capable (MLP) and
+//   2. Engine level: engine runs on the batch route — across vote-based
+//      (SVM, accumulated-view statistical), summary-capable (MLP) and
 //      newest-only (statistical) detectors — are bit-identical to the
-//      fused and split schedules and to the sequential engine for worker
-//      counts {1, 2, 8} over 500-epoch runs that mix kills, natural
-//      completions and throttles (exercising slot compaction under the
-//      feature plane).
+//      plain sequential loop of sequential_loop.hpp for worker counts
+//      {1, 2, 8} over 500-epoch runs that mix kills, natural completions
+//      and throttles (exercising slot compaction under the feature plane).
+//      The plane itself carries exactly the rows the detector declared.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +34,7 @@
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
+#include "sequential_loop.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 
@@ -271,10 +272,8 @@ TEST(BatchInfer, LstmThroughDefaultAdapterMatchesScalar) {
 namespace valkyrie::core {
 namespace {
 
-using StepMode = ValkyrieEngine::StepMode;
-
-/// Signature workload with optional finite lifetime (mirrors the fused
-/// determinism suite, so batched runs hit the same kill/completion mix).
+/// Signature workload with optional finite lifetime (mirrors the engine
+/// determinism suite, so batch-route runs hit the same kill/completion mix).
 class SigWorkload final : public sim::Workload {
  public:
   SigWorkload(hpc::HpcSignature sig, bool attack, std::uint64_t lifetime = 0)
@@ -320,11 +319,8 @@ struct RunResult {
   std::vector<std::vector<hpc::HpcSample>> histories;
 };
 
-RunResult run_engine(const ml::Detector& detector, std::size_t worker_threads,
-                     StepMode mode) {
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
-
+template <typename Driver>
+RunResult drive(sim::SimSystem& sys, Driver& engine) {
   std::vector<sim::ProcessId> pids;
   for (std::size_t i = 0; i < kProcs; ++i) {
     const bool attack = i % 6 == 1;
@@ -369,6 +365,19 @@ RunResult run_engine(const ml::Detector& detector, std::size_t worker_threads,
   return r;
 }
 
+RunResult run_engine(const ml::Detector& detector,
+                     std::size_t worker_threads) {
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, worker_threads);
+  return drive(sys, engine);
+}
+
+RunResult run_sequential_loop(const ml::Detector& detector) {
+  sim::SimSystem sys;
+  reference::SequentialLoop loop(sys, detector);
+  return drive(sys, loop);
+}
+
 void expect_identical(const RunResult& a, const RunResult& b,
                       std::size_t threads, const char* label) {
   ASSERT_EQ(a.actions.size(), b.actions.size());
@@ -396,9 +405,11 @@ void expect_identical(const RunResult& a, const RunResult& b,
   }
 }
 
-void expect_batched_matches_all_schedules(const ml::Detector& detector,
-                                          const char* label) {
-  const RunResult baseline = run_engine(detector, 1, StepMode::kFused);
+void expect_batch_route_matches_sequential_loop(const ml::Detector& detector,
+                                                const char* label) {
+  ASSERT_NE(detector.plane_sections(), ml::Detector::PlaneSections::kFull)
+      << label << " must take the batch route";
+  const RunResult baseline = run_sequential_loop(detector);
 
   // The run must mix outcomes or the equality proves nothing.
   bool saw_kill = false;
@@ -414,45 +425,38 @@ void expect_batched_matches_all_schedules(const ml::Detector& detector,
   ASSERT_TRUE(saw_survivor) << label;
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    expect_identical(baseline,
-                     run_engine(detector, threads, StepMode::kBatched),
-                     threads, label);
+    expect_identical(baseline, run_engine(detector, threads), threads, label);
   }
-  // Split cross-check at one worker count closes the triangle
-  // batched == fused == split (fused == split is asserted exhaustively in
-  // test_fused_engine.cpp).
-  expect_identical(baseline, run_engine(detector, 2, StepMode::kSplit), 2,
-                   label);
 }
 
-TEST(BatchedEngine, VoteDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, VoteDetectorMatchesSequentialLoop) {
   const ml::SvmDetector detector =
       ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
-  expect_batched_matches_all_schedules(detector, "svm");
+  expect_batch_route_matches_sequential_loop(detector, "svm");
 }
 
-TEST(BatchedEngine, SummaryDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, SummaryDetectorMatchesSequentialLoop) {
   const ml::MlpDetector detector =
       ml::MlpDetector::make_small_ann(valkyrie::ml::training_corpus(), 0x5eed);
-  expect_batched_matches_all_schedules(detector, "mlp");
+  expect_batch_route_matches_sequential_loop(detector, "mlp");
 }
 
-TEST(BatchedEngine, StatDetectorBitIdenticalAcrossSchedules) {
+TEST(BatchedEngine, StatDetectorMatchesSequentialLoop) {
   ml::StatDetectorConfig config;
   config.threshold = 0.5;
   ml::StatisticalDetector detector(config);
   detector.fit(valkyrie::ml::per_measurement_examples());
-  expect_batched_matches_all_schedules(detector, "stat-newest");
+  expect_batch_route_matches_sequential_loop(detector, "stat-newest");
 
   const ml::StatisticalDetector accumulated = detector.accumulated_view();
-  expect_batched_matches_all_schedules(accumulated, "stat-accumulated");
+  expect_batch_route_matches_sequential_loop(accumulated, "stat-accumulated");
 }
 
 TEST(BatchedEngine, BatchedPathIsOneDispatchPerEpoch) {
   const ml::SvmDetector detector =
       ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, StepMode::kBatched);
+  ValkyrieEngine engine(sys, detector, 2);
   if (engine.shard_count() < 2) {
     GTEST_SKIP() << "single-core machine: engine clamps to sequential";
   }
@@ -472,25 +476,88 @@ TEST(BatchedEngine, BatchedPathIsOneDispatchPerEpoch) {
 
 TEST(BatchedEngine, SequentialScheduleRunsAreCounted) {
   // The corrected schedule statistic: a sequential engine reports its
-  // logical phase executions instead of zero (fused/batched: 1 per epoch;
-  // split: 2 per epoch).
+  // logical phase executions (one per epoch) instead of zero.
   const ml::SvmDetector detector =
       ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
-  for (const StepMode mode :
-       {StepMode::kFused, StepMode::kBatched, StepMode::kSplit}) {
-    sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 1, mode);
-    for (std::size_t i = 0; i < 4; ++i) {
-      const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>(
-          valkyrie::ml::benign_signature(), false));
-      engine.attach(pid, ValkyrieConfig{},
-                    std::make_unique<SchedulerWeightActuator>());
-    }
-    engine.run(10);
-    EXPECT_EQ(engine.pool_dispatch_count(), 0u);
-    const std::uint64_t expected = mode == StepMode::kSplit ? 20u : 10u;
-    EXPECT_EQ(engine.schedule_run_count(), expected)
-        << "mode " << static_cast<int>(mode);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>(
+        valkyrie::ml::benign_signature(), false));
+    engine.attach(pid, ValkyrieConfig{},
+                  std::make_unique<SchedulerWeightActuator>());
+  }
+  engine.run(10);
+  EXPECT_EQ(engine.pool_dispatch_count(), 0u);
+  EXPECT_EQ(engine.schedule_run_count(), 10u);
+}
+
+// --- The plane carries exactly the declared rows -----------------------------
+
+/// Spawns `n` endless benign processes, all attached.
+void spawn_benign(sim::SimSystem& sys, ValkyrieEngine& engine, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::ProcessId pid = sys.spawn(std::make_unique<SigWorkload>(
+        valkyrie::ml::benign_signature(), false));
+    engine.attach(pid, ValkyrieConfig{},
+                  std::make_unique<SchedulerWeightActuator>());
+  }
+}
+
+TEST(BatchedEngine, FullDetectorNeverArmsThePlane) {
+  // A raw-window model with no batch kernel is served per slot: the system
+  // pays for no plane rows at all.
+  const ml::LstmDetector detector{ml::Lstm{}};
+  ASSERT_EQ(detector.plane_sections(), ml::Detector::PlaneSections::kFull);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 2);
+  spawn_benign(sys, engine, 6);
+  engine.run(8);
+  EXPECT_FALSE(sys.feature_plane_enabled());
+}
+
+TEST(BatchedEngine, NewestOnlyPlaneCarriesOnlyNewestRows) {
+  const ml::SvmDetector detector =
+      ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 2);
+  spawn_benign(sys, engine, 6);
+  engine.run(4);
+  ASSERT_TRUE(sys.feature_plane_enabled());
+  const ml::SummaryMatrixView plane = sys.feature_plane();
+  EXPECT_NE(plane.newest, nullptr);
+  EXPECT_EQ(plane.mean, nullptr);
+  EXPECT_EQ(plane.stddev, nullptr);
+  EXPECT_EQ(plane.windows, nullptr);
+}
+
+TEST(BatchedEngine, WideningTheArmedSectionsRegrowsThePlane) {
+  const ml::SvmDetector detector =
+      ml::SvmDetector::make(valkyrie::ml::training_corpus(), 3);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 2);
+  spawn_benign(sys, engine, 37);  // ragged against the 8-double padding
+  engine.run(5);
+  ASSERT_EQ(sys.feature_plane().mean, nullptr);
+
+  // A second driver needing the stats rows widens the plane between
+  // epochs; the next epoch must fill the new rows with exactly the bits
+  // window_summary() assembles.
+  sys.enable_feature_plane(ml::Detector::PlaneSections::kStatsOnly);
+  engine.step();
+  const ml::SummaryMatrixView plane = sys.feature_plane();
+  ASSERT_NE(plane.newest, nullptr);
+  ASSERT_NE(plane.mean, nullptr);
+  ASSERT_NE(plane.stddev, nullptr);
+  const std::span<const sim::ProcessId> live = sys.live_processes();
+  ASSERT_EQ(plane.count, live.size());
+  for (std::size_t slot = 0; slot < live.size(); ++slot) {
+    const ml::WindowSummary want = sys.window_summary(live[slot]);
+    const ml::WindowSummary got = plane.gather(slot);
+    EXPECT_EQ(got.count, want.count) << "pid " << live[slot];
+    EXPECT_EQ(got.newest, want.newest) << "pid " << live[slot];
+    EXPECT_EQ(got.mean, want.mean) << "pid " << live[slot];
+    EXPECT_EQ(got.stddev, want.stddev) << "pid " << live[slot];
   }
 }
 

@@ -1,16 +1,15 @@
 // Determinism contract of the epoch-open process lifecycle: a 500-epoch
 // engine run whose population churns — mid-run spawns, scheduled kills,
-// natural completions, detach and re-attach — must be bit-identical across
-// the sequential engine, the split, fused and batched schedules, and any
-// worker count. The lifecycle deltas all commit in serial boundary phases,
-// so nothing about WHEN a process entered or left may depend on the
-// schedule or the shard layout.
+// natural completions, detach and re-attach — must be bit-identical to the
+// plain sequential loop of sequential_loop.hpp for any worker count. The
+// lifecycle deltas all commit in serial boundary phases, so nothing about
+// WHEN a process entered or left may depend on the shard layout.
 //
 // Also pins the sim-level boundary-commit semantics: operations issued
 // while an epoch is open (deferred admission/kill) land in exactly the
 // state that issuing them right after the boundary would have produced,
-// and a ScenarioDriver script replays bit-identically for every StepMode
-// and worker count.
+// and a ScenarioDriver script replays bit-identically for any worker
+// count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,14 +21,13 @@
 #include "core/valkyrie.hpp"
 #include "ml/mlp.hpp"
 #include "ml/svm.hpp"
+#include "sequential_loop.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 
 namespace valkyrie::core {
 namespace {
-
-using StepMode = ValkyrieEngine::StepMode;
 
 hpc::HpcSignature benign_signature() {
   hpc::HpcSignature sig;
@@ -125,7 +123,8 @@ std::unique_ptr<Actuator> scripted_actuator(std::size_t salt) {
 /// Spawns one scripted process: every 6th is an attack (terminated
 /// mid-run by the policy), every 5th benign is finite (completes
 /// naturally), every 7th stays unattached.
-sim::ProcessId scripted_spawn(sim::SimSystem& sys, ValkyrieEngine& engine,
+template <typename Driver>
+sim::ProcessId scripted_spawn(sim::SimSystem& sys, Driver& engine,
                               std::size_t ordinal) {
   const bool attack = ordinal % 6 == 1;
   const std::uint64_t lifetime =
@@ -138,13 +137,10 @@ sim::ProcessId scripted_spawn(sim::SimSystem& sys, ValkyrieEngine& engine,
   return pid;
 }
 
-template <typename Detector>
-RunResult run_churn(const Detector& detector, std::size_t worker_threads,
-                    StepMode mode) {
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+/// The scripted churn run, against the engine or the sequential loop.
+template <typename Driver>
+RunResult drive_churn(sim::SimSystem& sys, Driver& engine) {
   sys.reserve(96);
-  engine.reserve(96);
 
   std::size_t ordinal = 0;
   std::vector<sim::ProcessId> spawned;
@@ -201,37 +197,44 @@ RunResult run_churn(const Detector& detector, std::size_t worker_threads,
   return r;
 }
 
+RunResult run_churn(const ml::Detector& detector, std::size_t worker_threads) {
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, worker_threads);
+  engine.reserve(96);
+  return drive_churn(sys, engine);
+}
+
+RunResult run_churn_sequential_loop(const ml::Detector& detector) {
+  sim::SimSystem sys;
+  reference::SequentialLoop loop(sys, detector);
+  return drive_churn(sys, loop);
+}
+
 void expect_identical(const RunResult& a, const RunResult& b,
-                      std::size_t threads, StepMode mode) {
-  const char* mode_name = mode == StepMode::kFused    ? "fused"
-                          : mode == StepMode::kSplit  ? "split"
-                                                      : "batched";
-  ASSERT_EQ(a.live_after_step, b.live_after_step)
-      << mode_name << ", " << threads << " workers";
-  EXPECT_EQ(a.exits, b.exits) << mode_name << ", " << threads;
-  EXPECT_EQ(a.epochs_run, b.epochs_run) << mode_name << ", " << threads;
+                      std::size_t threads) {
+  ASSERT_EQ(a.live_after_step, b.live_after_step) << threads << " workers";
+  EXPECT_EQ(a.exits, b.exits) << threads << " workers";
+  EXPECT_EQ(a.epochs_run, b.epochs_run) << threads << " workers";
   // Doubles compared exactly: the contract is bit-identical, not close.
-  EXPECT_EQ(a.progress, b.progress) << mode_name << ", " << threads;
-  EXPECT_EQ(a.cpu_caps, b.cpu_caps) << mode_name << ", " << threads;
-  EXPECT_EQ(a.sched_factors, b.sched_factors)
-      << mode_name << ", " << threads;
-  EXPECT_EQ(a.threats, b.threats) << mode_name << ", " << threads;
-  EXPECT_EQ(a.measurements, b.measurements) << mode_name << ", " << threads;
+  EXPECT_EQ(a.progress, b.progress) << threads << " workers";
+  EXPECT_EQ(a.cpu_caps, b.cpu_caps) << threads << " workers";
+  EXPECT_EQ(a.sched_factors, b.sched_factors) << threads << " workers";
+  EXPECT_EQ(a.threats, b.threats) << threads << " workers";
+  EXPECT_EQ(a.measurements, b.measurements) << threads << " workers";
   ASSERT_EQ(a.histories.size(), b.histories.size());
   for (std::size_t p = 0; p < a.histories.size(); ++p) {
     ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << mode_name << ", " << threads << " workers, pid " << p;
+        << threads << " workers, pid " << p;
     for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
       ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << mode_name << ", " << threads << " workers, pid " << p
-          << ", epoch " << e;
+          << threads << " workers, pid " << p << ", epoch " << e;
     }
   }
 }
 
-TEST(ChurnEngine, ChurningRunIsBitIdenticalAcrossSchedulesAndWorkers) {
+TEST(ChurnEngine, ChurningRunMatchesSequentialLoopForAnyWorkerCount) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  const RunResult baseline = run_churn(detector, 1, StepMode::kSplit);
+  const RunResult baseline = run_churn_sequential_loop(detector);
 
   // The scripted run must actually exercise mixed churn outcomes.
   bool saw_kill = false;
@@ -247,27 +250,19 @@ TEST(ChurnEngine, ChurningRunIsBitIdenticalAcrossSchedulesAndWorkers) {
   ASSERT_TRUE(saw_survivor);
   ASSERT_GT(baseline.exits.size(), 16u) << "mid-run spawns must have landed";
 
-  for (const StepMode mode :
-       {StepMode::kFused, StepMode::kSplit, StepMode::kBatched}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      if (mode == StepMode::kSplit && threads == 1) continue;  // baseline
-      const RunResult run = run_churn(detector, threads, mode);
-      expect_identical(baseline, run, threads, mode);
-    }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_identical(baseline, run_churn(detector, threads), threads);
   }
 }
 
-// The SVM exercises the vote/fold batch path; the MLP exercises
+// The SVM exercises the vote/fold batch route; the MLP exercises
 // infer_batch. Churn must not break either.
-TEST(ChurnEngine, MlpChurningRunMatchesAcrossBatchedAndFused) {
+TEST(ChurnEngine, MlpChurningRunMatchesSequentialLoop) {
   const ml::MlpDetector detector =
       ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
-  const RunResult baseline = run_churn(detector, 1, StepMode::kFused);
-  for (const StepMode mode : {StepMode::kBatched, StepMode::kSplit}) {
-    for (const std::size_t threads : {2u, 8u}) {
-      const RunResult run = run_churn(detector, threads, mode);
-      expect_identical(baseline, run, threads, mode);
-    }
+  const RunResult baseline = run_churn_sequential_loop(detector);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_identical(baseline, run_churn(detector, threads), threads);
   }
 }
 
@@ -354,11 +349,10 @@ struct ScenarioResult {
   std::vector<double> progress;
 };
 
-ScenarioResult run_scenario(std::size_t worker_threads, StepMode mode,
-                            bool recycle) {
+ScenarioResult run_scenario(std::size_t worker_threads, bool recycle) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
   sim::ScenarioScript script = small_script();
   script.recycle_histories = recycle;
   sim::ScenarioDriver driver(engine, script);
@@ -414,26 +408,21 @@ TEST(ChurnEngine, ScenarioDriverAnchorsDeparturesAtTheCurrentEpoch) {
   EXPECT_EQ(driver.stats().spawned, 16u);
 }
 
-TEST(ChurnEngine, ScenarioDriverIsBitReproducibleAcrossModesAndWorkers) {
-  const ScenarioResult baseline =
-      run_scenario(1, StepMode::kSplit, /*recycle=*/false);
+TEST(ChurnEngine, ScenarioDriverIsBitReproducibleAcrossWorkers) {
+  // The driver needs a real engine, so the single-worker run is the
+  // baseline here; the suites above pin that one against the sequential
+  // loop.
+  const ScenarioResult baseline = run_scenario(1, /*recycle=*/false);
   ASSERT_GT(baseline.stats.spawned, 24u);
   ASSERT_GT(baseline.stats.attack_spawned, 0u);
   ASSERT_GT(baseline.stats.driver_kills + baseline.stats.completed, 0u);
 
-  // The cheap signature-workload suites above already sweep the full
-  // mode x worker grid; the driver replay (real attack workloads) keeps
-  // the matrix small for the sanitizer jobs.
-  constexpr std::pair<StepMode, std::size_t> kGrid[] = {
-      {StepMode::kFused, 1}, {StepMode::kFused, 2},
-      {StepMode::kBatched, 2}, {StepMode::kBatched, 8}};
-  for (const auto& [mode, threads] : kGrid) {
-    const ScenarioResult run = run_scenario(threads, mode, false);
+  for (const std::size_t threads : {2u, 8u}) {
+    const ScenarioResult run = run_scenario(threads, false);
     expect_same_scenario(baseline, run, /*compare_progress=*/true);
   }
   // History recycling changes memory management, never results.
-  const ScenarioResult recycled =
-      run_scenario(2, StepMode::kBatched, /*recycle=*/true);
+  const ScenarioResult recycled = run_scenario(2, /*recycle=*/true);
   expect_same_scenario(baseline, recycled, /*compare_progress=*/false);
 }
 

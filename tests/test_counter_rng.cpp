@@ -3,8 +3,8 @@
 // can be rebased at every epoch boundary and replayed from any point.
 // Covers the generator itself (purity, rebasing, distribution sanity, fork
 // independence), the snapshot round-trip of a counter-mode system (image
-// v4 carries the mode), and cross-schedule determinism of a counter-mode
-// engine run.
+// v4 carries the mode), and cross-worker-count determinism of a
+// counter-mode engine run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,8 +22,6 @@
 
 namespace valkyrie {
 namespace {
-
-using StepMode = core::ValkyrieEngine::StepMode;
 
 // --- Generator-level contract ------------------------------------------------
 
@@ -219,28 +217,23 @@ void scripted_epoch(sim::SimSystem& sys, core::ValkyrieEngine& engine) {
 
 template <typename Detector>
 std::vector<std::uint8_t> run_counter_engine(const Detector& detector,
-                                             std::size_t threads,
-                                             StepMode mode) {
+                                             std::size_t threads) {
   sim::SimSystem sys;
   sys.enable_counter_rng();
-  core::ValkyrieEngine engine(sys, detector, threads, mode);
+  core::ValkyrieEngine engine(sys, detector, threads);
   for (int i = 0; i < 10; ++i) scripted_spawn(sys, engine);
   sys.reserve_history(110);
   for (int epoch = 0; epoch < 100; ++epoch) scripted_epoch(sys, engine);
   return snapshot::encode(snapshot::capture(engine));
 }
 
-TEST(CounterRng, EngineRunDeterministicAcrossSchedulesAndWorkers) {
+TEST(CounterRng, EngineRunDeterministicAcrossWorkers) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  const std::vector<std::uint8_t> want =
-      run_counter_engine(detector, 1, StepMode::kSplit);
+  const std::vector<std::uint8_t> want = run_counter_engine(detector, 1);
   ASSERT_FALSE(want.empty());
-  for (const StepMode mode :
-       {StepMode::kSplit, StepMode::kFused, StepMode::kBatched}) {
-    for (const std::size_t threads : {2u, 8u}) {
-      EXPECT_EQ(want, run_counter_engine(detector, threads, mode))
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    EXPECT_EQ(want, run_counter_engine(detector, threads))
+        << "threads " << threads;
   }
 }
 
@@ -278,7 +271,7 @@ TEST(CounterRng, SnapshotRoundTripContinuesByteIdentically) {
   // Golden: uninterrupted counter-mode run to epoch 120.
   sim::SimSystem golden_sys;
   golden_sys.enable_counter_rng();
-  core::ValkyrieEngine golden(golden_sys, detector, 2, StepMode::kBatched);
+  core::ValkyrieEngine golden(golden_sys, detector, 2);
   for (int i = 0; i < 10; ++i) scripted_spawn(golden_sys, golden);
   golden_sys.reserve_history(130);
   for (int epoch = 0; epoch < 60; ++epoch) scripted_epoch(golden_sys, golden);
@@ -293,7 +286,7 @@ TEST(CounterRng, SnapshotRoundTripContinuesByteIdentically) {
   const snapshot::SnapshotImage image = snapshot::parse(mid);
   EXPECT_TRUE(image.system.counter_rng);
   sim::SimSystem sys2;
-  core::ValkyrieEngine engine2(sys2, detector, 8, StepMode::kFused);
+  core::ValkyrieEngine engine2(sys2, detector, 8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   EXPECT_TRUE(sys2.counter_rng_enabled());
   sys2.reserve_history(130);

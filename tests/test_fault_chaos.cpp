@@ -1,13 +1,14 @@
 // The capstone chaos campaign: a 500-epoch churn scenario with faults
 // armed on all three planes (lossy/lying sensors, throwing/garbage
 // detector, flaky actuators) plus two supervisor-recovered crashes must
-// complete with ZERO aborted epochs and land byte-identical across step
-// modes and worker counts — graceful degradation may change nothing about
-// determinism. Also pins the aborted-epoch semantics a shard exception
+// complete with ZERO aborted epochs and land byte-identical across worker
+// counts and across the engine's two routes — graceful degradation may
+// change nothing about determinism. Also pins the aborted-epoch semantics a shard exception
 // relies on: abort_epoch is idempotent, pending lifecycle ops commit
 // exactly once, and a snapshot taken after an abort resumes bit-exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "core/valkyrie.hpp"
 #include "fault/fault_plane.hpp"
 #include "ml/svm.hpp"
+#include "sequential_loop.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -33,7 +35,6 @@ namespace {
 using core::SupervisedEngine;
 using core::SupervisedWorld;
 using core::ValkyrieEngine;
-using StepMode = ValkyrieEngine::StepMode;
 
 ml::TraceSet training_corpus() {
   util::Rng rng(0xc0ffee);
@@ -105,14 +106,13 @@ constexpr std::size_t kEpochs = 500;
 
 SupervisedEngine::WorldFactory chaos_factory(const ml::Detector& detector,
                                              const FaultPlane& plane,
-                                             std::size_t threads,
-                                             StepMode mode) {
-  return [&detector, &plane, threads,
-          mode](const snapshot::SnapshotImage* image) -> SupervisedWorld {
+                                             std::size_t threads) {
+  return [&detector, &plane,
+          threads](const snapshot::SnapshotImage* image) -> SupervisedWorld {
     SupervisedWorld world;
     world.system = std::make_unique<sim::SimSystem>();
-    world.engine = std::make_unique<ValkyrieEngine>(*world.system, detector,
-                                                    threads, mode);
+    world.engine =
+        std::make_unique<ValkyrieEngine>(*world.system, detector, threads);
     world.engine->arm_faults(&plane);
     if (image == nullptr) {
       world.driver =
@@ -136,7 +136,7 @@ TEST(FaultChaos, FiveHundredEpochCampaignSurvivesAllThreePlanesAndCrashes) {
   std::vector<std::uint8_t> golden;
   {
     const SupervisedWorld world =
-        chaos_factory(detector, plane, 1, StepMode::kFused)(nullptr);
+        chaos_factory(detector, plane, 1)(nullptr);
     for (std::size_t i = 0; i < kEpochs; ++i) {
       ASSERT_NO_THROW(world.driver->step()) << "epoch " << i << " aborted";
     }
@@ -154,72 +154,66 @@ TEST(FaultChaos, FiveHundredEpochCampaignSurvivesAllThreePlanesAndCrashes) {
     EXPECT_GT(stats.policy_kills + stats.driver_kills, 0u);
   }
 
-  // Chaos + crashes, across the full mode x worker grid: the supervisor
-  // loses the world twice mid-campaign — and in one grid cell the second
-  // crash additionally finds its latest checkpoint corrupted, forcing the
-  // previous-generation fallback — and must still finish on the same
-  // bytes every time.
-  constexpr StepMode kModes[] = {StepMode::kSplit, StepMode::kFused,
-                                 StepMode::kBatched};
-  constexpr std::size_t kWorkers[] = {1, 2, 8};
-  for (const StepMode mode : kModes) {
-    for (const std::size_t threads : kWorkers) {
-      const bool corrupt = mode == StepMode::kFused && threads == 2;
-      SupervisedEngine::Config config;
-      config.checkpoint_interval = 32;
-      config.crash_epochs = {123, 377};
-      if (corrupt) {
-        // Damage the step-352 checkpoint: the crash at 377 must reach
-        // past it to the step-320 generation (57 epochs of replay).
-        config.corrupt_checkpoint_epochs = {352};
-      }
-      SupervisedEngine supervisor(
-          chaos_factory(detector, plane, threads, mode), config);
-      ASSERT_NO_THROW(supervisor.run(kEpochs))
-          << "mode " << static_cast<int>(mode) << ", " << threads
-          << " workers";
-      const SupervisedEngine::Health health = supervisor.health();
-      EXPECT_EQ(health.injected_crashes, 2u);
-      EXPECT_EQ(health.recoveries, 2u)
-          << "only the injected crashes may trigger recovery — a step "
-             "exception here means containment failed";
-      EXPECT_EQ(health.fallback_recoveries, corrupt ? 1u : 0u);
-      if (corrupt) {
-        EXPECT_EQ(health.worst_replay, 57u)
-            << "the fallback must restore step 320, not the torn 352";
-      }
-      EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
-                golden)
-          << "mode " << static_cast<int>(mode) << ", " << threads
-          << " workers";
+  // Chaos + crashes, across worker counts: the supervisor loses the world
+  // twice mid-campaign — and in one run the second crash additionally
+  // finds its latest checkpoint corrupted, forcing the previous-generation
+  // fallback — and must still finish on the same bytes every time.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const bool corrupt = threads == 2;
+    SupervisedEngine::Config config;
+    config.checkpoint_interval = 32;
+    config.crash_epochs = {123, 377};
+    if (corrupt) {
+      // Damage the step-352 checkpoint: the crash at 377 must reach past
+      // it to the step-320 generation (57 epochs of replay).
+      config.corrupt_checkpoint_epochs = {352};
     }
+    SupervisedEngine supervisor(chaos_factory(detector, plane, threads),
+                                config);
+    ASSERT_NO_THROW(supervisor.run(kEpochs)) << threads << " workers";
+    const SupervisedEngine::Health health = supervisor.health();
+    EXPECT_EQ(health.injected_crashes, 2u);
+    EXPECT_EQ(health.recoveries, 2u)
+        << "only the injected crashes may trigger recovery — a step "
+           "exception here means containment failed";
+    EXPECT_EQ(health.fallback_recoveries, corrupt ? 1u : 0u);
+    if (corrupt) {
+      EXPECT_EQ(health.worst_replay, 57u)
+          << "the fallback must restore step 320, not the torn 352";
+    }
+    EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
+              golden)
+        << threads << " workers";
   }
 }
 
-TEST(FaultChaos, BatchedModeFallsBackAndStaysBitIdentical) {
+TEST(FaultChaos, BatchRouteFallsBackAndMatchesPerSlotRoute) {
   // A detector-fault rate high enough that most batches contain a faulted
-  // column forces the batched engine onto its per-slot fallback almost
-  // every epoch — the hardest case for batched-vs-fused identity.
+  // column forces the batch route onto its per-slot fallback almost every
+  // epoch — the hardest case for batch-vs-per-slot identity.
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
   FaultPlane plane(0xfa11);
   plane.detector = {.throw_rate = 0.15, .garbage_rate = 0.0};
   const FaultyDetector detector(inner, plane);
+  const reference::PerSlotRoute per_slot(detector);
 
-  auto run = [&](std::size_t threads, StepMode mode) {
-    const SupervisedWorld world =
-        chaos_factory(detector, plane, threads, mode)(nullptr);
+  auto run = [&](const ml::Detector& det, std::size_t threads) {
+    const SupervisedWorld world = chaos_factory(det, plane, threads)(nullptr);
     for (std::size_t i = 0; i < 200; ++i) world.driver->step();
     return std::make_pair(snapshot::encode(snapshot::capture(*world.driver)),
                           world.engine->fault_health());
   };
-  const auto [golden, golden_health] = run(1, StepMode::kFused);
+  const auto [golden, golden_health] = run(per_slot, 1);
   ASSERT_GT(golden_health.detector_faults, 50u);
-  const auto [batched, batched_health] = run(8, StepMode::kBatched);
-  EXPECT_EQ(batched, golden);
-  EXPECT_GT(batched_health.batch_fallbacks, 0u)
-      << "this rate must actually exercise the fallback path";
-  EXPECT_EQ(batched_health.detector_faults, golden_health.detector_faults)
-      << "the fallback must replay the same per-column fault decisions";
+  EXPECT_EQ(golden_health.batch_fallbacks, 0u) << "per-slot route batched";
+  for (const std::size_t threads : {1u, 8u}) {
+    const auto [batched, batched_health] = run(detector, threads);
+    EXPECT_EQ(batched, golden) << threads << " workers";
+    EXPECT_GT(batched_health.batch_fallbacks, 0u)
+        << "this rate must actually exercise the fallback path";
+    EXPECT_EQ(batched_health.detector_faults, golden_health.detector_faults)
+        << "the fallback must replay the same per-column fault decisions";
+  }
 }
 
 // --- Aborted-epoch semantics (shard-exception containment substrate) ---------
@@ -292,7 +286,8 @@ TEST(FaultChaos, AbortEpochIsIdempotentAndCommitsPendingLifecycle) {
 /// into the world.
 class ThrowOnceDetector final : public ml::Detector {
  public:
-  ThrowOnceDetector(const ml::Detector& inner, std::shared_ptr<int> fuse)
+  ThrowOnceDetector(const ml::Detector& inner,
+                    std::shared_ptr<std::atomic<int>> fuse)
       : inner_(inner), fuse_(std::move(fuse)) {}
 
   [[nodiscard]] std::string_view name() const override { return inner_.name(); }
@@ -333,13 +328,18 @@ class ThrowOnceDetector final : public ml::Detector {
 
  private:
   void burn() const {
-    if (*fuse_ > 0) {
-      --*fuse_;
-      throw std::runtime_error("injected shard exception");
+    // Every shard calls in concurrently, so the fuse is atomic: exactly
+    // as many calls throw as the fuse holds.
+    int lit = fuse_->load(std::memory_order_relaxed);
+    while (lit > 0) {
+      if (fuse_->compare_exchange_weak(lit, lit - 1,
+                                       std::memory_order_relaxed)) {
+        throw std::runtime_error("injected shard exception");
+      }
     }
   }
   const ml::Detector& inner_;
-  std::shared_ptr<int> fuse_;
+  std::shared_ptr<std::atomic<int>> fuse_;
 };
 
 TEST(FaultChaos, SnapshotAfterAbortedEpochResumesBitExactly) {
@@ -350,11 +350,11 @@ TEST(FaultChaos, SnapshotAfterAbortedEpochResumesBitExactly) {
   // (committed lifecycle deltas, uncounted epoch, driver cursors) is fully
   // captured.
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
-  auto fuse = std::make_shared<int>(0);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
   const ThrowOnceDetector detector(inner, fuse);
 
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 2);
   sim::ScenarioDriver driver(engine, churn_script());
   for (int i = 0; i < 90; ++i) driver.step();
 
@@ -373,7 +373,7 @@ TEST(FaultChaos, SnapshotAfterAbortedEpochResumesBitExactly) {
   // state hash, so a snapshot of the faulted run interoperates with a
   // fault-free engine.
   sim::SimSystem sys2;
-  ValkyrieEngine engine2(sys2, inner, 2, StepMode::kFused);
+  ValkyrieEngine engine2(sys2, inner, 2);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   sim::ScenarioDriver driver2(engine2, churn_script(), image.driver);
 

@@ -4,8 +4,8 @@
 // rack-like group of pids dark together; the per-feature layer quarantines
 // individual sensor COLUMNS instead of whole samples. Both are pure
 // functions of (seed, identity, epoch), so everything here is pinned
-// exactly: burst membership replays bit-identically across step modes and
-// worker counts, FaultHealth counters land on the same values everywhere,
+// exactly: burst membership replays bit-identically across worker counts,
+// FaultHealth counters land on the same values everywhere,
 // and per-feature degradation provably buys strictly fewer blind epochs
 // than whole-sample quarantine under the identical fault schedule.
 #include <gtest/gtest.h>
@@ -19,7 +19,9 @@
 
 #include "core/valkyrie.hpp"
 #include "fault/fault_plane.hpp"
+#include "ml/mlp.hpp"
 #include "ml/svm.hpp"
+#include "sequential_loop.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -29,7 +31,6 @@ namespace valkyrie::fault {
 namespace {
 
 using core::ValkyrieEngine;
-using StepMode = ValkyrieEngine::StepMode;
 
 ml::TraceSet training_corpus() {
   util::Rng rng(0xc0ffee);
@@ -179,7 +180,7 @@ TEST(FaultDomains, InvalidRatesThrowAtArmTime) {
 
   const auto arm = [&](const FaultPlane& plane) {
     sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
+    ValkyrieEngine engine(sys, detector, 1);
     engine.arm_faults(&plane);
   };
 
@@ -232,10 +233,9 @@ struct RunResult {
 };
 
 RunResult run_campaign(const ml::Detector& detector, const FaultPlane& plane,
-                       std::size_t threads, StepMode mode,
-                       std::size_t epochs) {
+                       std::size_t threads, std::size_t epochs) {
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, threads, mode);
+  ValkyrieEngine engine(sys, detector, threads);
   engine.arm_faults(&plane);
   sim::ScenarioDriver driver(engine, churn_script());
   for (std::size_t i = 0; i < epochs; ++i) driver.step();
@@ -260,13 +260,12 @@ FaultPlane domain_plane() {
   return plane;
 }
 
-TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossModesAndWorkers) {
+TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossWorkers) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const FaultPlane plane = domain_plane();
   constexpr std::size_t kEpochs = 200;
 
-  const RunResult golden =
-      run_campaign(detector, plane, 1, StepMode::kFused, kEpochs);
+  const RunResult golden = run_campaign(detector, plane, 1, kEpochs);
   // The scripted schedule is a pure hash of (seed, identity, epoch), so
   // these are exact, not statistical. Any drift in the injection order,
   // the mask contract or the burst schedule moves at least one of them.
@@ -275,27 +274,45 @@ TEST(FaultDomains, PinnedCountersAndBitIdenticalBytesAcrossModesAndWorkers) {
   EXPECT_GT(golden.health.coasted, 0u) << "bursts must quarantine slots";
   EXPECT_GT(golden.health.actuator_failures, 0u);
 
-  constexpr StepMode kModes[] = {StepMode::kSplit, StepMode::kFused,
-                                 StepMode::kBatched};
-  constexpr std::size_t kWorkers[] = {1, 2, 8};
-  for (const StepMode mode : kModes) {
-    for (const std::size_t threads : kWorkers) {
-      const RunResult run =
-          run_campaign(detector, plane, threads, mode, kEpochs);
-      const std::string where = "mode " +
-                                std::to_string(static_cast<int>(mode)) + ", " +
-                                std::to_string(threads) + " workers";
-      EXPECT_EQ(run.bytes, golden.bytes) << where;
-      // FaultHealth is part of the determinism contract too: the same
-      // schedule must be OBSERVED identically, not just survived.
-      EXPECT_EQ(run.health.coasted, golden.health.coasted) << where;
-      EXPECT_EQ(run.health.blind, golden.health.blind) << where;
-      EXPECT_EQ(run.health.masked, golden.health.masked) << where;
-      EXPECT_EQ(run.health.actuator_failures, golden.health.actuator_failures)
-          << where;
-      EXPECT_EQ(run.health.retries, golden.health.retries) << where;
-      EXPECT_EQ(run.health.escalations, golden.health.escalations) << where;
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    const RunResult run = run_campaign(detector, plane, threads, kEpochs);
+    const std::string where = std::to_string(threads) + " workers";
+    EXPECT_EQ(run.bytes, golden.bytes) << where;
+    // FaultHealth is part of the determinism contract too: the same
+    // schedule must be OBSERVED identically, not just survived.
+    EXPECT_EQ(run.health.coasted, golden.health.coasted) << where;
+    EXPECT_EQ(run.health.blind, golden.health.blind) << where;
+    EXPECT_EQ(run.health.masked, golden.health.masked) << where;
+    EXPECT_EQ(run.health.actuator_failures, golden.health.actuator_failures)
+        << where;
+    EXPECT_EQ(run.health.retries, golden.health.retries) << where;
+    EXPECT_EQ(run.health.escalations, golden.health.escalations) << where;
+  }
+}
+
+TEST(FaultDomains, BatchRouteObservesFaultsLikeThePerSlotRoute) {
+  // The batch route folds its batch results with guarded_infer's fault
+  // accounting. Under the identical schedule it must land on the per-slot
+  // route's bytes AND FaultHealth — for a vote (newest-only) detector and a
+  // stats-only one alike.
+  const ml::SvmDetector svm = ml::SvmDetector::make(training_corpus(), 3);
+  const ml::MlpDetector mlp =
+      ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
+  const FaultPlane plane = domain_plane();
+  for (const ml::Detector* detector :
+       {static_cast<const ml::Detector*>(&svm),
+        static_cast<const ml::Detector*>(&mlp)}) {
+    const std::string label(detector->name());
+    const reference::PerSlotRoute per_slot(*detector);
+    const RunResult want = run_campaign(per_slot, plane, 1, 200);
+    const RunResult got = run_campaign(*detector, plane, 2, 200);
+    EXPECT_GT(want.health.coasted, 0u) << label;
+    EXPECT_GT(want.health.masked, 0u) << label;
+    EXPECT_EQ(got.bytes, want.bytes) << label;
+    EXPECT_EQ(got.health.coasted, want.health.coasted) << label;
+    EXPECT_EQ(got.health.blind, want.health.blind) << label;
+    EXPECT_EQ(got.health.masked, want.health.masked) << label;
+    EXPECT_EQ(got.health.sanitized, want.health.sanitized) << label;
   }
 }
 
@@ -307,10 +324,8 @@ TEST(FaultDomains, ScriptedScheduleLandsOnExactCounters) {
   plane.sensor = {.stuck_rate = 0.05, .nan_rate = 0.03, .saturate_rate = 0.02};
   plane.sensor.feature_fraction = 0.4;
 
-  const RunResult run =
-      run_campaign(detector, plane, 1, StepMode::kFused, 200);
-  const RunResult again =
-      run_campaign(detector, plane, 8, StepMode::kBatched, 200);
+  const RunResult run = run_campaign(detector, plane, 1, 200);
+  const RunResult again = run_campaign(detector, plane, 8, 200);
   EXPECT_EQ(run.bytes, again.bytes);
 
   EXPECT_EQ(run.health.masked, again.health.masked);
@@ -346,10 +361,8 @@ TEST(FaultDomains, PerFeatureQuarantineBuysStrictlyFewerBlindEpochs) {
   partial.sensor = whole.sensor;
   partial.sensor.feature_fraction = 0.25;
 
-  const RunResult whole_run =
-      run_campaign(detector, whole, 1, StepMode::kFused, 400);
-  const RunResult partial_run =
-      run_campaign(detector, partial, 1, StepMode::kFused, 400);
+  const RunResult whole_run = run_campaign(detector, whole, 1, 400);
+  const RunResult partial_run = run_campaign(detector, partial, 1, 400);
 
   EXPECT_EQ(whole_run.health.masked, 0u)
       << "whole-sample mode must never report a partial plane";

@@ -23,7 +23,6 @@ namespace valkyrie::fault {
 namespace {
 
 using core::ValkyrieEngine;
-using StepMode = ValkyrieEngine::StepMode;
 
 // --- The plane itself --------------------------------------------------------
 
@@ -237,7 +236,7 @@ TEST(FaultPlane, CoastWithinBudgetThenGoBlind) {
   FaultPlane plane(0xb11d);
 
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 1);
   engine.set_fault_tolerance({.staleness_budget = 3});
   engine.arm_faults(&plane);
   const sim::ProcessId pid =
@@ -284,7 +283,7 @@ TEST(FaultPlane, DetectorThrowsAreContainedPerSlot) {
   const FaultyDetector detector(inner, plane);
 
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 1);
   engine.arm_faults(&plane);
   for (int i = 0; i < 4; ++i) {
     sys.spawn(std::make_unique<SigWorkload>(benign_signature(), false));
@@ -324,7 +323,7 @@ TEST(FaultPlane, GarbageInferenceBitsAreSanitized) {
       ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
   const FaultyDetector faulty_mlp(mlp, plane);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, faulty_mlp, 1, StepMode::kFused);
+  ValkyrieEngine engine(sys, faulty_mlp, 1);
   engine.arm_faults(&plane);
   const sim::ProcessId pid =
       sys.spawn(std::make_unique<SigWorkload>(attack_signature(), true));
@@ -353,8 +352,7 @@ ActuatorRun run_attack_with_faults(const ml::SvmDetector& detector,
                                    core::ValkyrieConfig monitor_cfg = {}) {
   ActuatorRun run;
   run.sys = std::make_unique<sim::SimSystem>();
-  run.engine = std::make_unique<ValkyrieEngine>(*run.sys, detector, 1,
-                                                StepMode::kFused);
+  run.engine = std::make_unique<ValkyrieEngine>(*run.sys, detector, 1);
   run.engine->set_fault_tolerance(cfg);
   run.engine->arm_faults(&plane);
   run.pid = run.sys->spawn(
@@ -431,7 +429,7 @@ TEST(FaultPlane, FaultFreeRunIsUntouchedByAnArmedIdlePlane) {
 
   auto run = [&detector, &idle](bool armed) {
     sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 2, StepMode::kBatched);
+    ValkyrieEngine engine(sys, detector, 2);
     if (armed) engine.arm_faults(&idle);
     for (int i = 0; i < 6; ++i) {
       sys.spawn(std::make_unique<SigWorkload>(

@@ -1,28 +1,33 @@
-// Determinism contract of the fused single-dispatch engine schedule: a
-// fused run must be bit-identical to the split two-dispatch schedule AND to
-// the fully sequential engine, for any worker count — actions, monitor
-// states, threat indices, measurement counts, HPC histories, scheduler
-// weights, cgroup caps, progress and exit reasons. The fused schedule also
-// carries a structural contract: exactly ONE pool dispatch per epoch
-// (vs. two for the split schedule), observed through the pool's dispatch
-// counter.
+// Determinism contract of the engine's single schedule. For each route a
+// detector can declare — newest-only votes (SVM), stats rows through
+// infer_batch (the window MLP) and no batch kernel at all (a kFull stub
+// served per slot) — an engine run must be bit-identical to the plain
+// sequential loop of sequential_loop.hpp for any worker count: actions,
+// monitor states, threat indices, measurement counts, HPC histories,
+// scheduler weights, cgroup caps, progress and exit reasons. The runs mix
+// kills, natural completions, unattached processes and a mid-run detach +
+// re-attach, so the per-slot catch-up path runs on both routes. The
+// schedule also carries a structural contract: exactly ONE pool dispatch
+// per epoch, observed through the pool's dispatch counter.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
+#include "ml/mlp.hpp"
 #include "ml/svm.hpp"
+#include "sequential_loop.hpp"
 #include "sim/system.hpp"
 #include "util/thread_pool.hpp"
 
 namespace valkyrie::core {
 namespace {
-
-using StepMode = ValkyrieEngine::StepMode;
 
 // --- Workloads ---------------------------------------------------------------
 
@@ -95,6 +100,35 @@ ml::TraceSet training_corpus() {
   return set;
 }
 
+/// A vote detector without a batch kernel (plane_sections stays kFull), so
+/// the engine serves it per slot: a measurement is malicious when its LLC
+/// miss rate sits above the benign level, the window when most are.
+class PerSlotVoteDetector final : public ml::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "per-slot-vote";
+  }
+  [[nodiscard]] ml::Inference infer(
+      std::span<const hpc::HpcSample> window) const override {
+    std::size_t votes = 0;
+    hpc::FeatureVec f;
+    for (const hpc::HpcSample& s : window) {
+      hpc::to_features(s, f);
+      votes += measurement_vote(f) ? 1 : 0;
+    }
+    return 2 * votes > window.size() ? ml::Inference::kMalicious
+                                     : ml::Inference::kBenign;
+  }
+  [[nodiscard]] std::optional<double> vote_fraction() const override {
+    return 0.5;
+  }
+  [[nodiscard]] bool measurement_vote(
+      std::span<const double> features) const override {
+    // log1p LLC misses per megacycle: ~7.0 benign, ~11.6 attack.
+    return features[static_cast<std::size_t>(hpc::Event::kLlcMisses)] > 7.4;
+  }
+};
+
 // --- Full-run capture --------------------------------------------------------
 
 constexpr std::size_t kProcs = 24;
@@ -113,17 +147,15 @@ struct RunResult {
   std::vector<std::vector<hpc::HpcSample>> histories;
 };
 
-RunResult run_engine(std::size_t worker_threads, StepMode mode) {
-  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
-
+/// The shared script, against the engine or the sequential loop.
+template <typename Driver>
+RunResult drive(sim::SimSystem& sys, Driver& driver) {
   std::vector<sim::ProcessId> pids;
   for (std::size_t i = 0; i < kProcs; ++i) {
     // Mostly benign, a few attacks (terminated mid-run) and a few finite
     // benign programs (natural completion mid-run), with a couple of live
-    // processes left *unattached* so the fused dispatch also walks slots
-    // without a monitor.
+    // processes left *unattached* so the dispatch also walks slots without
+    // a monitor.
     const bool attack = i % 6 == 1;
     const std::uint64_t lifetime = i % 8 == 5 ? 120 + i : 0;
     const hpc::HpcSignature sig =
@@ -137,26 +169,36 @@ RunResult run_engine(std::size_t worker_threads, StepMode mode) {
     } else {
       actuator = std::make_unique<CgroupCpuActuator>();
     }
-    engine.attach(pid, ValkyrieConfig{}, std::move(actuator));
+    driver.attach(pid, ValkyrieConfig{}, std::move(actuator));
     pids.push_back(pid);
   }
 
+  // Detached mid-run and re-attached 100 epochs later: the fresh monitor's
+  // stream must catch up over the accumulated window.
+  const sim::ProcessId rejoin = pids[3];
   RunResult r;
   r.actions.reserve(kEpochs);
   for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-    engine.step();
+    if (epoch == 150) driver.detach(rejoin);
+    if (epoch == 250) {
+      driver.attach(rejoin, ValkyrieConfig{},
+                    std::make_unique<CgroupCpuActuator>());
+    }
+    driver.step();
     std::vector<ValkyrieMonitor::Action> epoch_actions;
     epoch_actions.reserve(pids.size());
     for (const sim::ProcessId pid : pids) {
-      epoch_actions.push_back(engine.last_action(pid));
+      epoch_actions.push_back(driver.is_attached(pid)
+                                  ? driver.last_action(pid)
+                                  : ValkyrieMonitor::Action::kNone);
     }
     r.actions.push_back(std::move(epoch_actions));
   }
 
   for (const sim::ProcessId pid : pids) {
-    r.states.push_back(engine.monitor(pid).state());
-    r.threats.push_back(engine.monitor(pid).threat());
-    r.measurements.push_back(engine.monitor(pid).measurements());
+    r.states.push_back(driver.monitor(pid).state());
+    r.threats.push_back(driver.monitor(pid).threat());
+    r.measurements.push_back(driver.monitor(pid).measurements());
     r.exits.push_back(sys.exit_reason(pid));
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
@@ -166,39 +208,47 @@ RunResult run_engine(std::size_t worker_threads, StepMode mode) {
   return r;
 }
 
+RunResult run_engine(const ml::Detector& detector,
+                     std::size_t worker_threads) {
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, worker_threads);
+  return drive(sys, engine);
+}
+
+RunResult run_sequential_loop(const ml::Detector& detector) {
+  sim::SimSystem sys;
+  reference::SequentialLoop loop(sys, detector);
+  return drive(sys, loop);
+}
+
 void expect_identical(const RunResult& a, const RunResult& b,
-                      std::size_t threads, StepMode mode) {
-  const char* mode_name =
-      mode == StepMode::kFused ? "fused" : "split";
+                      const std::string& label) {
   ASSERT_EQ(a.actions.size(), b.actions.size());
   for (std::size_t e = 0; e < a.actions.size(); ++e) {
-    ASSERT_EQ(a.actions[e], b.actions[e])
-        << mode_name << ", " << threads << " workers, epoch " << e;
+    ASSERT_EQ(a.actions[e], b.actions[e]) << label << ", epoch " << e;
   }
-  EXPECT_EQ(a.states, b.states) << mode_name << ", " << threads << " workers";
-  EXPECT_EQ(a.measurements, b.measurements)
-      << mode_name << ", " << threads << " workers";
-  EXPECT_EQ(a.exits, b.exits) << mode_name << ", " << threads << " workers";
+  EXPECT_EQ(a.states, b.states) << label;
+  EXPECT_EQ(a.measurements, b.measurements) << label;
+  EXPECT_EQ(a.exits, b.exits) << label;
   // Doubles compared exactly: the contract is bit-identical, not close.
-  EXPECT_EQ(a.threats, b.threats) << mode_name << ", " << threads;
-  EXPECT_EQ(a.progress, b.progress) << mode_name << ", " << threads;
-  EXPECT_EQ(a.sched_factors, b.sched_factors) << mode_name << ", " << threads;
-  EXPECT_EQ(a.cpu_caps, b.cpu_caps) << mode_name << ", " << threads;
+  EXPECT_EQ(a.threats, b.threats) << label;
+  EXPECT_EQ(a.progress, b.progress) << label;
+  EXPECT_EQ(a.sched_factors, b.sched_factors) << label;
+  EXPECT_EQ(a.cpu_caps, b.cpu_caps) << label;
   ASSERT_EQ(a.histories.size(), b.histories.size());
   for (std::size_t p = 0; p < a.histories.size(); ++p) {
     ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << mode_name << ", " << threads << " workers, attachment " << p;
+        << label << ", attachment " << p;
     for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
       ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << mode_name << ", " << threads << " workers, attachment " << p
-          << ", epoch " << e;
+          << label << ", attachment " << p << ", epoch " << e;
     }
   }
 }
 
-TEST(FusedEngine, FusedSplitAndSequentialAreBitIdentical) {
-  // Baseline: fully sequential split schedule (the PR 2 reference path).
-  const RunResult baseline = run_engine(1, StepMode::kSplit);
+void expect_engine_matches_sequential_loop(const ml::Detector& detector,
+                                           const char* label) {
+  const RunResult baseline = run_sequential_loop(detector);
 
   // The run must exercise mixed outcomes or the test proves nothing.
   bool saw_kill = false;
@@ -209,31 +259,51 @@ TEST(FusedEngine, FusedSplitAndSequentialAreBitIdentical) {
     saw_completion |= exit == sim::ExitReason::kCompleted;
     saw_survivor |= exit == sim::ExitReason::kRunning;
   }
-  ASSERT_TRUE(saw_kill);
-  ASSERT_TRUE(saw_completion);
-  ASSERT_TRUE(saw_survivor);
+  ASSERT_TRUE(saw_kill) << label;
+  ASSERT_TRUE(saw_completion) << label;
+  ASSERT_TRUE(saw_survivor) << label;
   bool saw_throttle = false;
   for (const auto& epoch_actions : baseline.actions) {
     for (const ValkyrieMonitor::Action action : epoch_actions) {
       saw_throttle |= action == ValkyrieMonitor::Action::kThrottled;
     }
   }
-  ASSERT_TRUE(saw_throttle);
+  ASSERT_TRUE(saw_throttle) << label;
 
-  for (const StepMode mode : {StepMode::kFused, StepMode::kSplit}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      if (mode == StepMode::kSplit && threads == 1) continue;  // baseline
-      const RunResult run = run_engine(threads, mode);
-      expect_identical(baseline, run, threads, mode);
-    }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_identical(baseline, run_engine(detector, threads),
+                     std::string(label) + ", " + std::to_string(threads) +
+                         " workers");
   }
 }
 
-TEST(FusedEngine, FusedPathIsOneDispatchPerEpoch) {
+TEST(FusedEngine, NewestOnlyVoteRouteMatchesSequentialLoop) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  for (const StepMode mode : {StepMode::kFused, StepMode::kSplit}) {
+  ASSERT_EQ(detector.plane_sections(), ml::Detector::PlaneSections::kNewestOnly);
+  expect_engine_matches_sequential_loop(detector, "svm");
+}
+
+TEST(FusedEngine, StatsInferBatchRouteMatchesSequentialLoop) {
+  const ml::MlpDetector detector =
+      ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
+  ASSERT_EQ(detector.plane_sections(), ml::Detector::PlaneSections::kStatsOnly);
+  expect_engine_matches_sequential_loop(detector, "mlp");
+}
+
+TEST(FusedEngine, PerSlotRouteMatchesSequentialLoop) {
+  const PerSlotVoteDetector detector;
+  ASSERT_EQ(detector.plane_sections(), ml::Detector::PlaneSections::kFull);
+  expect_engine_matches_sequential_loop(detector, "per-slot stub");
+}
+
+TEST(FusedEngine, StepIsOneDispatchPerEpoch) {
+  const ml::SvmDetector svm = ml::SvmDetector::make(training_corpus(), 3);
+  const PerSlotVoteDetector per_slot;
+  for (const ml::Detector* detector :
+       {static_cast<const ml::Detector*>(&svm),
+        static_cast<const ml::Detector*>(&per_slot)}) {
     sim::SimSystem sys;
-    ValkyrieEngine engine(sys, detector, 2, mode);
+    ValkyrieEngine engine(sys, *detector, 2);
     if (engine.shard_count() < 2) {
       GTEST_SKIP() << "single-core machine: engine clamps to sequential";
     }
@@ -247,13 +317,8 @@ TEST(FusedEngine, FusedPathIsOneDispatchPerEpoch) {
     const std::uint64_t before = engine.pool_dispatch_count();
     constexpr std::uint64_t kSteps = 25;
     for (std::uint64_t i = 0; i < kSteps; ++i) engine.step();
-    const std::uint64_t dispatches = engine.pool_dispatch_count() - before;
-    if (mode == StepMode::kFused) {
-      EXPECT_EQ(dispatches, kSteps) << "fused epoch must cost ONE dispatch";
-    } else {
-      EXPECT_EQ(dispatches, 2 * kSteps)
-          << "split epoch costs a sim dispatch + an inference dispatch";
-    }
+    EXPECT_EQ(engine.pool_dispatch_count() - before, kSteps)
+        << detector->name() << ": an epoch must cost ONE dispatch";
   }
 }
 
@@ -281,12 +346,11 @@ TEST(FusedEngine, WorkerThreadsClampedToHardwareConcurrency) {
 }
 
 TEST(FusedEngine, LastActionOfDeadProcessReadsNone) {
-  // The fused schedule never visits a dead process's attachment; the
-  // step-tag staleness check must make that indistinguishable from the
-  // split schedule's explicit kNone write.
+  // The step never visits a dead process's attachment; the step-tag
+  // staleness check must make that read as an explicit kNone.
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 1);
   const sim::ProcessId finite =
       sys.spawn(std::make_unique<SigWorkload>(benign_signature(), false, 3));
   const sim::ProcessId endless =

@@ -1,11 +1,12 @@
 // Steady-state allocation guard for the engine step: after warm-up
 // (histories reserved, command buffers and pool queues sized), one epoch —
-// workload execution, HPC capture, window fold, streaming inference,
-// monitor decisions, batched actuator commit — must perform zero heap
-// allocations, sequentially AND across a worker pool, on BOTH the fused
-// single-dispatch schedule (the SoA hot-core path) and the split
-// two-dispatch schedule. Extends the operator-new guard pattern from
-// test_window_accumulator.cpp to the whole step.
+// workload execution, HPC capture, window fold, feature-plane fill, batch
+// or per-slot inference, monitor decisions, batched actuator commit — must
+// perform zero heap allocations, sequentially AND across a worker pool, on
+// BOTH routes the step can take: the batch route (a detector declaring
+// plane sections) and the per-slot route (a kFull detector). Extends the
+// operator-new guard pattern from test_window_accumulator.cpp to the whole
+// step.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,9 +82,14 @@ class SigWorkload final : public sim::Workload {
 
 /// Deterministically flapping detector: flags every 7th window state as
 /// malicious, driving a steady churn of throttle / restore commands through
-/// the per-shard buffers without ever reaching the termination budget.
+/// the per-shard buffers without ever reaching the termination budget. The
+/// declared sections pick the route: kFull is served per slot; kNewestOnly
+/// arms a newest-only plane and takes one infer_batch call per shard (the
+/// default adapter, reading the plane's counts).
 class FlappingDetector final : public ml::Detector {
  public:
+  explicit FlappingDetector(PlaneSections sections) : sections_(sections) {}
+
   [[nodiscard]] std::string_view name() const override { return "flap"; }
   [[nodiscard]] ml::Inference infer(
       std::span<const hpc::HpcSample> window) const override {
@@ -95,15 +101,24 @@ class FlappingDetector final : public ml::Detector {
     return summary.count % 7 == 3 ? ml::Inference::kMalicious
                                   : ml::Inference::kBenign;
   }
+  [[nodiscard]] PlaneSections plane_sections() const override {
+    return sections_;
+  }
+
+ private:
+  PlaneSections sections_;
 };
 
+using Sections = ml::Detector::PlaneSections;
+constexpr Sections kPerSlot = Sections::kFull;
+constexpr Sections kBatched = Sections::kNewestOnly;
+
 void expect_steady_state_step_does_not_allocate(
-    std::size_t worker_threads,
-    ValkyrieEngine::StepMode mode = ValkyrieEngine::StepMode::kFused,
+    std::size_t worker_threads, Sections route,
     const fault::FaultPlane* plane = nullptr) {
-  const FlappingDetector detector;
+  const FlappingDetector detector(route);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
   if (plane != nullptr) engine.arm_faults(plane);
 
   constexpr std::size_t kProcs = 32;
@@ -146,35 +161,23 @@ void expect_steady_state_step_does_not_allocate(
   EXPECT_GE(actions_seen, kMeasured / 7 * 2 * kProcs);
 }
 
-TEST(ParallelNoAlloc, SequentialFusedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(1);
+TEST(ParallelNoAlloc, SequentialPerSlotStepIsAllocationFreeAfterWarmup) {
+  expect_steady_state_step_does_not_allocate(1, kPerSlot);
 }
 
-TEST(ParallelNoAlloc, ShardedFusedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(4);
+TEST(ParallelNoAlloc, ShardedPerSlotStepIsAllocationFreeAfterWarmup) {
+  expect_steady_state_step_does_not_allocate(4, kPerSlot);
 }
 
-TEST(ParallelNoAlloc, SequentialSplitStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(1,
-                                             ValkyrieEngine::StepMode::kSplit);
-}
-
-TEST(ParallelNoAlloc, ShardedSplitStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(4,
-                                             ValkyrieEngine::StepMode::kSplit);
-}
-
-// The batched schedule adds the feature-plane fill and the per-shard batch
+// The batch route adds the feature-plane fill and the per-shard batch
 // detector calls to the hot path; plane, scratch and batch outputs are all
 // pre-sized, so the guarantee must hold unchanged.
 TEST(ParallelNoAlloc, SequentialBatchedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kBatched);
+  expect_steady_state_step_does_not_allocate(1, kBatched);
 }
 
 TEST(ParallelNoAlloc, ShardedBatchedStepIsAllocationFreeAfterWarmup) {
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
+  expect_steady_state_step_does_not_allocate(4, kBatched);
 }
 
 // An armed-but-idle fault plane (all rates zero) routes every epoch through
@@ -182,22 +185,24 @@ TEST(ParallelNoAlloc, ShardedBatchedStepIsAllocationFreeAfterWarmup) {
 // guarded inference with streak checks, the retry-aware command commit —
 // and none of that may allocate either: fault tolerance is free until a
 // fault actually fires.
-TEST(ParallelNoAlloc, FaultArmedIdleFusedStepIsAllocationFree) {
+TEST(ParallelNoAlloc, FaultArmedIdlePerSlotStepIsAllocationFree) {
   const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused, &plane);
+  expect_steady_state_step_does_not_allocate(1, kPerSlot, &plane);
 }
 
-TEST(ParallelNoAlloc, FaultArmedIdleShardedFusedStepIsAllocationFree) {
+TEST(ParallelNoAlloc, FaultArmedIdleShardedPerSlotStepIsAllocationFree) {
   const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused, &plane);
+  expect_steady_state_step_does_not_allocate(4, kPerSlot, &plane);
 }
 
 TEST(ParallelNoAlloc, FaultArmedIdleBatchedStepIsAllocationFree) {
   const fault::FaultPlane plane(0x1d1e);
-  expect_steady_state_step_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched, &plane);
+  expect_steady_state_step_does_not_allocate(1, kBatched, &plane);
+}
+
+TEST(ParallelNoAlloc, FaultArmedIdleShardedBatchedStepIsAllocationFree) {
+  const fault::FaultPlane plane(0x1d1e);
+  expect_steady_state_step_does_not_allocate(4, kBatched, &plane);
 }
 
 // Steady-state CHURN: with SimSystem::reserve + ValkyrieEngine::reserve +
@@ -207,11 +212,11 @@ TEST(ParallelNoAlloc, FaultArmedIdleBatchedStepIsAllocationFree) {
 // step — performs zero heap allocations: the admission queue, scheduler
 // batch ops, retirement pool, attachment table and feature plane are all
 // pre-sized.
-void expect_steady_state_churn_does_not_allocate(
-    std::size_t worker_threads, ValkyrieEngine::StepMode mode) {
-  const FlappingDetector detector;
+void expect_steady_state_churn_does_not_allocate(std::size_t worker_threads,
+                                                 Sections route) {
+  const FlappingDetector detector(route);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
 
   constexpr std::size_t kProcs = 24;
   // The warmup must outlive the pool-priming transient: the very first
@@ -274,9 +279,20 @@ void expect_steady_state_churn_does_not_allocate(
       << "churn epoch allocated with " << worker_threads << " workers";
 }
 
-TEST(ParallelNoAlloc, SequentialChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused);
+TEST(ParallelNoAlloc, SequentialPerSlotChurnIsAllocationFreeUnderReserve) {
+  expect_steady_state_churn_does_not_allocate(1, kPerSlot);
+}
+
+TEST(ParallelNoAlloc, ShardedPerSlotChurnIsAllocationFreeUnderReserve) {
+  expect_steady_state_churn_does_not_allocate(4, kPerSlot);
+}
+
+TEST(ParallelNoAlloc, SequentialBatchedChurnIsAllocationFreeUnderReserve) {
+  expect_steady_state_churn_does_not_allocate(1, kBatched);
+}
+
+TEST(ParallelNoAlloc, ShardedBatchedChurnIsAllocationFreeUnderReserve) {
+  expect_steady_state_churn_does_not_allocate(4, kBatched);
 }
 
 // Retention-armed churn: same 1-in-1-out loop, but with TRUE cold-row
@@ -286,11 +302,11 @@ TEST(ParallelNoAlloc, SequentialChurnIsAllocationFreeUnderReserve) {
 // pid-map buckets, scheduler entries and history buffers all recycle
 // through the reclamation path, so unbounded spawning needs only a
 // bounded reservation and the steady-state epoch still never allocates.
-void expect_retention_churn_does_not_allocate(
-    std::size_t worker_threads, ValkyrieEngine::StepMode mode) {
-  const FlappingDetector detector;
+void expect_retention_churn_does_not_allocate(std::size_t worker_threads,
+                                              Sections route) {
+  const FlappingDetector detector(route);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, worker_threads, mode);
+  ValkyrieEngine engine(sys, detector, worker_threads);
 
   constexpr std::size_t kProcs = 24;
   constexpr std::uint64_t kWindow = 4;
@@ -352,29 +368,20 @@ void expect_retention_churn_does_not_allocate(
   EXPECT_LE(sys.tracked_processes(), kProcs + kWindow + 12);
 }
 
-TEST(ParallelNoAlloc, SequentialRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      1, ValkyrieEngine::StepMode::kFused);
+TEST(ParallelNoAlloc, SequentialPerSlotRetentionChurnIsAllocationFree) {
+  expect_retention_churn_does_not_allocate(1, kPerSlot);
 }
 
-TEST(ParallelNoAlloc, ShardedRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused);
+TEST(ParallelNoAlloc, ShardedPerSlotRetentionChurnIsAllocationFree) {
+  expect_retention_churn_does_not_allocate(4, kPerSlot);
 }
 
-TEST(ParallelNoAlloc, BatchedRetentionChurnIsAllocationFree) {
-  expect_retention_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
+TEST(ParallelNoAlloc, SequentialBatchedRetentionChurnIsAllocationFree) {
+  expect_retention_churn_does_not_allocate(1, kBatched);
 }
 
-TEST(ParallelNoAlloc, ShardedChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kFused);
-}
-
-TEST(ParallelNoAlloc, BatchedChurnIsAllocationFreeUnderReserve) {
-  expect_steady_state_churn_does_not_allocate(
-      4, ValkyrieEngine::StepMode::kBatched);
+TEST(ParallelNoAlloc, ShardedBatchedRetentionChurnIsAllocationFree) {
+  expect_retention_churn_does_not_allocate(4, kBatched);
 }
 
 }  // namespace

@@ -27,8 +27,6 @@
 namespace valkyrie {
 namespace {
 
-using StepMode = core::ValkyrieEngine::StepMode;
-
 hpc::HpcSignature benign_signature() {
   hpc::HpcSignature sig;
   sig.at(hpc::Event::kInstructions) = 3e8;
@@ -230,8 +228,8 @@ TEST(RingHistory, EngineThreatTrajectoryUnaffectedOnSummaryDetector) {
   sim::SimSystem unbounded;
   sim::SimSystem bounded;
   bounded.enable_bounded_history(16);
-  core::ValkyrieEngine engine_u(unbounded, detector, 2, StepMode::kBatched);
-  core::ValkyrieEngine engine_b(bounded, detector, 2, StepMode::kBatched);
+  core::ValkyrieEngine engine_u(unbounded, detector, 2);
+  core::ValkyrieEngine engine_b(bounded, detector, 2);
   for (int i = 0; i < 8; ++i) {
     scripted_spawn(unbounded, engine_u);
     scripted_spawn(bounded, engine_b);
@@ -259,7 +257,7 @@ TEST(RingHistory, SnapshotRoundTripContinuesByteIdentically) {
 
   sim::SimSystem golden_sys;
   golden_sys.enable_bounded_history(20);
-  core::ValkyrieEngine golden(golden_sys, detector, 2, StepMode::kBatched);
+  core::ValkyrieEngine golden(golden_sys, detector, 2);
   for (int i = 0; i < 8; ++i) scripted_spawn(golden_sys, golden);
   for (int epoch = 0; epoch < 70; ++epoch) scripted_epoch(golden_sys, golden);
   const std::vector<std::uint8_t> mid =
@@ -274,7 +272,7 @@ TEST(RingHistory, SnapshotRoundTripContinuesByteIdentically) {
   const snapshot::SnapshotImage image = snapshot::parse(mid);
   EXPECT_EQ(image.system.history_capacity, 20u);
   sim::SimSystem sys2;
-  core::ValkyrieEngine engine2(sys2, detector, 8, StepMode::kFused);
+  core::ValkyrieEngine engine2(sys2, detector, 8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   EXPECT_EQ(sys2.history_capacity(), 20u);
   for (int epoch = 0; epoch < 50; ++epoch) scripted_epoch(sys2, engine2);

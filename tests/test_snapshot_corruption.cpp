@@ -68,7 +68,7 @@ class OpaqueWorkload final : public sim::Workload {
 
 struct Fixture {
   explicit Fixture(const ml::SvmDetector& detector)
-      : engine(sys, detector, 2, ValkyrieEngine::StepMode::kFused) {
+      : engine(sys, detector, 2) {
     static const std::vector<workloads::BenchmarkSpec> palette =
         workloads::all_single_threaded();
     for (std::size_t i = 0; i < 6; ++i) {
@@ -250,7 +250,7 @@ TEST(SnapshotCorruption, CaptureAndRestoreRefuseAnOpenEpoch) {
 TEST(SnapshotCorruption, UnsupportedLiveWorkloadRefusesCapture) {
   const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, ValkyrieEngine::StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 1);
   sys.spawn(std::make_unique<OpaqueWorkload>());
   engine.step();
   try {

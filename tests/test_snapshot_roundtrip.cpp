@@ -2,8 +2,8 @@
 // test): snapshot a churning engine run at epoch E — at a boundary where a
 // kill is still pending compaction (mid-churn) — restore the bytes into a
 // completely fresh system + engine, run both worlds to E+500, and demand
-// BIT-IDENTICAL histories, actions and threat indices, for every StepMode
-// and worker count. The final encoded snapshots of the two worlds must be
+// BIT-IDENTICAL histories, actions and threat indices, for any worker
+// count. The final encoded snapshots of the two worlds must be
 // byte-equal, which covers every field the engine stack carries.
 #include <gtest/gtest.h>
 
@@ -24,8 +24,6 @@
 
 namespace valkyrie::core {
 namespace {
-
-using StepMode = ValkyrieEngine::StepMode;
 
 hpc::HpcSignature benign_signature() {
   hpc::HpcSignature sig;
@@ -152,10 +150,10 @@ struct World {
 /// Builds a world and runs the script to the snapshot epoch, ending with a
 /// kill that is still pending compaction — the mid-churn boundary state.
 std::unique_ptr<World> run_to_snapshot(const ml::SvmDetector& detector,
-                                       std::size_t threads, StepMode mode) {
+                                       std::size_t threads) {
   auto world = std::make_unique<World>();
   world->engine =
-      std::make_unique<ValkyrieEngine>(world->sys, detector, threads, mode);
+      std::make_unique<ValkyrieEngine>(world->sys, detector, threads);
   for (std::size_t i = 0; i < 16; ++i) {
     scripted_spawn(world->sys, *world->engine);
   }
@@ -180,14 +178,13 @@ void expect_bytes_equal(const std::vector<std::uint8_t>& expected,
          << detail;
 }
 
-TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryModeAndWorkerCount) {
+TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryWorkerCount) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const snapshot::RestoreContext ctx{};  // default config, bundled registries
 
   // Golden: one uninterrupted world. Snapshot at E, then keep running the
   // SAME world to E+500 — the continuation never sees the snapshot.
-  std::unique_ptr<World> golden =
-      run_to_snapshot(detector, 1, StepMode::kSplit);
+  std::unique_ptr<World> golden = run_to_snapshot(detector, 1);
   const snapshot::SnapshotImage golden_mid = snapshot::capture(*golden->engine);
   ASSERT_TRUE(golden_mid.system.retire_pending)
       << "the snapshot must cover the mid-churn pending-kill state";
@@ -197,68 +194,61 @@ TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryModeAndWorkerCount) {
   const std::vector<std::uint8_t> golden_final_bytes =
       snapshot::encode(snapshot::capture(*golden->engine));
 
-  for (const StepMode mode :
-       {StepMode::kFused, StepMode::kSplit, StepMode::kBatched}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const char* mode_name = mode == StepMode::kFused    ? "fused"
-                              : mode == StepMode::kSplit  ? "split"
-                                                          : "batched";
-      const std::string label =
-          std::string(mode_name) + "/" + std::to_string(threads) + "w";
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const std::string label = std::to_string(threads) + "w";
 
-      // The pre-snapshot state must be mode-independent (the existing
-      // churn contract) — so every config restores the same bytes.
-      std::unique_ptr<World> pre = run_to_snapshot(detector, threads, mode);
-      expect_bytes_equal(golden_mid_bytes,
-                         snapshot::encode(snapshot::capture(*pre->engine)),
-                         label + " pre-snapshot state");
-      pre.reset();
+    // The pre-snapshot state must be worker-count-independent (the
+    // existing churn contract) — so every config restores the same bytes.
+    std::unique_ptr<World> pre = run_to_snapshot(detector, threads);
+    expect_bytes_equal(golden_mid_bytes,
+                       snapshot::encode(snapshot::capture(*pre->engine)),
+                       label + " pre-snapshot state");
+    pre.reset();
 
-      // Crash-and-restore: fresh system + engine, rebuilt from bytes.
-      const snapshot::SnapshotImage image = snapshot::parse(golden_mid_bytes);
-      auto world = std::make_unique<World>();
-      world->engine = std::make_unique<ValkyrieEngine>(world->sys, detector,
-                                                       threads, mode);
-      snapshot::restore(image, *world->engine, ctx);
+    // Crash-and-restore: fresh system + engine, rebuilt from bytes.
+    const snapshot::SnapshotImage image = snapshot::parse(golden_mid_bytes);
+    auto world = std::make_unique<World>();
+    world->engine =
+        std::make_unique<ValkyrieEngine>(world->sys, detector, threads);
+    snapshot::restore(image, *world->engine, ctx);
 
-      // Re-capturing the freshly restored world must reproduce the bytes.
-      expect_bytes_equal(golden_mid_bytes,
-                         snapshot::encode(snapshot::capture(*world->engine)),
-                         label + " immediate re-capture");
+    // Re-capturing the freshly restored world must reproduce the bytes.
+    expect_bytes_equal(golden_mid_bytes,
+                       snapshot::encode(snapshot::capture(*world->engine)),
+                       label + " immediate re-capture");
 
-      drive_epochs(world->sys, *world->engine, kContinueEpochs);
-      expect_bytes_equal(golden_final_bytes,
-                         snapshot::encode(snapshot::capture(*world->engine)),
-                         label + " continuation to E+500");
+    drive_epochs(world->sys, *world->engine, kContinueEpochs);
+    expect_bytes_equal(golden_final_bytes,
+                       snapshot::encode(snapshot::capture(*world->engine)),
+                       label + " continuation to E+500");
 
-      // Spot-check the acceptance fields directly against the golden
-      // world's live objects (the snapshot equality above already implies
-      // them; this pins the accessors, not just the encoder).
-      for (sim::ProcessId pid = 0; pid < golden->sys.total_spawned(); ++pid) {
-        ASSERT_EQ(golden->sys.exit_reason(pid), world->sys.exit_reason(pid))
+    // Spot-check the acceptance fields directly against the golden
+    // world's live objects (the snapshot equality above already implies
+    // them; this pins the accessors, not just the encoder).
+    for (sim::ProcessId pid = 0; pid < golden->sys.total_spawned(); ++pid) {
+      ASSERT_EQ(golden->sys.exit_reason(pid), world->sys.exit_reason(pid))
+          << label << " pid " << pid;
+      const auto& golden_history = golden->sys.sample_history(pid);
+      const auto& world_history = world->sys.sample_history(pid);
+      ASSERT_EQ(golden_history.size(), world_history.size())
+          << label << " pid " << pid;
+      for (std::size_t e = 0; e < golden_history.size(); ++e) {
+        ASSERT_EQ(golden_history[e].counts, world_history[e].counts)
+            << label << " pid " << pid << " epoch " << e;
+      }
+      ASSERT_EQ(golden->engine->is_attached(pid),
+                world->engine->is_attached(pid))
+          << label << " pid " << pid;
+      if (golden->engine->is_attached(pid)) {
+        EXPECT_EQ(golden->engine->monitor(pid).threat(),
+                  world->engine->monitor(pid).threat())
             << label << " pid " << pid;
-        const auto& golden_history = golden->sys.sample_history(pid);
-        const auto& world_history = world->sys.sample_history(pid);
-        ASSERT_EQ(golden_history.size(), world_history.size())
+        EXPECT_EQ(golden->engine->monitor(pid).state(),
+                  world->engine->monitor(pid).state())
             << label << " pid " << pid;
-        for (std::size_t e = 0; e < golden_history.size(); ++e) {
-          ASSERT_EQ(golden_history[e].counts, world_history[e].counts)
-              << label << " pid " << pid << " epoch " << e;
-        }
-        ASSERT_EQ(golden->engine->is_attached(pid),
-                  world->engine->is_attached(pid))
+        EXPECT_EQ(golden->engine->last_action(pid),
+                  world->engine->last_action(pid))
             << label << " pid " << pid;
-        if (golden->engine->is_attached(pid)) {
-          EXPECT_EQ(golden->engine->monitor(pid).threat(),
-                    world->engine->monitor(pid).threat())
-              << label << " pid " << pid;
-          EXPECT_EQ(golden->engine->monitor(pid).state(),
-                    world->engine->monitor(pid).state())
-              << label << " pid " << pid;
-          EXPECT_EQ(golden->engine->last_action(pid),
-                    world->engine->last_action(pid))
-              << label << " pid " << pid;
-        }
       }
     }
   }
@@ -270,7 +260,7 @@ TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryModeAndWorkerCount) {
 TEST(SnapshotRoundtrip, CleanBoundarySnapshotRoundTripsExactly) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   sim::SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 2);
   for (std::size_t i = 0; i < 8; ++i) scripted_spawn(sys, engine);
   drive_epochs(sys, engine, 50);
 
@@ -280,7 +270,7 @@ TEST(SnapshotRoundtrip, CleanBoundarySnapshotRoundTripsExactly) {
   EXPECT_FALSE(image.system.retire_pending);
 
   sim::SimSystem sys2;
-  ValkyrieEngine engine2(sys2, detector, 8, StepMode::kBatched);
+  ValkyrieEngine engine2(sys2, detector, 8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
   EXPECT_EQ(bytes, snapshot::encode(snapshot::capture(engine2)));
   EXPECT_EQ(sys.current_epoch(), sys2.current_epoch());

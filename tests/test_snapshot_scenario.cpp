@@ -77,14 +77,12 @@ ScenarioScript churn_script() {
 constexpr std::size_t kEpochs = 260;
 
 FaultInjector::RunFactory make_factory(const ml::SvmDetector& detector,
-                                       std::size_t threads,
-                                       ValkyrieEngine::StepMode mode) {
-  return [&detector, threads,
-          mode](const snapshot::SnapshotImage* image) -> FaultInjector::Run {
+                                       std::size_t threads) {
+  return [&detector,
+          threads](const snapshot::SnapshotImage* image) -> FaultInjector::Run {
     FaultInjector::Run run;
     run.sys = std::make_unique<SimSystem>();
-    run.engine =
-        std::make_unique<ValkyrieEngine>(*run.sys, detector, threads, mode);
+    run.engine = std::make_unique<ValkyrieEngine>(*run.sys, detector, threads);
     if (image == nullptr) {
       run.driver =
           std::make_unique<ScenarioDriver>(*run.engine, churn_script());
@@ -104,9 +102,7 @@ TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
   std::vector<std::uint8_t> golden;
   ScenarioDriver::Stats golden_stats{};
   {
-    FaultInjector::Run run = make_factory(detector, 2,
-                                          ValkyrieEngine::StepMode::kFused)(
-        nullptr);
+    FaultInjector::Run run = make_factory(detector, 2)(nullptr);
     for (std::size_t i = 0; i < kEpochs; ++i) run.driver->step();
     golden = snapshot::encode(snapshot::capture(*run.driver));
     golden_stats = run.driver->stats();
@@ -117,8 +113,7 @@ TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
 
   // Crash at 3 randomized boundaries (seed-deterministic), mid-campaign.
   for (const std::uint64_t seed : {0x1dea5ULL, 0xbeefULL}) {
-    FaultInjector injector(
-        make_factory(detector, 2, ValkyrieEngine::StepMode::kFused), seed);
+    FaultInjector injector(make_factory(detector, 2), seed);
     const FaultInjector::Report report = injector.run(kEpochs, 3);
     EXPECT_EQ(report.crashes, 3u);
     ASSERT_EQ(report.crash_epochs.size(), 3u);
@@ -126,12 +121,10 @@ TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
         << "seed " << seed << ": crashed run diverged from golden";
   }
 
-  // And across engine configurations: a run crashed under one StepMode /
-  // worker count and restored under another still matches.
+  // And across engine configurations: a run crashed under one worker count
+  // and restored under another still matches.
   {
-    FaultInjector injector(
-        make_factory(detector, 8, ValkyrieEngine::StepMode::kBatched),
-        0x77aa);
+    FaultInjector injector(make_factory(detector, 8), 0x77aa);
     const FaultInjector::Report report = injector.run(kEpochs, 2);
     EXPECT_EQ(golden, report.final_snapshot);
   }
@@ -140,14 +133,14 @@ TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
 TEST(SnapshotScenario, DriverRestoreGuardsScriptAndProgress) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 1, ValkyrieEngine::StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 1);
   ScenarioDriver driver(engine, churn_script());
   for (int i = 0; i < 60; ++i) driver.step();
   const snapshot::SnapshotImage image = snapshot::capture(driver);
   ASSERT_TRUE(image.has_driver);
 
   SimSystem sys2;
-  ValkyrieEngine engine2(sys2, detector, 1, ValkyrieEngine::StepMode::kFused);
+  ValkyrieEngine engine2(sys2, detector, 1);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
 
   // A script whose data fields differ must be refused (it is code the
@@ -177,7 +170,7 @@ TEST(SnapshotScenario, DriverRestoreGuardsScriptAndProgress) {
 TEST(SnapshotScenario, SnapshotterEncodesOffThreadInRequestOrder) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   SimSystem sys;
-  ValkyrieEngine engine(sys, detector, 2, ValkyrieEngine::StepMode::kFused);
+  ValkyrieEngine engine(sys, detector, 2);
   ScenarioDriver driver(engine, churn_script());
 
   std::mutex mutex;
@@ -211,7 +204,7 @@ TEST(SnapshotScenario, SnapshotterEncodesOffThreadInRequestOrder) {
   // continue in lockstep with the original.
   const snapshot::SnapshotImage last = snapshot::parse(delivered.back());
   SimSystem sys2;
-  ValkyrieEngine engine2(sys2, detector, 2, ValkyrieEngine::StepMode::kFused);
+  ValkyrieEngine engine2(sys2, detector, 2);
   snapshot::restore(last, engine2, snapshot::RestoreContext{});
   ScenarioDriver restored(engine2, churn_script(), last.driver);
   // The original driver is ahead (it kept stepping after the request);

@@ -6,6 +6,7 @@
 // SerialError(kIo) surfacing through the Snapshotter's worker thread).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -30,7 +31,6 @@
 namespace valkyrie::core {
 namespace {
 
-using StepMode = ValkyrieEngine::StepMode;
 using util::SerialError;
 
 ml::TraceSet training_corpus() {
@@ -78,14 +78,13 @@ sim::ScenarioScript churn_script() {
 constexpr std::size_t kEpochs = 200;
 
 SupervisedEngine::WorldFactory scenario_factory(const ml::Detector& detector,
-                                                std::size_t threads,
-                                                StepMode mode) {
-  return [&detector, threads,
-          mode](const snapshot::SnapshotImage* image) -> SupervisedWorld {
+                                                std::size_t threads) {
+  return [&detector,
+          threads](const snapshot::SnapshotImage* image) -> SupervisedWorld {
     SupervisedWorld world;
     world.system = std::make_unique<sim::SimSystem>();
     world.engine =
-        std::make_unique<ValkyrieEngine>(*world.system, detector, threads, mode);
+        std::make_unique<ValkyrieEngine>(*world.system, detector, threads);
     if (image == nullptr) {
       world.driver =
           std::make_unique<sim::ScenarioDriver>(*world.engine, churn_script());
@@ -99,8 +98,7 @@ SupervisedEngine::WorldFactory scenario_factory(const ml::Detector& detector,
 }
 
 std::vector<std::uint8_t> golden_run(const ml::Detector& detector) {
-  const SupervisedWorld world =
-      scenario_factory(detector, 2, StepMode::kFused)(nullptr);
+  const SupervisedWorld world = scenario_factory(detector, 2)(nullptr);
   for (std::size_t i = 0; i < kEpochs; ++i) world.driver->step();
   return snapshot::encode(snapshot::capture(*world.driver));
 }
@@ -112,8 +110,7 @@ TEST(Supervisor, InjectedCrashesRecoverToTheGoldenState) {
   SupervisedEngine::Config config;
   config.checkpoint_interval = 16;
   config.crash_epochs = {57, 130};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden)
@@ -143,23 +140,20 @@ TEST(Supervisor, InjectedCrashesRecoverToTheGoldenState) {
   EXPECT_FALSE(supervisor.recovery_log()[1].fallback);
 }
 
-TEST(Supervisor, RecoveryWorksAcrossStepModesAndWorkerCounts) {
+TEST(Supervisor, RecoveryWorksAcrossWorkerCounts) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(detector);
   // Crash under one engine configuration, recover and finish under it —
   // every configuration must land on the same bytes.
-  constexpr std::pair<StepMode, std::size_t> kGrid[] = {
-      {StepMode::kSplit, 1}, {StepMode::kBatched, 8}};
-  for (const auto& [mode, threads] : kGrid) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
     SupervisedEngine::Config config;
     config.checkpoint_interval = 32;
     config.crash_epochs = {99};
-    SupervisedEngine supervisor(scenario_factory(detector, threads, mode),
-                                config);
+    SupervisedEngine supervisor(scenario_factory(detector, threads), config);
     supervisor.run(kEpochs);
     EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
               golden)
-        << "mode " << static_cast<int>(mode) << ", " << threads << " workers";
+        << threads << " workers";
   }
 }
 
@@ -171,7 +165,8 @@ TEST(Supervisor, RecoveryWorksAcrossStepModesAndWorkerCounts) {
 /// (count 1) and "deterministic" (count huge) failures are both expressible.
 class FusedThrowDetector final : public ml::Detector {
  public:
-  FusedThrowDetector(const ml::Detector& inner, std::shared_ptr<int> fuse)
+  FusedThrowDetector(const ml::Detector& inner,
+                     std::shared_ptr<std::atomic<int>> fuse)
       : inner_(inner), fuse_(std::move(fuse)) {}
 
   [[nodiscard]] std::string_view name() const override {
@@ -214,25 +209,29 @@ class FusedThrowDetector final : public ml::Detector {
 
  private:
   void burn() const {
-    if (*fuse_ > 0) {
-      --*fuse_;
-      throw std::runtime_error("transient detector outage");
+    // Every shard calls in concurrently, so the fuse is atomic: exactly
+    // as many calls throw as the fuse holds.
+    int lit = fuse_->load(std::memory_order_relaxed);
+    while (lit > 0) {
+      if (fuse_->compare_exchange_weak(lit, lit - 1,
+                                       std::memory_order_relaxed)) {
+        throw std::runtime_error("transient detector outage");
+      }
     }
   }
   const ml::Detector& inner_;
-  std::shared_ptr<int> fuse_;
+  std::shared_ptr<std::atomic<int>> fuse_;
 };
 
 TEST(Supervisor, TransientStepExceptionIsRecoveredAndRetried) {
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(inner);
 
-  auto fuse = std::make_shared<int>(0);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
   const FusedThrowDetector detector(inner, fuse);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;  // replay-free retries: pure fuse logic
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   for (std::size_t i = 0; i < kEpochs; ++i) {
     if (i == 83) *fuse = 1;  // one epoch's worth of outage
     supervisor.step();
@@ -246,13 +245,12 @@ TEST(Supervisor, TransientStepExceptionIsRecoveredAndRetried) {
 
 TEST(Supervisor, DeterministicFaultExhaustsTheRecoveryCap) {
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
-  auto fuse = std::make_shared<int>(0);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
   const FusedThrowDetector detector(inner, fuse);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 1;
   config.max_recoveries_per_step = 3;
-  SupervisedEngine supervisor(scenario_factory(detector, 1, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 1), config);
   supervisor.run(40);
   *fuse = 1 << 20;  // effectively "fails every attempt"
   EXPECT_THROW(supervisor.step(), std::runtime_error);
@@ -277,8 +275,7 @@ TEST(Supervisor, CorruptedLatestCheckpointFallsBackToThePreviousGeneration) {
   config.crash_epochs = {100};
   // Damage exactly the checkpoint the crash wants to restore from.
   config.corrupt_checkpoint_epochs = {96};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden)
@@ -308,8 +305,7 @@ TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   config.durability_sink = [fail](std::vector<std::uint8_t>) {
     if (*fail) throw std::runtime_error("disk full");
   };
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   for (std::size_t i = 0; i < kEpochs; ++i) {
     if (i == 90) *fail = true;    // the step-96 checkpoint fails to persist
     if (i == 108) *fail = false;  // the disk comes back before step 112's
@@ -341,8 +337,7 @@ TEST(Supervisor, AdaptiveCadenceIsDeterministicAndConvergesToTheGoldenState) {
   config.min_checkpoint_interval = 8;
   config.max_checkpoint_interval = 64;
   config.crash_epochs = {100, 105};
-  SupervisedEngine supervisor(scenario_factory(detector, 2, StepMode::kFused),
-                              config);
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
   supervisor.run(kEpochs);
 
   // Checkpoints never mutate the world, so the adapted schedule lands on
@@ -369,7 +364,7 @@ TEST(Supervisor, AdaptiveBoundsAreValidated) {
   config.checkpoint_interval = 2;  // below the floor
   config.min_checkpoint_interval = 4;
   config.max_checkpoint_interval = 64;
-  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1, StepMode::kFused),
+  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1),
                                 config),
                std::invalid_argument);
 }
@@ -393,7 +388,7 @@ class TempDir {
 TEST(Supervisor, FileSinkWritesDurablyAndAtomically) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const SupervisedWorld world =
-      scenario_factory(detector, 1, StepMode::kFused)(nullptr);
+      scenario_factory(detector, 1)(nullptr);
   for (int i = 0; i < 30; ++i) world.driver->step();
 
   TempDir dir;
@@ -422,7 +417,7 @@ TEST(Supervisor, FileSinkWritesDurablyAndAtomically) {
 TEST(Supervisor, FileSinkFailuresSurfaceAsTypedIoErrors) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const SupervisedWorld world =
-      scenario_factory(detector, 1, StepMode::kFused)(nullptr);
+      scenario_factory(detector, 1)(nullptr);
   for (int i = 0; i < 10; ++i) world.driver->step();
 
   // Unwritable target directory: open() fails on the worker thread; the

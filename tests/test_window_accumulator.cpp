@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -114,6 +116,89 @@ TEST(WindowAccumulator, NewestFeaturesTrackLastSample) {
   for (std::size_t i = 0; i < hpc::kFeatureDim; ++i) {
     EXPECT_DOUBLE_EQ(summary.newest[i], expected[i]);
   }
+}
+
+// Masked (partial-plane) folds through random resets: a feature whose bit
+// is set contributes nothing to the statistics and exposes the frozen
+// running mean as its newest value, so each feature's statistics equal the
+// batch statistics over exactly its unmasked values. The plane column the
+// accumulator stores carries the summary's bits, and a state()/restore()
+// copy continues bit-identically.
+TEST(WindowAccumulator, MaskedFoldMatchesPerFeatureBatchStats) {
+  util::Rng rng(0xf01d);
+  WindowAccumulator acc;
+  std::array<std::vector<double>, hpc::kFeatureDim> unmasked;
+  const auto random_step = [&rng](hpc::FeatureVec& features) {
+    for (double& x : features) x = rng.uniform(-8.0, 25.0);
+    return rng.chance(0.3) ? static_cast<std::uint32_t>(
+                                 rng.below(1u << hpc::kFeatureDim))
+                           : 0u;
+  };
+  for (int epoch = 0; epoch < 400; ++epoch) {
+    if (epoch > 0 && rng.chance(0.03)) {
+      acc.reset();
+      for (std::vector<double>& v : unmasked) v.clear();
+    }
+    hpc::FeatureVec features;
+    const std::uint32_t mask = random_step(features);
+    const WindowSummary before = acc.summary();
+    acc.add_features_masked(features, mask);
+    const WindowSummary s = acc.summary();
+    ASSERT_EQ(s.stale_mask, mask);
+
+    for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
+      if (mask & (1u << f)) {
+        EXPECT_EQ(s.newest[f], before.mean[f]) << "epoch " << epoch;
+        EXPECT_EQ(s.mean[f], before.mean[f]) << "masked mean must freeze";
+      } else {
+        unmasked[f].push_back(features[f]);
+        EXPECT_EQ(s.newest[f], features[f]) << "epoch " << epoch;
+      }
+      const std::vector<double>& xs = unmasked[f];
+      ASSERT_EQ(acc.feature_count(f), xs.size()) << "feature " << f;
+      if (xs.empty()) {
+        EXPECT_EQ(s.stddev[f], 0.0);
+        continue;
+      }
+      double mean = 0.0;
+      for (const double x : xs) mean += x;
+      mean /= static_cast<double>(xs.size());
+      double var = 0.0;
+      for (const double x : xs) var += (x - mean) * (x - mean);
+      var /= static_cast<double>(xs.size());
+      EXPECT_NEAR(s.mean[f], mean, 1e-9) << "epoch " << epoch << " f " << f;
+      EXPECT_NEAR(s.stddev[f], std::sqrt(var), 1e-9)
+          << "epoch " << epoch << " f " << f;
+    }
+
+    hpc::FeatureVec newest_col;
+    hpc::FeatureVec mean_col;
+    hpc::FeatureVec stddev_col;
+    acc.store_plane_column(newest_col.data(), mean_col.data(),
+                           stddev_col.data(), 1);
+    EXPECT_EQ(newest_col, s.newest);
+    if (s.count > 0) {
+      EXPECT_EQ(mean_col, s.mean);
+      EXPECT_EQ(stddev_col, s.stddev);
+    }
+  }
+
+  WindowAccumulator copy;
+  copy.restore(acc.state());
+  for (int i = 0; i < 50; ++i) {
+    hpc::FeatureVec features;
+    const std::uint32_t mask = random_step(features);
+    acc.add_features_masked(features, mask);
+    copy.add_features_masked(features, mask);
+  }
+  const WindowAccumulator::State a = acc.state();
+  const WindowAccumulator::State b = copy.state();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.m2, b.m2);
+  EXPECT_EQ(a.newest, b.newest);
+  EXPECT_EQ(a.fcount, b.fcount);
+  EXPECT_EQ(a.newest_mask, b.newest_mask);
 }
 
 // The per-epoch streaming path — fold a sample, assemble the summary, run
