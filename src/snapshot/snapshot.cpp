@@ -46,6 +46,46 @@ constexpr std::uint32_t kSysSection = fourcc('S', 'Y', 'S', ' ');
 constexpr std::uint32_t kEngSection = fourcc('E', 'N', 'G', ' ');
 constexpr std::uint32_t kDrvSection = fourcc('D', 'R', 'V', ' ');
 
+// --- Encoded sizes -----------------------------------------------------------
+// Widths of the field groups the encoders below write. The per-element
+// minimums (snapshot.hpp) are their sums; the fixed parts size encode()'s
+// reservation.
+constexpr std::size_t kRngBytes = 4 * sizeof(std::uint64_t);
+constexpr std::size_t kSharesBytes = 4 * sizeof(double);
+constexpr std::size_t kFeaturesBytes = hpc::kFeatureDim * sizeof(double);
+// count, mean/m2/newest, fcount, newest_mask
+constexpr std::size_t kAccumBytes =
+    8 + 3 * kFeaturesBytes + 8 * hpc::kFeatureDim + 4;
+constexpr std::size_t kEmptyPolyBytes = 8 + 8;  // two zero length prefixes
+// pid, rng, cgroup/effective, last sample, accum, progress, epochs, exit,
+// invalid streak, feature streaks
+static_assert(kMinSlotBytes == 4 + kRngBytes + 2 * kSharesBytes + kSampleBytes +
+                                   kAccumBytes + 8 + 8 + 1 + 8 +
+                                   4 * hpc::kFeatureDim);
+// pid, slot, workload, history count, the retired state
+static_assert(kMinRowBytes == 4 + 4 + kEmptyPolyBytes + 8 + 2 * kSharesBytes +
+                                  kSampleBytes + kAccumBytes + 8 + 8 + 1);
+// pid, monitor config, actuator, threat/penalty/compensation, threat
+// state, measurements, state, terminal flag and hash, four verdict
+// counters, last action and its step
+static_assert(kMinAttachmentBytes == 4 + 8 + 1 + 1 + kEmptyPolyBytes + 3 * 8 +
+                                         1 + 8 + 1 + 1 + 8 + 4 * 8 + 1 + 8);
+// pid, kind, delta, failures, next epoch
+static_assert(kMinRetryBytes == 4 + 1 + 8 + 4 + 8);
+// {pid, 8-byte word}: retire queue, scheduler entries, departures
+constexpr std::size_t kPidPairBytes = 4 + 8;
+constexpr std::size_t kFramingBytes = 4 + 8 + 4;  // fourcc, length, CRC
+// Each section's fields outside its tables, table counts included.
+// System: eight scheduler/platform numbers, RNG, epoch, three flags,
+// history capacity, total spawned, retention flag and window, four counts.
+constexpr std::size_t kSystemFixedBytes =
+    8 * 8 + kRngBytes + 8 + 3 + 8 + 8 + 1 + 8 + 4 * 8;
+// Engine: detector hash, step tag, two counts.
+constexpr std::size_t kEngineFixedBytes = 8 + 8 + 2 * 8;
+// Driver: fingerprint, RNG, eight counters and the live-epoch sum, three
+// counts, palette cursor, live.
+constexpr std::size_t kDriverFixedBytes = 8 + kRngBytes + 9 * 8 + 5 * 8;
+
 // --- Field-group helpers -----------------------------------------------------
 
 void put_rng(ByteWriter& out, const std::array<std::uint64_t, 4>& state) {
@@ -75,22 +115,22 @@ sim::ResourceShares get_shares(ByteReader& in) {
 }
 
 void put_sample(ByteWriter& out, const hpc::HpcSample& sample) {
-  for (const double v : sample.counts) out.f64(v);
+  out.f64_block(sample.counts);
 }
 
 hpc::HpcSample get_sample(ByteReader& in) {
   hpc::HpcSample sample;
-  for (double& v : sample.counts) v = in.f64();
+  in.f64_block(sample.counts);
   return sample;
 }
 
 void put_features(ByteWriter& out, const hpc::FeatureVec& vec) {
-  for (const double v : vec) out.f64(v);
+  out.f64_block(vec);
 }
 
 hpc::FeatureVec get_features(ByteReader& in) {
   hpc::FeatureVec vec{};
-  for (double& v : vec) v = in.f64();
+  in.f64_block(vec);
   return vec;
 }
 
@@ -176,7 +216,7 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
     out.u32(proc.slot);
     put_poly(out, proc.workload);
     out.u64(proc.history.size());
-    for (const hpc::HpcSample& sample : proc.history) put_sample(out, sample);
+    out.f64_rows(std::span(proc.history), &hpc::HpcSample::counts);
     put_shares(out, proc.retired_cgroup);
     put_shares(out, proc.retired_effective);
     put_sample(out, proc.retired_last_sample);
@@ -212,8 +252,7 @@ SystemImage decode_system(ByteReader& in) {
   sys.total_spawned = in.u64();
   sys.retention_enabled = in.boolean();
   sys.retention_epochs = in.u64();
-  const std::size_t queue_count =
-      in.length(sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  const std::size_t queue_count = in.length(kPidPairBytes);
   sys.retire_queue.reserve(queue_count);
   for (std::size_t q = 0; q < queue_count; ++q) {
     const sim::ProcessId pid = in.u32();
@@ -221,10 +260,8 @@ SystemImage decode_system(ByteReader& in) {
     sys.retire_queue.emplace_back(pid, retired_at);
   }
 
-  const std::size_t slot_count = in.length(sizeof(std::uint32_t));
-  sys.slots.reserve(slot_count);
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    SlotImage slot;
+  sys.slots.resize(in.length(kMinSlotBytes));
+  for (SlotImage& slot : sys.slots) {
     slot.pid = in.u32();
     slot.rng = get_rng(in);
     slot.cgroup = get_shares(in);
@@ -236,22 +273,15 @@ SystemImage decode_system(ByteReader& in) {
     slot.exit = in.u8();
     slot.invalid_streak = in.u64();
     for (std::uint32_t& fs : slot.feature_streak) fs = in.u32();
-    sys.slots.push_back(slot);
   }
 
-  const std::size_t proc_count = in.length(sizeof(std::uint32_t));
-  sys.procs.reserve(proc_count);
-  for (std::size_t p = 0; p < proc_count; ++p) {
-    ProcImage proc;
+  sys.procs.resize(in.length(kMinRowBytes));
+  for (ProcImage& proc : sys.procs) {
     proc.pid = in.u32();
     proc.slot = in.u32();
     proc.workload = get_poly(in);
-    const std::size_t history =
-        in.length(hpc::kNumEvents * sizeof(double));
-    proc.history.reserve(history);
-    for (std::size_t h = 0; h < history; ++h) {
-      proc.history.push_back(get_sample(in));
-    }
+    proc.history.resize(in.length(kSampleBytes));
+    in.f64_rows(std::span(proc.history), &hpc::HpcSample::counts);
     proc.retired_cgroup = get_shares(in);
     proc.retired_effective = get_shares(in);
     proc.retired_last_sample = get_sample(in);
@@ -259,11 +289,9 @@ SystemImage decode_system(ByteReader& in) {
     proc.retired_last_progress = in.f64();
     proc.retired_epochs_run = in.u64();
     proc.retired_exit = in.u8();
-    sys.procs.push_back(std::move(proc));
   }
 
-  const std::size_t entry_count =
-      in.length(sizeof(std::uint32_t) + sizeof(double));
+  const std::size_t entry_count = in.length(kPidPairBytes);
   sys.sched_entries.reserve(entry_count);
   for (std::size_t e = 0; e < entry_count; ++e) {
     sim::SchedFactorEntry entry;
@@ -315,10 +343,8 @@ EngineImage decode_engine(ByteReader& in) {
   EngineImage engine;
   engine.detector_hash = in.u64();
   engine.step_tag = in.u64();
-  const std::size_t count = in.length(sizeof(std::uint32_t));
-  engine.attachments.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    AttachmentImage att;
+  engine.attachments.resize(in.length(kMinAttachmentBytes));
+  for (AttachmentImage& att : engine.attachments) {
     att.pid = in.u32();
     att.monitor.required_measurements = in.u64();
     att.monitor.episode_scoped = in.boolean();
@@ -338,18 +364,14 @@ EngineImage decode_engine(ByteReader& in) {
     att.terminal_counted = in.u64();
     att.last_action = in.u8();
     att.last_action_step = in.u64();
-    engine.attachments.push_back(std::move(att));
   }
-  const std::size_t retries = in.length(sizeof(std::uint32_t));
-  engine.retries.reserve(retries);
-  for (std::size_t i = 0; i < retries; ++i) {
-    RetryImage r;
+  engine.retries.resize(in.length(kMinRetryBytes));
+  for (RetryImage& r : engine.retries) {
     r.pid = in.u32();
     r.kind = in.u8();
     r.delta = in.f64();
     r.failures = in.u32();
     r.next_epoch = in.u64();
-    engine.retries.push_back(r);
   }
   return engine;
 }
@@ -393,8 +415,7 @@ DriverImage decode_driver(ByteReader& in) {
   driver.peak_live = in.u64();
   driver.epochs = in.u64();
   driver.live_epoch_sum = in.f64();
-  const std::size_t departures =
-      in.length(sizeof(std::uint64_t) + sizeof(std::uint32_t));
+  const std::size_t departures = in.length(kPidPairBytes);
   driver.departures.reserve(departures);
   for (std::size_t i = 0; i < departures; ++i) {
     const std::uint64_t epoch = in.u64();
@@ -435,6 +456,38 @@ void append_section(std::vector<std::uint8_t>& bytes, std::uint32_t tag,
   const std::size_t payload_size = bytes.size() - payload_start;
   out.patch_u64(length_at, payload_size);
   out.u32(util::crc32({bytes.data() + payload_start, payload_size}));
+}
+
+// Exactly the bytes encode() writes for `image`, summed from its counts:
+// framing, each section's fixed fields, every table element at its
+// minimum, and the variable-length bytes on top (history samples, type
+// tags, payloads). encode() reserves this once, so a 100 MB image is
+// written into one allocation instead of doubling its way there.
+std::size_t encoded_size(const SnapshotImage& image) {
+  const auto poly_bytes = [](const PolyImage& poly) {
+    return poly.type.size() + poly.payload.size();
+  };
+  const SystemImage& sys = image.system;
+  std::size_t n = kMagic.size() + 4 + 2 * kFramingBytes + kSystemFixedBytes +
+                  kEngineFixedBytes;
+  n += kPidPairBytes * (sys.retire_queue.size() + sys.sched_entries.size());
+  n += kMinSlotBytes * sys.slots.size();
+  for (const ProcImage& row : sys.procs) {
+    n += kMinRowBytes + kSampleBytes * row.history.size() +
+         poly_bytes(row.workload);
+  }
+  for (const AttachmentImage& att : image.engine.attachments) {
+    n += kMinAttachmentBytes + poly_bytes(att.monitor.actuator);
+  }
+  n += kMinRetryBytes * image.engine.retries.size();
+  if (image.has_driver) {
+    const DriverImage& driver = image.driver;
+    n += kFramingBytes + kDriverFixedBytes +
+         kPidPairBytes * driver.departures.size() +
+         sizeof(std::uint64_t) * driver.campaign_progress.size() +
+         sizeof(sim::ProcessId) * driver.prev_live.size();
+  }
+  return n;
 }
 
 // --- diff helpers ------------------------------------------------------------
@@ -550,6 +603,7 @@ SnapshotImage capture(const sim::ScenarioDriver& driver) {
 
 std::vector<std::uint8_t> encode(const SnapshotImage& image) {
   std::vector<std::uint8_t> bytes;
+  bytes.reserve(encoded_size(image));
   {
     ByteWriter out(bytes);
     out.bytes(kMagic);

@@ -26,6 +26,7 @@
 // structured snapshot_state()/restore_from() members over the image types.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -77,6 +78,17 @@ struct RestoreContext {
 /// Serializes an image: magic "VLKYSNP1", format version, then one
 /// length-prefixed + CRC32-checksummed section per subsystem.
 [[nodiscard]] std::vector<std::uint8_t> encode(const SnapshotImage& image);
+
+/// Smallest encoded size of one element of each counted table: what a
+/// default-constructed element encodes to, every string, payload and
+/// history empty (a row grows by kSampleBytes per history sample). parse()
+/// checks every count against its element's minimum before allocating for
+/// it, and encode() sizes its one up-front reservation from them.
+inline constexpr std::size_t kSampleBytes = hpc::kNumEvents * sizeof(double);
+inline constexpr std::size_t kMinSlotBytes = 665;
+inline constexpr std::size_t kMinRowBytes = 605;
+inline constexpr std::size_t kMinAttachmentBytes = 114;
+inline constexpr std::size_t kMinRetryBytes = 25;
 
 /// Decodes and validates a snapshot byte stream. Registry-free: workloads
 /// and actuators stay {type, payload}. Throws typed SnapshotError on any

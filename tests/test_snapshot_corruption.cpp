@@ -1,11 +1,17 @@
 // Corruption robustness of the snapshot format: truncated, bit-flipped,
 // foreign and future-versioned byte streams must fail parse/restore with a
 // TYPED SnapshotError — never undefined behaviour — and a failed restore
-// must leave the target engine untouched (all-or-nothing).
+// must leave the target engine untouched (all-or-nothing). A corrupt count
+// must also be refused before parse allocates for it, which the replaced
+// operator new below observes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -16,6 +22,38 @@
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
+
+namespace {
+
+// While g_tracking is set, operator new records its largest single request.
+std::atomic<bool> g_tracking{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+
+void note_allocation(std::size_t size) noexcept {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_tracking.load(std::memory_order_relaxed)) note_allocation(size);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// Out of line, so GCC never sees an inlined free() beside a call to the
+// operator new above and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace valkyrie::snapshot {
 namespace {
@@ -275,6 +313,116 @@ TEST(SnapshotCorruption, SectionFramingViolationsAreTyped) {
   // Missing section: header only.
   const std::vector<std::uint8_t> header(bytes.begin(), bytes.begin() + 12);
   EXPECT_EQ(parse_failure_code(header), SerialError::Code::kBadSection);
+}
+
+// Each counted table's minimum (snapshot.hpp) is what one
+// default-constructed element adds to an encoding.
+TEST(SnapshotCorruption, MinimumElementSizesMatchTheEncoding) {
+  const std::size_t empty = encode(SnapshotImage{}).size();
+  const auto added = [empty](auto grow) {
+    SnapshotImage image;
+    grow(image);
+    return encode(image).size() - empty;
+  };
+  EXPECT_EQ(added([](SnapshotImage& i) { i.system.slots.emplace_back(); }),
+            kMinSlotBytes);
+  EXPECT_EQ(added([](SnapshotImage& i) { i.system.procs.emplace_back(); }),
+            kMinRowBytes);
+  EXPECT_EQ(added([](SnapshotImage& i) {
+              i.system.procs.emplace_back().history.resize(3);
+            }),
+            kMinRowBytes + 3 * kSampleBytes);
+  EXPECT_EQ(added([](SnapshotImage& i) {
+              i.engine.attachments.emplace_back();
+            }),
+            kMinAttachmentBytes);
+  EXPECT_EQ(added([](SnapshotImage& i) { i.engine.retries.emplace_back(); }),
+            kMinRetryBytes);
+}
+
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes,
+                       std::size_t at) {
+  return util::ByteReader({bytes.data() + at, 8}).u64();
+}
+
+void write_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint64_t v) {
+  std::vector<std::uint8_t> word;
+  util::ByteWriter(word).u64(v);
+  std::copy(word.begin(), word.end(), bytes.begin() + static_cast<long>(at));
+}
+
+void write_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint32_t v) {
+  std::vector<std::uint8_t> word;
+  util::ByteWriter(word).u32(v);
+  std::copy(word.begin(), word.end(), bytes.begin() + static_cast<long>(at));
+}
+
+// A count inflated past what its section can hold — behind a VALID CRC, so
+// only the count check stands in the way — is refused as kTruncated before
+// parse allocates for it: no single allocation exceeds twice the payload
+// of the section carrying the count.
+TEST(SnapshotCorruption, InflatedCountsAreRefusedBeforeAllocating) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture fx(detector);
+  SnapshotImage image = capture(fx.engine);
+  // parse does not judge retry contents; a long table keeps the retry
+  // count far from the end of its section, so inflating it is a real test.
+  image.engine.retries.assign(1024, RetryImage{7, 1, 0.5, 2, 99});
+  const std::vector<std::uint8_t> bytes = encode(image);
+
+  // Layout: 12-byte header, then per section a fourcc, a u64 payload
+  // length, the payload and its u32 CRC.
+  const std::size_t sys_at = 12 + 4 + 8;
+  const std::size_t sys_len = read_u64(bytes, sys_at - 8);
+  const std::size_t eng_at = sys_at + sys_len + 4 + 4 + 8;
+  const std::size_t eng_len = read_u64(bytes, eng_at - 8);
+  // The system payload opens with 132 bytes of fixed fields (eight
+  // platform numbers, four RNG words, epoch, three flags, history
+  // capacity, total spawned, a flag, retention epochs) and the retire
+  // queue; slots are fixed-size. The engine payload opens with the
+  // detector hash and step tag.
+  const std::size_t slots_at =
+      sys_at + 132 + 8 + 12 * image.system.retire_queue.size();
+  const std::size_t rows_at =
+      slots_at + 8 + kMinSlotBytes * image.system.slots.size();
+  const std::size_t atts_at = eng_at + 16;
+  std::size_t retries_at = atts_at + 8;
+  for (const AttachmentImage& att : image.engine.attachments) {
+    retries_at += kMinAttachmentBytes + att.monitor.actuator.type.size() +
+                  att.monitor.actuator.payload.size();
+  }
+
+  struct Count {
+    const char* table;
+    std::size_t at;
+    std::size_t actual;
+    std::size_t section_at;
+    std::size_t section_len;
+  };
+  for (const Count& c : std::initializer_list<Count>{
+           {"slots", slots_at, image.system.slots.size(), sys_at, sys_len},
+           {"rows", rows_at, image.system.procs.size(), sys_at, sys_len},
+           {"attachments", atts_at, image.engine.attachments.size(), eng_at,
+            eng_len},
+           {"retries", retries_at, image.engine.retries.size(), eng_at,
+            eng_len}}) {
+    ASSERT_EQ(read_u64(bytes, c.at), c.actual) << c.table << " count offset";
+    // The largest count a 4-bytes-per-element check would still accept.
+    const std::size_t remaining = c.section_at + c.section_len - (c.at + 8);
+    std::vector<std::uint8_t> bad = bytes;
+    write_u64(bad, c.at, remaining / 4);
+    write_u32(bad, c.section_at + c.section_len,
+              util::crc32({bad.data() + c.section_at, c.section_len}));
+
+    g_largest_allocation.store(0);
+    g_tracking.store(true);
+    const SerialError::Code code = parse_failure_code(bad);
+    g_tracking.store(false);
+    EXPECT_EQ(code, SerialError::Code::kTruncated) << c.table;
+    EXPECT_LE(g_largest_allocation.load(), 2 * c.section_len) << c.table;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // byte-equal, which covers every field the engine stack carries.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace valkyrie::core {
@@ -275,6 +278,167 @@ TEST(SnapshotRoundtrip, CleanBoundarySnapshotRoundTripsExactly) {
   EXPECT_EQ(bytes, snapshot::encode(snapshot::capture(engine2)));
   EXPECT_EQ(sys.current_epoch(), sys2.current_epoch());
   EXPECT_EQ(sys.total_spawned(), sys2.total_spawned());
+}
+
+/// A varied double for field `k`: ordinary values plus the bit patterns a
+/// codec most easily mangles (-0.0, a NaN payload, a denormal, infinity).
+double pinned_f64(std::uint64_t k) {
+  switch (k % 7) {
+    case 0:
+      return -0.0;
+    case 1:
+      return std::bit_cast<double>(0x7ff80000'0000beefULL);
+    case 2:
+      return std::bit_cast<double>(0x00000000'00000123ULL);
+    case 3:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return static_cast<double>(k) * 1.0625 - 17.0;
+  }
+}
+
+hpc::HpcSample pinned_sample(std::uint64_t k) {
+  hpc::HpcSample sample;
+  for (std::size_t e = 0; e < hpc::kNumEvents; ++e) {
+    sample.counts[e] = pinned_f64(k + e);
+  }
+  return sample;
+}
+
+ml::WindowAccumulator::State pinned_accum(std::uint64_t k) {
+  ml::WindowAccumulator::State s;
+  s.count = k + 3;
+  for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
+    s.mean[f] = pinned_f64(k + f);
+    s.m2[f] = pinned_f64(k + 2 * f + 1);
+    s.newest[f] = pinned_f64(k + 3 * f + 2);
+    s.fcount[f] = k + f;
+  }
+  s.newest_mask = static_cast<std::uint32_t>(0xa5a5u ^ k);
+  return s;
+}
+
+/// A hand-built image touching every section and every variable-length
+/// table — no simulation, so its bytes depend on the codec alone.
+snapshot::SnapshotImage pinned_image() {
+  snapshot::SnapshotImage image;
+  snapshot::SystemImage& sys = image.system;
+  sys.epoch_ms = 100.0;
+  sys.hpc_noise = 0.75;
+  sys.scheduler.targeted_latency_ms = 24.0;
+  sys.scheduler.gamma = 1.25;
+  sys.scheduler.weight_levels = 40;
+  sys.scheduler.default_level = -3;
+  sys.scheduler.background_weight_units = 2.5;
+  sys.scheduler.min_share_fraction = 0.015625;
+  sys.rng = {1, 2, 3, 0xfedcba9876543210ULL};
+  sys.epoch = 4242;
+  sys.retire_pending = true;
+  sys.counter_rng = true;
+  sys.history_capacity = 64;
+  sys.total_spawned = 9;
+  sys.retention_enabled = true;
+  sys.retention_epochs = 32;
+  sys.retire_queue = {{3, 4200}, {5, 4230}};
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    snapshot::SlotImage slot;
+    slot.pid = 2 * s + 1;
+    slot.rng = {s, s + 10, s + 20, ~std::uint64_t{s}};
+    slot.cgroup = {pinned_f64(s), 0.5, 0.25, 1.0};
+    slot.effective = {0.125, pinned_f64(s + 1), 1.0, 0.75};
+    slot.last_sample = pinned_sample(s + 5);
+    slot.accum = pinned_accum(s + 7);
+    slot.last_progress = pinned_f64(s + 4);
+    slot.epochs_run = 100 + s;
+    slot.exit = static_cast<std::uint8_t>(s);
+    slot.invalid_streak = 2 * s;
+    for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
+      slot.feature_streak[f] = static_cast<std::uint32_t>(f * s);
+    }
+    sys.slots.push_back(slot);
+  }
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    snapshot::ProcImage row;
+    row.pid = r * 3;
+    row.slot = r == 2 ? 0xffffffffu : r;
+    if (r != 1) {
+      row.workload.type = "benchmark";
+      row.workload.payload = {static_cast<std::uint8_t>(r), 0x00, 0xff, 0x7e};
+    }
+    for (std::uint32_t h = 0; h < r * r; ++h) {
+      row.history.push_back(pinned_sample(11 * r + h));
+    }
+    row.retired_cgroup = {0.5, pinned_f64(r + 2), 0.5, 0.5};
+    row.retired_effective = {pinned_f64(r + 3), 0.25, 0.25, 0.25};
+    row.retired_last_sample = pinned_sample(r + 40);
+    row.retired_accum = pinned_accum(r + 50);
+    row.retired_last_progress = 3.5 * r;
+    row.retired_epochs_run = 7 * r;
+    row.retired_exit = static_cast<std::uint8_t>(r + 1);
+    sys.procs.push_back(row);
+    sys.sched_entries.push_back({row.pid, r == 2 ? -1.5 : 1.0 + r});
+  }
+
+  snapshot::EngineImage& eng = image.engine;
+  eng.detector_hash = 0x0123456789abcdefULL;
+  eng.step_tag = 4242;
+  for (std::uint32_t a = 0; a < 2; ++a) {
+    snapshot::AttachmentImage att;
+    att.pid = 2 * a + 1;
+    att.monitor.required_measurements = 5 + a;
+    att.monitor.episode_scoped = a == 0;
+    att.monitor.reset_metrics_on_normal = a == 1;
+    att.monitor.actuator.type = a == 0 ? "scheduler_weight" : "cgroup_cpu";
+    att.monitor.actuator.payload = {0x10, static_cast<std::uint8_t>(a)};
+    att.monitor.threat = pinned_f64(a + 4);
+    att.monitor.penalty = 0.5 * a;
+    att.monitor.compensation = pinned_f64(a);
+    att.monitor.threat_state = static_cast<std::uint8_t>(a + 1);
+    att.monitor.measurements = 12 + a;
+    att.monitor.state = static_cast<std::uint8_t>(a);
+    att.has_terminal = a == 1;
+    att.terminal_hash = a == 1 ? 0xdeadbeefULL : 0;
+    att.stream_malicious = 3 + a;
+    att.stream_counted = 9 + a;
+    att.terminal_malicious = a;
+    att.terminal_counted = 2 * a;
+    att.last_action = static_cast<std::uint8_t>(a + 1);
+    att.last_action_step = a == 0 ? 0 : 4241;
+    eng.attachments.push_back(att);
+  }
+  eng.retries.push_back({3, 1, -0.25, 2, 4250});
+
+  image.has_driver = true;
+  snapshot::DriverImage& drv = image.driver;
+  drv.script_fingerprint = 0x5ca1ab1eULL;
+  drv.rng = {7, 8, 9, 10};
+  drv.spawned = 9;
+  drv.attack_spawned = 2;
+  drv.driver_kills = 1;
+  drv.completed = 3;
+  drv.policy_kills = 1;
+  drv.rejected = 4;
+  drv.peak_live = 6;
+  drv.epochs = 4242;
+  drv.live_epoch_sum = 12345.5;
+  drv.departures = {{4300, 1}, {4400, 3}};
+  drv.campaign_progress = {7, 0, 11};
+  drv.prev_live = {1, 3};
+  drv.live = 2;
+  return image;
+}
+
+// The v5 wire format, pinned: the encoded bytes of a fixed hand-built
+// image must hash to the value the format was recorded at, and decode back
+// to the identical image. A codec rewrite that moved one byte fails here.
+TEST(SnapshotFormat, V5BytesArePinned) {
+  const snapshot::SnapshotImage image = pinned_image();
+  const std::vector<std::uint8_t> bytes = snapshot::encode(image);
+  EXPECT_EQ(bytes.size(), 4458u);
+  EXPECT_EQ(util::fnv1a(bytes), 0xb873dbdc6185b040ULL);
+  EXPECT_TRUE(snapshot::diff(snapshot::parse(bytes), image).empty());
+  // encode() reserved exactly the bytes it wrote, once.
+  EXPECT_EQ(bytes.capacity(), bytes.size());
 }
 
 }  // namespace
