@@ -1,7 +1,7 @@
-// Shared setup for the engine-scaling perf harnesses (engine_scaling.cpp
-// and the BM_EngineEpoch microbenchmarks): an endless signature-driven
-// workload plus a small separable corpus and a trained MLP detector, so
-// both harnesses measure the exact same detector inputs.
+// Shared setup for the engine_scaling component harness: an endless
+// signature-driven workload, a small separable corpus with a trained MLP
+// detector, and a populated feature plane, so every section measures the
+// exact same detector inputs.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +17,11 @@
 
 namespace valkyrie::bench {
 
-/// Synthetic workload: emits samples from a fixed HPC signature. With the
-/// default lifetime 0 it never finishes, so closed-population sweeps keep
-/// constant process counts; churn points pass a finite lifetime (epochs of
-/// work at full share) so arrivals depart by natural completion on the
-/// exact same per-epoch execution the closed-population rows measure.
+/// Synthetic workload: emits samples from a fixed HPC signature and never
+/// finishes, so closed-population sweeps keep constant process counts.
 class SignatureWorkload final : public sim::Workload {
  public:
-  explicit SignatureWorkload(hpc::HpcSignature sig, std::uint64_t lifetime = 0)
-      : sig_(sig), lifetime_(lifetime) {}
+  explicit SignatureWorkload(hpc::HpcSignature sig) : sig_(sig) {}
 
   [[nodiscard]] std::string_view name() const override { return "signature"; }
   [[nodiscard]] bool is_attack() const override { return false; }
@@ -38,15 +34,12 @@ class SignatureWorkload final : public sim::Workload {
     out.progress = shares.cpu;
     progress_ += out.progress;
     out.hpc = sig_.sample(*ctx.rng, shares.cpu, ctx.hpc_noise);
-    out.finished =
-        lifetime_ != 0 && progress_ >= static_cast<double>(lifetime_);
     return out;
   }
   [[nodiscard]] double total_progress() const override { return progress_; }
 
  private:
   hpc::HpcSignature sig_;
-  std::uint64_t lifetime_ = 0;
   double progress_ = 0.0;
 };
 
@@ -97,10 +90,8 @@ inline ml::MlpDetector engine_bench_detector() {
 
 /// A populated feature plane over `n` synthetic processes (mixed
 /// benign/attack signatures, window lengths 8-31), plus the per-column
-/// scalar summaries — the shared fixture behind every scalar-vs-batch
-/// detector-kernel measurement (bench/microbench.cpp and the
-/// batch_kernels section of bench/engine_scaling.cpp), so both harnesses
-/// measure the same data distribution.
+/// scalar summaries — the fixture behind the batch_kernels and
+/// sim_breakdown inference measurements.
 struct BatchPlane {
   std::size_t n = 0;
   std::size_t stride = 0;

@@ -1,10 +1,9 @@
-// Engine-epoch scaling harness. Three experiments, all written into one
-// JSON file so CI can track the perf trajectory across PRs:
+// Engine-scaling component harness. perfbench/ is the end-to-end
+// benchmark: churn, checkpoint and restore cost, fault overhead and MTTR
+// are measured there, inside the real run. This harness keeps only what
+// perfbench cannot express, all written into one JSON file:
 //
-//   1. Window growth: ValkyrieEngine::step() cost as the accumulated
-//      measurement window grows (target: ns/epoch flat in window length,
-//      i.e. O(1) per-epoch inference — the PR 1 contract).
-//   2. Shard sweep: ns/epoch across a process-count x worker-thread grid
+//   1. Shard sweep: ns/epoch across a process-count x worker-thread grid
 //      (8..4096 processes, 1..8 threads), measuring the sharded step's
 //      speedup over the sequential path. Every point is bit-identical to
 //      the sequential engine, so this is pure throughput. Each row also
@@ -12,31 +11,20 @@
 //      inline runs, so single-shard rows report the true 1 per epoch
 //      instead of the 0.0 the dispatch counter alone under-reports — plus
 //      an `inline` flag for single-shard rows.
-//   3. Batch kernels: scalar-vs-batch per-item cost of the shipped
+//   2. Batch kernels: scalar-vs-batch per-item cost of the shipped
 //      detector kernels (MLP window inference, SVM/GBT/stat measurement
 //      votes) over a feature plane at batch sizes 16/256/4096, recording
 //      the speedup the cross-slot batching buys per detector family.
-//   4. Churn: ScenarioDriver-fed open-population runs — Poisson arrivals,
-//      geometric lifetimes, kill/completion departures — at 1024-4096
-//      steady-state live processes, sweeping the arrival/exit rate.
-//      Records ns/proc/epoch (the epoch-open lifecycle must not tax the
-//      closed-population hot path) plus admissions/exits per epoch.
-//   5. Snapshot: the operational-recovery cost model at 1024/4096 live
-//      processes — capture latency (synchronous on the engine thread),
-//      off-thread encode latency, artifact bytes, and parse+restore
-//      latency into a fresh engine.
-//   6. Sim breakdown: per-component timing of one simulated epoch
+//   3. Sim breakdown: per-component timing of one simulated epoch
 //      (workload/HPC draw per RNG kind, feature extract, history append
 //      vector-vs-ring, window fold, batch inference, serial commit,
 //      full-step reference).
-//   7. Faults: what graceful degradation costs (PR 7). Closed-population
-//      rows measure the hardened step against the fault-free baseline —
-//      an armed-but-idle plane (the overhead contract: ~0), then 1% and
-//      10% sensor-fault rates (quarantine + coast/blind accounting). A
-//      faulted churn row runs the full chaos configuration (all three
-//      fault planes) through the open-population driver — this row also
-//      runs under --smoke, as CI's chaos smoke point. A recovery row
-//      times one SupervisedEngine crash-restore-replay cycle end to end.
+//   4. Pid scale: peak RSS and ns/proc/epoch held flat while an open
+//      population churns through millions of pids, plus the pid-map
+//      lookup duel against the dense table it replaced.
+//
+// An environment header (hardware threads, cgroup CPU quota, timer noise)
+// leads the file, and the RSS after every section closes it.
 //
 //   ./engine_scaling [out.json] [max_threads] [--smoke]
 //
@@ -56,66 +44,21 @@
 #include <vector>
 
 #include "core/responses.hpp"
-#include "core/supervisor.hpp"
 #include "core/valkyrie.hpp"
 #include "engine_bench_common.hpp"
-#include "fault/fault_plane.hpp"
 #include "hpc/hpc.hpp"
 #include "ml/gbt.hpp"
 #include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
-#include "sim/scenario.hpp"
 #include "sim/system.hpp"
-#include "snapshot/snapshot.hpp"
 #include "util/pid_map.hpp"
 #include "util/rng.hpp"
-#include "workloads/benchmarks.hpp"
 
 namespace {
 
 using namespace valkyrie;
 using Clock = std::chrono::steady_clock;
-
-struct Point {
-  std::uint64_t epoch;
-  double ns_per_epoch;
-};
-
-std::vector<Point> run_series(const ml::Detector& detector,
-                              std::size_t processes,
-                              std::uint64_t max_epoch) {
-  sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector);
-  for (std::size_t p = 0; p < processes; ++p) {
-    const sim::ProcessId pid = sys.spawn(std::make_unique<bench::SignatureWorkload>(
-        bench::engine_bench_benign_signature()));
-    engine.attach(pid, core::ValkyrieConfig{},
-                  std::make_unique<core::SchedulerWeightActuator>());
-  }
-  sys.reserve_history(max_epoch + 1);
-
-  constexpr std::uint64_t kProbe = 10;  // epochs timed per checkpoint
-  std::vector<Point> points;
-  std::uint64_t epoch = 0;
-  for (std::uint64_t target = 50; target <= max_epoch; target *= 10) {
-    while (epoch + kProbe < target) {
-      engine.step();
-      ++epoch;
-    }
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < kProbe; ++i) engine.step();
-    const auto stop = Clock::now();
-    epoch += kProbe;
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                .count()) /
-        static_cast<double>(kProbe);
-    points.push_back({epoch, ns});
-  }
-  return points;
-}
 
 struct SweepPoint {
   std::size_t processes;
@@ -174,183 +117,6 @@ SweepPoint run_sweep_point(const ml::Detector& detector, std::size_t processes,
           best_ns,
           best_ns / static_cast<double>(processes),
           dispatches};
-}
-
-// --- Churn measurements ------------------------------------------------------
-//
-// An open population at steady state: `target_live` processes, Poisson
-// arrivals at `arrival_rate` per epoch, geometric lifetimes with mean
-// target_live / arrival_rate (so departures balance arrivals), half the
-// departures by scheduled kill and half by natural completion. The
-// system/engine/driver tables are all reserved up front, so the engine's
-// own lifecycle machinery (admission queue, scheduler batch deltas,
-// compaction, attachment table) adds no allocator traffic — that contract
-// is pinned by test_parallel_no_alloc's churn suites. What the measured
-// epochs DO include is the cost of materialising each arrival (workload +
-// actuator construction, early history growth until the retirement pool
-// warms): that is the workload of churn itself, and exactly what a
-// production monitor pays per admission.
-
-struct ChurnPoint {
-  std::size_t target_live;
-  double arrival_rate;
-  std::size_t threads;
-  double ns_per_epoch;
-  double ns_per_proc_epoch;
-  double mean_live;
-  double admissions_per_epoch;
-  double exits_per_epoch;
-};
-
-ChurnPoint run_churn_point(const ml::Detector& detector,
-                           std::size_t target_live, double arrival_rate,
-                           std::size_t threads, bool smoke,
-                           const fault::FaultPlane* plane = nullptr) {
-  sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads);
-  if (plane != nullptr) engine.arm_faults(plane);
-
-  sim::ScenarioScript script;
-  script.seed = 0xcafe + target_live;
-  script.initial_processes = target_live;
-  script.arrival_rate = arrival_rate;
-  script.mean_lifetime = static_cast<double>(target_live) / arrival_rate;
-  script.kill_exit_fraction = 0.5;
-  script.recycle_histories = true;  // bounded memory at bench scale
-  // The shared bench signature keeps the bench MLP quiet (the population
-  // holds its steady state — the experiment measures lifecycle cost, not
-  // detector FP dynamics) and makes churn rows directly comparable to the
-  // closed-population sweep rows.
-  sim::ScenarioDriver driver(
-      engine, script, nullptr, [](std::uint64_t lifetime) {
-        return std::make_unique<bench::SignatureWorkload>(
-            bench::engine_bench_benign_signature(), lifetime);
-      });
-
-  const std::uint64_t warmup = smoke ? 10 : 20;
-  const std::uint64_t probe = std::clamp<std::uint64_t>(
-      40960 / static_cast<std::uint64_t>(target_live), 10, 2000);
-  const std::uint64_t repeats = smoke ? 2 : 5;
-  const std::size_t total_epochs =
-      static_cast<std::size_t>(warmup + repeats * probe + 1);
-  const std::size_t expected = driver.expected_processes(total_epochs);
-  sys.reserve(expected);
-  engine.reserve(expected);
-  driver.reserve(expected);
-  sys.reserve_history(total_epochs);
-
-  for (std::uint64_t i = 0; i < warmup; ++i) driver.step();
-
-  const sim::ScenarioDriver::Stats before = driver.stats();
-  double best_ns = 0.0;
-  double best_mean_live = 0.0;
-  for (std::uint64_t r = 0; r < repeats; ++r) {
-    const sim::ScenarioDriver::Stats repeat_before = driver.stats();
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < probe; ++i) driver.step();
-    const auto stop = Clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                .count()) /
-        static_cast<double>(probe);
-    // The per-process figure divides this repeat's timing by this
-    // repeat's own live population — the windows must match, or drift
-    // across repeats skews the ratio.
-    const double repeat_mean_live =
-        (driver.stats().live_epoch_sum - repeat_before.live_epoch_sum) /
-        static_cast<double>(probe);
-    if (r == 0 || ns < best_ns) {
-      best_ns = ns;
-      best_mean_live = repeat_mean_live;
-    }
-  }
-  const sim::ScenarioDriver::Stats after = driver.stats();
-  const double measured =
-      static_cast<double>(after.epochs - before.epochs);
-  const double mean_live =
-      (after.live_epoch_sum - before.live_epoch_sum) / measured;
-  const double admissions =
-      static_cast<double>(after.spawned - before.spawned) / measured;
-  const double exits =
-      static_cast<double>((after.driver_kills + after.completed +
-                           after.policy_kills) -
-                          (before.driver_kills + before.completed +
-                           before.policy_kills)) /
-      measured;
-  return {target_live,
-          arrival_rate,
-          threads,
-          best_ns,
-          best_ns / best_mean_live,
-          mean_live,
-          admissions,
-          exits};
-}
-
-// --- Snapshot measurements ---------------------------------------------------
-//
-// The operational-recovery cost model: what a checkpoint actually charges
-// the engine thread (capture = structured copy, taken synchronously at the
-// epoch boundary), what it charges the Snapshotter worker (encode = byte
-// projection + CRC32), how big the artifact is, and what recovery costs
-// (parse + restore into a freshly constructed engine). Populations use the
-// registered BenchmarkWorkload — the bench-local SignatureWorkload has no
-// snapshot hook, and a production snapshot carries real workloads anyway.
-
-struct SnapshotPoint {
-  std::size_t processes;
-  double capture_us;
-  double encode_us;
-  double restore_us;  // parse + restore, fresh engine
-  std::size_t bytes;
-};
-
-SnapshotPoint run_snapshot_point(const ml::Detector& detector,
-                                 std::size_t processes, bool smoke) {
-  const std::vector<workloads::BenchmarkSpec> palette = workloads::spec2006();
-  sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector);
-  for (std::size_t p = 0; p < processes; ++p) {
-    workloads::BenchmarkSpec spec = palette[p % palette.size()];
-    spec.epochs_of_work = 1e12;  // keep the population fully live
-    const sim::ProcessId pid =
-        sys.spawn(std::make_unique<workloads::BenchmarkWorkload>(spec));
-    engine.attach(pid, core::ValkyrieConfig{},
-                  std::make_unique<core::SchedulerWeightActuator>());
-  }
-  const std::uint64_t warm = smoke ? 32 : 128;  // history the snapshot carries
-  sys.reserve_history(warm + 1);
-  for (std::uint64_t i = 0; i < warm; ++i) engine.step();
-
-  const int repeats = smoke ? 3 : 7;
-  double capture_us = 0.0, encode_us = 0.0, restore_us = 0.0;
-  std::vector<std::uint8_t> bytes;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    const snapshot::SnapshotImage image = snapshot::capture(engine);
-    const auto t1 = Clock::now();
-    bytes = snapshot::encode(image);
-    const auto t2 = Clock::now();
-
-    sim::SimSystem sys2;
-    core::ValkyrieEngine engine2(sys2, detector);
-    const auto t3 = Clock::now();
-    const snapshot::SnapshotImage reparsed = snapshot::parse(bytes);
-    snapshot::restore(reparsed, engine2, snapshot::RestoreContext{});
-    const auto t4 = Clock::now();
-
-    const auto us = [](Clock::time_point a, Clock::time_point b) {
-      return static_cast<double>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-                     .count()) /
-             1e3;
-    };
-    if (r == 0 || us(t0, t1) < capture_us) capture_us = us(t0, t1);
-    if (r == 0 || us(t1, t2) < encode_us) encode_us = us(t1, t2);
-    if (r == 0 || us(t3, t4) < restore_us) restore_us = us(t3, t4);
-  }
-  return {processes, capture_us, encode_us, restore_us, bytes.size()};
 }
 
 // --- Batch-kernel micro-measurements -----------------------------------------
@@ -906,217 +672,6 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
   return rows;
 }
 
-// --- Fault-plane overhead + recovery latency ---------------------------------
-//
-// The graceful-degradation cost model. Overhead rows run the closed-
-// population step with a fault plane armed: the armed-but-idle row prices
-// the hardened paths themselves (per-(epoch, pid) sensor draws, sample
-// validation, guarded inference, retry-aware commit) and must sit at ~0%
-// over baseline — that contract is pinned allocation-wise by
-// test_parallel_no_alloc and priced here. The sensor rows price real
-// quarantine traffic at production-plausible (1%) and pathological (10%)
-// loss rates. The recovery row times one full SupervisedEngine
-// crash-restore-replay cycle: snapshotter flush + parse + world rebuild +
-// deterministic replay to the present.
-
-double run_fault_ns(const ml::Detector& detector,
-                    const fault::FaultPlane* plane, std::size_t processes,
-                    std::size_t threads, bool smoke,
-                    core::ValkyrieEngine::FaultHealth* health) {
-  sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, detector, threads);
-  if (plane != nullptr) engine.arm_faults(plane);
-  for (std::size_t p = 0; p < processes; ++p) {
-    const sim::ProcessId pid =
-        sys.spawn(std::make_unique<bench::SignatureWorkload>(
-            bench::engine_bench_benign_signature()));
-    engine.attach(pid, core::ValkyrieConfig{},
-                  std::make_unique<core::SchedulerWeightActuator>());
-  }
-
-  const std::uint64_t warmup = 20;
-  const std::uint64_t probe = std::clamp<std::uint64_t>(
-      40960 / static_cast<std::uint64_t>(processes), 10, 2000);
-  const std::uint64_t repeats = smoke ? 2 : 5;
-  sys.reserve_history(warmup + repeats * probe + 1);
-  for (std::uint64_t i = 0; i < warmup; ++i) engine.step();
-
-  double best_ns = 0.0;
-  for (std::uint64_t r = 0; r < repeats; ++r) {
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < probe; ++i) engine.step();
-    const auto stop = Clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                .count()) /
-        static_cast<double>(probe);
-    if (r == 0 || ns < best_ns) best_ns = ns;
-  }
-  if (health != nullptr) *health = engine.fault_health();
-  return best_ns;
-}
-
-struct RecoveryPoint {
-  std::size_t processes;
-  std::uint64_t replay_epochs;
-  double step_us;      // one steady-state supervised step, for reference
-  double recovery_us;  // the crash step: epoch + flush/parse/rebuild/replay
-};
-
-RecoveryPoint run_recovery_point(const ml::Detector& detector,
-                                 std::size_t processes, bool smoke) {
-  const std::uint64_t crash_at = smoke ? 24 : 40;
-  const auto factory =
-      [&detector,
-       processes](const snapshot::SnapshotImage* image) -> core::SupervisedWorld {
-    core::SupervisedWorld world;
-    world.system = std::make_unique<sim::SimSystem>();
-    world.engine =
-        std::make_unique<core::ValkyrieEngine>(*world.system, detector);
-    if (image == nullptr) {
-      const std::vector<workloads::BenchmarkSpec> palette =
-          workloads::spec2006();
-      // An unreachable measurement budget keeps the monitors out of the
-      // terminable phase: the bench MLP flags benchmark workloads, and a
-      // policy-killed population would make the recovery replay trivial.
-      core::ValkyrieConfig monitor_config;
-      monitor_config.required_measurements = 1'000'000'000;
-      for (std::size_t p = 0; p < processes; ++p) {
-        workloads::BenchmarkSpec spec = palette[p % palette.size()];
-        spec.epochs_of_work = 1e12;  // keep the population fully live
-        const sim::ProcessId pid = world.system->spawn(
-            std::make_unique<workloads::BenchmarkWorkload>(spec));
-        world.engine->attach(pid, monitor_config,
-                             std::make_unique<core::SchedulerWeightActuator>());
-      }
-    } else {
-      snapshot::restore(*image, *world.engine, snapshot::RestoreContext{});
-    }
-    return world;
-  };
-  core::SupervisedEngine::Config config;
-  config.checkpoint_interval = 16;  // crash mid-interval: replay 8 epochs
-  config.crash_epochs = {crash_at};
-  core::SupervisedEngine supervisor(factory, config);
-  supervisor.run(crash_at - 2);
-
-  const auto us_since = [](Clock::time_point a) {
-    return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-               Clock::now() - a)
-                                   .count()) /
-           1e3;
-  };
-  const auto t0 = Clock::now();
-  supervisor.step();  // steady-state reference step
-  const double step_us = us_since(t0);
-  const auto t1 = Clock::now();
-  supervisor.step();  // completes epoch `crash_at`, then crash + recovery
-  const double recovery_us = us_since(t1);
-  return {processes, supervisor.health().epochs_replayed, step_us, recovery_us};
-}
-
-// --- The priced MTTR model ---------------------------------------------------
-//
-// Recovery cost is replay distance, and replay distance is bought down by
-// checkpoint cadence: a short interval pays encode/confirm overhead every
-// few epochs so that a crash replays almost nothing; a long interval is
-// nearly free until the crash, which then replays up to a full interval
-// (or two, if the latest generation is torn). This sweep prices both
-// sides of that trade across checkpoint_interval x domain-burst severity,
-// over a fixed deterministic crash schedule, so the committed JSON holds
-// the actual curve instead of the folklore version of it.
-
-struct MttrPoint {
-  std::uint64_t interval;
-  std::uint64_t checkpoints;      // sink-confirmed
-  std::uint64_t recoveries;
-  std::uint64_t worst_replay;     // epochs
-  double mean_replay;             // epochs
-  double campaign_ms;             // whole campaign incl. checkpoint cost
-  double mean_recovery_us;        // mean wall time of the crash steps
-};
-
-MttrPoint run_mttr_point(const ml::Detector& detector,
-                         const fault::FaultPlane& plane,
-                         std::uint64_t interval, bool smoke) {
-  const std::size_t processes = smoke ? 128 : 512;
-  const std::uint64_t epochs = smoke ? 120 : 400;
-  const std::vector<std::uint64_t> crashes =
-      smoke ? std::vector<std::uint64_t>{40, 80}
-            : std::vector<std::uint64_t>{97, 210, 340};
-
-  const auto factory =
-      [&detector, &plane,
-       processes](const snapshot::SnapshotImage* image) -> core::SupervisedWorld {
-    core::SupervisedWorld world;
-    world.system = std::make_unique<sim::SimSystem>();
-    world.engine =
-        std::make_unique<core::ValkyrieEngine>(*world.system, detector);
-    world.engine->arm_faults(&plane);
-    if (image == nullptr) {
-      // Snapshot-capable population (SignatureWorkload has no snapshot
-      // hooks), pinned live: the monitors stay out of the terminable
-      // phase so every replay re-runs the full population.
-      const std::vector<workloads::BenchmarkSpec> palette =
-          workloads::spec2006();
-      core::ValkyrieConfig monitor_config;
-      monitor_config.required_measurements = 1'000'000'000;
-      for (std::size_t p = 0; p < processes; ++p) {
-        workloads::BenchmarkSpec spec = palette[p % palette.size()];
-        spec.epochs_of_work = 1e12;
-        const sim::ProcessId pid = world.system->spawn(
-            std::make_unique<workloads::BenchmarkWorkload>(spec));
-        world.engine->attach(pid, monitor_config,
-                             std::make_unique<core::SchedulerWeightActuator>());
-      }
-    } else {
-      snapshot::restore(*image, *world.engine, snapshot::RestoreContext{});
-    }
-    return world;
-  };
-
-  core::SupervisedEngine::Config config;
-  config.checkpoint_interval = interval;
-  config.crash_epochs = crashes;
-  core::SupervisedEngine supervisor(factory, config);
-
-  double recovery_ns = 0.0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 1; i <= epochs; ++i) {
-    const bool crash_step =
-        std::find(crashes.begin(), crashes.end(), i) != crashes.end();
-    const auto t1 = crash_step ? Clock::now() : Clock::time_point{};
-    supervisor.step();
-    if (crash_step) {
-      recovery_ns += static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               t1)
-              .count());
-    }
-  }
-  const double campaign_ms =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - t0)
-                              .count()) /
-      1e6;
-
-  (void)supervisor.latest_checkpoint();  // settle the confirmed count
-  const core::SupervisedEngine::Health health = supervisor.health();
-  const double mean_replay =
-      health.recoveries > 0
-          ? static_cast<double>(health.epochs_replayed) /
-                static_cast<double>(health.recoveries)
-          : 0.0;
-  const double mean_recovery_us =
-      health.recoveries > 0
-          ? recovery_ns / 1e3 / static_cast<double>(health.recoveries)
-          : 0.0;
-  return {interval,     health.checkpoints, health.recoveries,
-          health.worst_replay, mean_replay,  campaign_ms,
-          mean_recovery_us};
-}
-
 // --- Minimal JSON well-formedness check --------------------------------------
 //
 // Not a full validator — just enough structure awareness (objects, arrays,
@@ -1321,37 +876,7 @@ int main(int argc, char** argv) {
         quota > 0.0 ? "limited" : "unlimited", rss.peak_kb, noise.min_us,
         noise.median_us, noise.spread_pct);
   }
-  json += "  \"series\": [\n";
-  const std::size_t process_counts[] = {1, 8};
-  const std::uint64_t series_max_epoch = smoke ? 500 : 5000;
-  bool first_series = true;
-  for (const std::size_t processes : process_counts) {
-    const std::vector<Point> points =
-        run_series(detector, processes, series_max_epoch);
-    if (!first_series) json += ",\n";
-    first_series = false;
-    json += "    {\"processes\": " + std::to_string(processes) +
-            ", \"points\": [";
-    bool first = true;
-    for (const Point& p : points) {
-      if (!first) json += ", ";
-      first = false;
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"epoch\": %llu, \"ns_per_epoch\": %.1f}",
-                    static_cast<unsigned long long>(p.epoch), p.ns_per_epoch);
-      json += buf;
-    }
-    json += "]}";
-    std::printf("processes=%zu:", processes);
-    for (const Point& p : points) {
-      std::printf("  epoch %llu: %.0f ns/epoch",
-                  static_cast<unsigned long long>(p.epoch), p.ns_per_epoch);
-    }
-    std::printf("\n");
-  }
-  sample_section_rss("series");
-  json += "\n  ],\n  \"sweep\": [\n";
+  json += "  \"sweep\": [\n";
 
   // Shard sweep: thread-count x process-count grid.
   std::vector<std::size_t> sweep_processes = {8, 64, 256, 1024, 4096};
@@ -1388,76 +913,6 @@ int main(int argc, char** argv) {
     }
   }
   sample_section_rss("sweep");
-  json += "\n  ],\n  \"churn\": [\n";
-
-  // Churn sweep: open population, arrivals/exits balanced at the target
-  // live count.
-  std::vector<std::size_t> churn_live = {1024, 4096};
-  std::vector<double> churn_rate_div = {128.0, 32.0};  // rate = live / div
-  std::vector<std::size_t> churn_threads = {1};
-  if (max_threads > 1) churn_threads.push_back(max_threads);
-  if (smoke) {
-    churn_live = {1024};
-    churn_rate_div = {64.0};
-    churn_threads = {max_threads};
-  }
-  bool first_churn = true;
-  for (const std::size_t live : churn_live) {
-    for (const double div : churn_rate_div) {
-      const double rate = static_cast<double>(live) / div;
-      for (const std::size_t threads : churn_threads) {
-        const ChurnPoint p =
-            run_churn_point(detector, live, rate, threads, smoke);
-        if (!first_churn) json += ",\n";
-        first_churn = false;
-        char buf[384];
-        std::snprintf(
-            buf, sizeof(buf),
-            "    {\"target_live\": %zu, \"arrival_rate\": %.1f, "
-            "\"threads\": %zu, \"ns_per_epoch\": %.1f, "
-            "\"ns_per_proc_epoch\": %.1f, \"mean_live\": %.1f, "
-            "\"admissions_per_epoch\": %.2f, \"exits_per_epoch\": %.2f}",
-            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
-            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
-            p.exits_per_epoch);
-        json += buf;
-        std::printf(
-            "churn live=%zu rate=%.1f/epoch threads=%zu: %.0f ns/epoch  "
-            "%.1f ns/proc/epoch  mean_live %.0f  %.2f admissions/epoch  "
-            "%.2f exits/epoch\n",
-            p.target_live, p.arrival_rate, p.threads, p.ns_per_epoch,
-            p.ns_per_proc_epoch, p.mean_live, p.admissions_per_epoch,
-            p.exits_per_epoch);
-      }
-    }
-  }
-  sample_section_rss("churn");
-  json += "\n  ],\n  \"snapshot\": [\n";
-
-  // Snapshot cost model: capture (engine-thread, synchronous), encode
-  // (Snapshotter worker), artifact size, restore (parse + rebuild).
-  std::vector<std::size_t> snapshot_live = {1024, 4096};
-  if (smoke) snapshot_live = {1024};
-  bool first_snap = true;
-  for (const std::size_t live : snapshot_live) {
-    const SnapshotPoint p = run_snapshot_point(detector, live, smoke);
-    if (!first_snap) json += ",\n";
-    first_snap = false;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"processes\": %zu, \"capture_us\": %.1f, "
-                  "\"encode_us\": %.1f, \"restore_us\": %.1f, "
-                  "\"bytes\": %zu}",
-                  p.processes, p.capture_us, p.encode_us, p.restore_us,
-                  p.bytes);
-    json += buf;
-    std::printf(
-        "snapshot %4zu live: capture %.1f us  encode %.1f us  "
-        "restore %.1f us  %zu bytes\n",
-        p.processes, p.capture_us, p.encode_us, p.restore_us, p.bytes);
-  }
-
-  sample_section_rss("snapshot");
   json += "\n  ],\n  \"batch_kernels\": [\n";
 
   const std::vector<KernelRow> kernels = run_batch_kernels(smoke);
@@ -1500,173 +955,6 @@ int main(int argc, char** argv) {
     }
   }
   sample_section_rss("sim_breakdown");
-  json += "\n  ],\n  \"faults\": [\n";
-
-  // Fault-plane cost model: hardened-path overhead against baseline, then
-  // real sensor-fault traffic, the chaos churn point, and one timed
-  // crash-recovery cycle.
-  {
-    const std::size_t fault_procs = smoke ? 256 : 1024;
-    const std::size_t fault_threads = max_threads;
-
-    fault::FaultPlane idle(0xbe9c);
-    fault::FaultPlane sensor1(0xbe9c);
-    sensor1.sensor = {.dropout_rate = 0.004,
-                      .stuck_rate = 0.002,
-                      .nan_rate = 0.002,
-                      .saturate_rate = 0.002};
-    fault::FaultPlane sensor10(0xbe9c);
-    sensor10.sensor = {.dropout_rate = 0.04,
-                       .stuck_rate = 0.02,
-                       .nan_rate = 0.02,
-                       .saturate_rate = 0.02};
-    struct OverheadRow {
-      const char* scenario;
-      const fault::FaultPlane* plane;
-    };
-    const OverheadRow overhead_rows[] = {{"baseline", nullptr},
-                                         {"armed_idle", &idle},
-                                         {"sensor_1pct", &sensor1},
-                                         {"sensor_10pct", &sensor10}};
-    double baseline_ns = 0.0;
-    bool first_fault = true;
-    for (const OverheadRow& row : overhead_rows) {
-      core::ValkyrieEngine::FaultHealth health{};
-      const double ns =
-          run_fault_ns(detector, row.plane, fault_procs, fault_threads, smoke,
-                       &health);
-      if (row.plane == nullptr) baseline_ns = ns;
-      const double overhead =
-          baseline_ns > 0.0 ? ns / baseline_ns - 1.0 : 0.0;
-      if (!first_fault) json += ",\n";
-      first_fault = false;
-      char buf[384];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"scenario\": \"%s\", \"processes\": %zu, \"threads\": %zu, "
-          "\"ns_per_proc_epoch\": %.1f, "
-          "\"overhead_pct\": %.1f, \"coasted\": %llu, \"blind\": %llu}",
-          row.scenario, fault_procs, fault_threads,
-          ns / static_cast<double>(fault_procs), overhead * 100.0,
-          static_cast<unsigned long long>(health.coasted),
-          static_cast<unsigned long long>(health.blind));
-      json += buf;
-      std::printf(
-          "faults %-12s procs=%zu threads=%zu: %.1f ns/proc/epoch  "
-          "overhead %+.1f%%  coasted %llu  blind %llu\n",
-          row.scenario, fault_procs, fault_threads,
-          ns / static_cast<double>(fault_procs), overhead * 100.0,
-          static_cast<unsigned long long>(health.coasted),
-          static_cast<unsigned long long>(health.blind));
-    }
-
-    // Chaos churn: all three fault planes armed over the open-population
-    // driver, detector faults injected through the FaultyDetector wrapper.
-    // Runs under --smoke too — CI's chaos smoke point.
-    fault::FaultPlane chaos(0xc4a05);
-    chaos.sensor = {.dropout_rate = 0.005,
-                    .stuck_rate = 0.003,
-                    .nan_rate = 0.002,
-                    .saturate_rate = 0.002};
-    chaos.detector = {.throw_rate = 0.005, .garbage_rate = 0.005};
-    chaos.actuator = {.transient_rate = 0.02, .permanent_rate = 0.01};
-    const fault::FaultyDetector faulty(detector, chaos);
-    const ChurnPoint cp =
-        run_churn_point(faulty, 1024, 16.0, max_threads, smoke, &chaos);
-    char buf[384];
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\n    {\"scenario\": \"faulted_churn\", \"target_live\": %zu, "
-        "\"arrival_rate\": %.1f, \"threads\": %zu, "
-        "\"ns_per_epoch\": %.1f, \"ns_per_proc_epoch\": %.1f, "
-        "\"mean_live\": %.1f}",
-        cp.target_live, cp.arrival_rate, cp.threads,
-        cp.ns_per_epoch, cp.ns_per_proc_epoch, cp.mean_live);
-    json += buf;
-    std::printf(
-        "faults faulted_churn live=%zu threads=%zu: %.0f ns/epoch  "
-        "%.1f ns/proc/epoch  mean_live %.0f\n",
-        cp.target_live, cp.threads, cp.ns_per_epoch,
-        cp.ns_per_proc_epoch, cp.mean_live);
-
-    const RecoveryPoint rp =
-        run_recovery_point(detector, smoke ? 256 : 1024, smoke);
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\n    {\"scenario\": \"recovery\", \"processes\": %zu, "
-        "\"replay_epochs\": %llu, \"step_us\": %.1f, \"recovery_us\": %.1f}",
-        rp.processes, static_cast<unsigned long long>(rp.replay_epochs),
-        rp.step_us, rp.recovery_us);
-    json += buf;
-    std::printf(
-        "faults recovery procs=%zu: replay %llu epochs  step %.1f us  "
-        "recovery %.1f us\n",
-        rp.processes, static_cast<unsigned long long>(rp.replay_epochs),
-        rp.step_us, rp.recovery_us);
-  }
-  sample_section_rss("faults");
-  json += "\n  ],\n  \"mttr\": [\n";
-
-  // The priced MTTR curve: checkpoint cadence x domain-burst severity over
-  // a fixed crash schedule. Severity stresses the degraded-inference load
-  // the replays run under; the interval buys replay distance down.
-  {
-    fault::FaultPlane mild(0xbe9c);
-    mild.sensor = {.dropout_rate = 0.004,
-                   .stuck_rate = 0.002,
-                   .nan_rate = 0.002,
-                   .saturate_rate = 0.002};
-    mild.sensor.feature_fraction = 0.4;
-    mild.domains = {.domain_count = 4,
-                    .node_width = 8,
-                    .sensor_outage_rate = 0.01,
-                    .actuator_outage_rate = 0.005,
-                    .mean_outage_epochs = 4.0};
-    fault::FaultPlane harsh(0xbe9c);
-    harsh.sensor = mild.sensor;
-    harsh.domains = {.domain_count = 4,
-                     .node_width = 8,
-                     .sensor_outage_rate = 0.05,
-                     .actuator_outage_rate = 0.02,
-                     .mean_outage_epochs = 8.0};
-    struct SeverityRow {
-      const char* name;
-      const fault::FaultPlane* plane;
-    };
-    const SeverityRow severities[] = {{"mild", &mild}, {"harsh", &harsh}};
-    const std::uint64_t intervals[] = {4, 16, 64, 256};
-    bool first_mttr = true;
-    for (const SeverityRow& severity : severities) {
-      for (const std::uint64_t interval : intervals) {
-        const MttrPoint mp =
-            run_mttr_point(detector, *severity.plane, interval, smoke);
-        if (!first_mttr) json += ",\n";
-        first_mttr = false;
-        char buf[384];
-        std::snprintf(
-            buf, sizeof(buf),
-            "    {\"interval\": %llu, \"severity\": \"%s\", "
-            "\"checkpoints\": %llu, \"recoveries\": %llu, "
-            "\"mean_replay_epochs\": %.1f, \"worst_replay_epochs\": %llu, "
-            "\"campaign_ms\": %.1f, \"mean_recovery_us\": %.1f}",
-            static_cast<unsigned long long>(mp.interval), severity.name,
-            static_cast<unsigned long long>(mp.checkpoints),
-            static_cast<unsigned long long>(mp.recoveries), mp.mean_replay,
-            static_cast<unsigned long long>(mp.worst_replay), mp.campaign_ms,
-            mp.mean_recovery_us);
-        json += buf;
-        std::printf(
-            "mttr interval=%-3llu %-5s: checkpoints %llu  "
-            "mean replay %.1f  worst %llu  campaign %.1f ms  "
-            "recovery %.1f us\n",
-            static_cast<unsigned long long>(mp.interval), severity.name,
-            static_cast<unsigned long long>(mp.checkpoints), mp.mean_replay,
-            static_cast<unsigned long long>(mp.worst_replay), mp.campaign_ms,
-            mp.mean_recovery_us);
-      }
-    }
-  }
-  sample_section_rss("mttr");
   json += "\n  ],\n  \"pid_scale\": [\n";
 
   // The million-pid proof: open-population churn through `total` pids with

@@ -1,25 +1,22 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // substrate costs behind every reproduction experiment (cache accesses,
-// crypto, detector inference, threat-index updates, full engine epochs).
+// crypto, DRAM activations, threat-index updates, detector inference,
+// simulated epochs). Engine steps and detector batch kernels are measured
+// by bench/engine_scaling.cpp, end-to-end runs by perfbench/.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "attacks/pp_aes.hpp"
 #include "cache/cache.hpp"
 #include "core/threat.hpp"
-#include "core/valkyrie.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/sha256.hpp"
 #include "dram/dram.hpp"
-#include "engine_bench_common.hpp"
 #include "hpc/hpc.hpp"
-#include "ml/gbt.hpp"
-#include "ml/mlp.hpp"
 #include "ml/stat_detector.hpp"
-#include "ml/svm.hpp"
-#include "ml/window_accumulator.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
@@ -97,195 +94,6 @@ void BM_StatDetectorInfer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StatDetectorInfer);
-
-// --- Feature-pipeline scaling: batch recompute vs streaming accumulator ------
-//
-// The batch path is what every epoch used to pay (two passes over the whole
-// accumulated window); the streaming path is what an epoch pays now (fold
-// one sample, read the summary). The gap at 4096 is the O(T) -> O(1) win.
-
-std::vector<hpc::HpcSample> make_window(std::size_t n) {
-  util::Rng rng(7);
-  hpc::HpcSignature sig;
-  for (double& m : sig.mean) m = 1e6;
-  std::vector<hpc::HpcSample> window;
-  window.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) window.push_back(sig.sample(rng));
-  return window;
-}
-
-void BM_WindowFeaturesBatch(benchmark::State& state) {
-  const std::vector<hpc::HpcSample> window =
-      make_window(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::window_features(window));
-  }
-}
-BENCHMARK(BM_WindowFeaturesBatch)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_WindowFeaturesStreaming(benchmark::State& state) {
-  const std::vector<hpc::HpcSample> window =
-      make_window(static_cast<std::size_t>(state.range(0)));
-  ml::WindowAccumulator acc;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    // One epoch's worth of work at window length |window|: fold the new
-    // sample and materialise the aggregate features. No allocations.
-    acc.add(window[next]);
-    next = (next + 1) % window.size();
-    benchmark::DoNotOptimize(acc.summary().features());
-  }
-}
-BENCHMARK(BM_WindowFeaturesStreaming)->Arg(16)->Arg(256)->Arg(4096);
-
-// --- Cross-slot batch detector kernels ---------------------------------------
-//
-// Scalar-vs-batch cost of one epoch's detector work over N live processes:
-// the scalar side walks the per-process streaming path (one WindowSummary /
-// one measurement vote per slot), the batch side issues the single
-// feature-plane sweep the batched engine schedule issues per shard. Both
-// produce bit-identical inferences (tests/test_batch_infer.cpp); the gap is
-// the cross-slot batching win per detector family.
-
-const ml::MlpDetector& cached_engine_detector();  // defined below
-
-const ml::StatisticalDetector& cached_stat_detector() {
-  static const ml::StatisticalDetector detector = [] {
-    ml::StatisticalDetector d;
-    d.fit(ml::flatten(bench::engine_bench_corpus(0x5ca1e)));
-    return d;
-  }();
-  return detector;
-}
-
-const ml::SvmDetector& cached_svm_detector() {
-  static const ml::SvmDetector detector =
-      ml::SvmDetector::make(bench::engine_bench_corpus(0x5ca1e), 3);
-  return detector;
-}
-
-const ml::GbtDetector& cached_gbt_detector() {
-  static const ml::GbtDetector detector =
-      ml::GbtDetector::make(bench::engine_bench_corpus(0x5ca1e));
-  return detector;
-}
-
-/// Scalar side of the vote pair: one measurement_vote per slot, exactly
-/// the StreamingInference per-epoch fold.
-void scalar_votes(benchmark::State& state, const ml::Detector& detector) {
-  const bench::BatchPlane bp = bench::make_batch_plane(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::size_t votes = 0;
-    for (std::size_t c = 0; c < bp.n; ++c) {
-      votes += detector.measurement_vote(bp.summaries[c].newest) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(votes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bp.n));
-}
-
-/// Batch side: the single plane sweep the batched engine issues per shard.
-void batch_votes(benchmark::State& state, const ml::Detector& detector) {
-  const bench::BatchPlane bp = bench::make_batch_plane(static_cast<std::size_t>(state.range(0)));
-  const ml::FeatureMatrixView newest = bp.view().newest_view();
-  std::vector<std::uint8_t> out(bp.n);
-  for (auto _ : state) {
-    detector.measurement_votes(newest, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bp.n));
-}
-
-// For the MLP (no per-measurement vote structure) the per-epoch "vote" is
-// its window inference: scalar streaming infer vs. the blocked batch GEMV.
-void BM_ScalarVotes_MLP(benchmark::State& state) {
-  const ml::MlpDetector& detector = cached_engine_detector();
-  const bench::BatchPlane bp = bench::make_batch_plane(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::size_t malicious = 0;
-    for (std::size_t c = 0; c < bp.n; ++c) {
-      malicious += detector.infer(bp.summaries[c]) == ml::Inference::kMalicious;
-    }
-    benchmark::DoNotOptimize(malicious);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bp.n));
-}
-BENCHMARK(BM_ScalarVotes_MLP)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_BatchVotes_MLP(benchmark::State& state) {
-  const ml::MlpDetector& detector = cached_engine_detector();
-  const bench::BatchPlane bp = bench::make_batch_plane(static_cast<std::size_t>(state.range(0)));
-  const ml::SummaryMatrixView view = bp.view();
-  std::vector<ml::Inference> out(bp.n);
-  for (auto _ : state) {
-    detector.infer_batch(view, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bp.n));
-}
-BENCHMARK(BM_BatchVotes_MLP)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_ScalarVotes_SVM(benchmark::State& state) {
-  scalar_votes(state, cached_svm_detector());
-}
-BENCHMARK(BM_ScalarVotes_SVM)->Arg(16)->Arg(256)->Arg(4096);
-void BM_BatchVotes_SVM(benchmark::State& state) {
-  batch_votes(state, cached_svm_detector());
-}
-BENCHMARK(BM_BatchVotes_SVM)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_ScalarVotes_GBT(benchmark::State& state) {
-  scalar_votes(state, cached_gbt_detector());
-}
-BENCHMARK(BM_ScalarVotes_GBT)->Arg(16)->Arg(256)->Arg(4096);
-void BM_BatchVotes_GBT(benchmark::State& state) {
-  batch_votes(state, cached_gbt_detector());
-}
-BENCHMARK(BM_BatchVotes_GBT)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_ScalarVotes_Stat(benchmark::State& state) {
-  scalar_votes(state, cached_stat_detector());
-}
-BENCHMARK(BM_ScalarVotes_Stat)->Arg(16)->Arg(256)->Arg(4096);
-void BM_BatchVotes_Stat(benchmark::State& state) {
-  batch_votes(state, cached_stat_detector());
-}
-BENCHMARK(BM_BatchVotes_Stat)->Arg(16)->Arg(256)->Arg(4096);
-
-// --- Full engine epochs at scale ---------------------------------------------
-//
-// Persistent system + engine: every iteration is one real epoch, so the
-// accumulated window grows throughout the run. Flat ns/epoch across
-// iteration counts is the O(1)-per-epoch property; multiply process count
-// via the argument. Setup is shared with bench/engine_scaling.cpp so both
-// harnesses measure the same detector inputs.
-
-const ml::MlpDetector& cached_engine_detector() {
-  static const ml::MlpDetector detector = bench::engine_bench_detector();
-  return detector;
-}
-
-void BM_EngineEpoch(benchmark::State& state) {
-  const std::size_t processes = static_cast<std::size_t>(state.range(0));
-  sim::SimSystem sys;
-  core::ValkyrieEngine engine(sys, cached_engine_detector());
-  for (std::size_t p = 0; p < processes; ++p) {
-    const sim::ProcessId pid = sys.spawn(std::make_unique<bench::SignatureWorkload>(
-        bench::engine_bench_benign_signature()));
-    engine.attach(pid, core::ValkyrieConfig{},
-                  std::make_unique<core::SchedulerWeightActuator>());
-  }
-  for (auto _ : state) {
-    engine.step();
-  }
-  state.counters["window"] =
-      static_cast<double>(sys.current_epoch());  // final window length
-}
-BENCHMARK(BM_EngineEpoch)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_SimEpochBenchmarkWorkload(benchmark::State& state) {
   sim::SimSystem sys;

@@ -38,21 +38,6 @@ SupervisedEngine::SupervisedEngine(WorldFactory factory, Config config)
     throw std::invalid_argument(
         "SupervisedEngine: checkpoint_interval must be positive");
   }
-  if (config_.adaptive_interval) {
-    if (config_.min_checkpoint_interval == 0 ||
-        config_.min_checkpoint_interval > config_.max_checkpoint_interval) {
-      throw std::invalid_argument(
-          "SupervisedEngine: adaptive interval bounds must satisfy "
-          "0 < min <= max");
-    }
-    if (config_.checkpoint_interval < config_.min_checkpoint_interval ||
-        config_.checkpoint_interval > config_.max_checkpoint_interval) {
-      throw std::invalid_argument(
-          "SupervisedEngine: checkpoint_interval must start within "
-          "[min, max] when adaptive");
-    }
-  }
-  interval_ = config_.checkpoint_interval;
   world_ = factory_(nullptr);
   if (world_.system == nullptr || world_.engine == nullptr) {
     throw std::invalid_argument(
@@ -110,39 +95,29 @@ std::size_t SupervisedEngine::step() {
     // The crash fires after the epoch completed but before any checkpoint
     // of it could be taken — the worst-ordered loss. Recovery replays the
     // epoch we just watched complete, and determinism makes the replayed
-    // world bit-identical to the one we lost.
+    // world bit-identical to the one we lost, so the cadence check below
+    // treats it exactly as the crash-free run treats the original.
     ++health_.injected_crashes;
     recover();
-  } else {
-    ++clean_streak_;
-    if (config_.adaptive_interval &&
-        interval_ < config_.max_checkpoint_interval &&
-        clean_streak_ >= 4 * interval_) {
-      // The weather has been calm for four full intervals: stretch the
-      // cadence and stop paying for protection the run is not using.
-      interval_ = std::min(interval_ * 2, config_.max_checkpoint_interval);
-      clean_streak_ = 0;
-    }
-    if (completed_steps_ - request_steps_ >= interval_) {
-      take_checkpoint();
-      if (std::find(config_.corrupt_checkpoint_epochs.begin(),
-                    config_.corrupt_checkpoint_epochs.end(),
-                    completed_steps_) !=
-          config_.corrupt_checkpoint_epochs.end()) {
-        // Injected torn write: wait for the checkpoint to land, then
-        // damage it. The flipped byte fails the section CRC at the next
-        // recovery's parse, forcing the previous-generation fallback. A
-        // parked durability failure surfacing here is priced, not fatal —
-        // the same contract recover()'s flush honours.
-        try {
-          snapshotter_.flush();
-        } catch (...) {
-          ++health_.checkpoint_failures;
-        }
-        std::lock_guard<std::mutex> lock(latest_mutex_);
-        if (!latest_.empty()) {
-          latest_.back() ^= 0x5a;
-        }
+  }
+  if (completed_steps_ - request_steps_ >= config_.checkpoint_interval) {
+    take_checkpoint();
+    if (std::find(config_.corrupt_checkpoint_epochs.begin(),
+                  config_.corrupt_checkpoint_epochs.end(),
+                  completed_steps_) != config_.corrupt_checkpoint_epochs.end()) {
+      // Injected torn write: wait for the checkpoint to land, then damage
+      // it. The flipped byte fails the section CRC at the next recovery's
+      // parse, forcing the previous-generation fallback. A parked
+      // durability failure surfacing here is priced, not fatal — the same
+      // contract recover()'s flush honours.
+      try {
+        snapshotter_.flush();
+      } catch (...) {
+        ++health_.checkpoint_failures;
+      }
+      std::lock_guard<std::mutex> lock(latest_mutex_);
+      if (!latest_.empty()) {
+        latest_.back() ^= 0x5a;
       }
     }
   }
@@ -229,13 +204,6 @@ void SupervisedEngine::recover() {
   }
   health_.worst_replay = std::max(health_.worst_replay, replay);
   recovery_log_.push_back(RecoveryRecord{completed_steps_, replay, fallback});
-
-  clean_streak_ = 0;
-  if (config_.adaptive_interval &&
-      interval_ > config_.min_checkpoint_interval) {
-    // Crashes cluster; halve the cadence so the NEXT one replays less.
-    interval_ = std::max(interval_ / 2, config_.min_checkpoint_interval);
-  }
 }
 
 std::vector<std::uint8_t> SupervisedEngine::latest_checkpoint() {

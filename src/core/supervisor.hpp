@@ -15,9 +15,8 @@
 // cadence. The supervisor therefore keeps TWO checkpoint generations
 // (latest + previous: a checkpoint that parses as garbage must not be a
 // total loss), counts a checkpoint only once the sink confirmed it,
-// records every recovery's replay cost, and can optionally adapt its
-// cadence to observed crash pressure — all without perturbing the world's
-// own deterministic timeline.
+// and records every recovery's replay cost — all without perturbing the
+// world's own deterministic timeline.
 //
 // Because every run in this codebase is bit-deterministic — including
 // chaos runs, whose fault schedules are pure hashes — replay reproduces
@@ -64,8 +63,7 @@ class SupervisedEngine {
 
   struct Config {
     /// Checkpoint every N completed steps (a baseline checkpoint is always
-    /// taken at construction). Must be positive. With adaptive_interval
-    /// this is only the STARTING cadence.
+    /// taken at construction). Must be positive.
     std::uint64_t checkpoint_interval = 16;
     /// Injected crash schedule, in completed-step counts: after the world
     /// completes its crash_epochs[i]-th supervised step, the in-memory
@@ -89,18 +87,6 @@ class SupervisedEngine {
     /// recovery's parse fails its CRC and falls back to the previous
     /// generation — the torn-write path, exercised on purpose.
     std::vector<std::uint64_t> corrupt_checkpoint_epochs;
-    /// Adaptive cadence (off by default so existing runs keep their exact
-    /// checkpoint schedules). When on, the live interval halves (floored
-    /// at min_checkpoint_interval) after every recovery — crashes are
-    /// bursty here, so buy shorter replays while the weather is bad — and
-    /// doubles (capped at max_checkpoint_interval) after a clean streak of
-    /// 4x the current interval. Adaptation inputs are the run's own
-    /// deterministic events, so the adapted schedule is itself
-    /// deterministic — and since checkpoints never mutate the world, the
-    /// final world state is identical under ANY cadence.
-    bool adaptive_interval = false;
-    std::uint64_t min_checkpoint_interval = 4;
-    std::uint64_t max_checkpoint_interval = 256;
   };
 
   struct Health {
@@ -154,12 +140,6 @@ class SupervisedEngine {
     return recovery_log_;
   }
 
-  /// The live checkpoint cadence (== config checkpoint_interval unless
-  /// adaptive_interval has moved it).
-  [[nodiscard]] std::uint64_t current_interval() const noexcept {
-    return interval_;
-  }
-
   /// The live world (replaced wholesale by recoveries — do not cache the
   /// pointers across step() calls).
   [[nodiscard]] sim::SimSystem& system() noexcept { return *world_.system; }
@@ -200,8 +180,6 @@ class SupervisedEngine {
   snapshot::Snapshotter snapshotter_;  // encodes into latest_ off-thread
   std::uint64_t completed_steps_ = 0;
   std::uint64_t request_steps_ = 0;  // completed_steps_ at last request
-  std::uint64_t interval_ = 0;       // live cadence (adapted or fixed)
-  std::uint64_t clean_streak_ = 0;   // steps since the last recovery
   std::size_t last_live_ = 0;
   Health health_;
   std::vector<RecoveryRecord> recovery_log_;

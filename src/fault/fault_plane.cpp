@@ -86,8 +86,8 @@ struct BurstCursor {
   // keeps the plane lock-free under sharded stepping, and a cold, evicted
   // or backward cursor just falls back to the full walk. The cursor
   // identity must cover the dwell PARAMETERS too, not just the domain:
-  // two planes sharing a seed but swept over different burst severities
-  // (the bench's mttr grid) walk different chains from the same domain_key.
+  // two planes sharing a seed but with different burst severities walk
+  // different chains from the same domain_key.
   const std::uint64_t cursor_key =
       mix(mix(domain_key, std::bit_cast<std::uint64_t>(rate)),
           std::bit_cast<std::uint64_t>(mean_dark));

@@ -1,12 +1,12 @@
 // Seeded, deterministic runtime fault plane (the chaos layer).
 //
-// PR 6's sim::FaultInjector kills the whole process and proves recovery;
-// this plane models the *partial* failures a production monitor actually
-// lives with — lossy or lying HPC sensors, a detector that throws or emits
-// garbage bits, an actuator whose control channel drops commands — and
-// does it deterministically: every fault decision is a pure splitmix64
-// hash over a stable identity (seed x epoch x pid, or seed x feature
-// bits), never a stateful RNG draw. That is what keeps chaos runs
+// core::SupervisedEngine's injected crashes kill the whole world and
+// prove recovery; this plane models the *partial* failures a production
+// monitor actually lives with — lossy or lying HPC sensors, a detector
+// that throws or emits garbage bits, an actuator whose control channel
+// drops commands — and does it deterministically: every fault decision
+// is a pure splitmix64 hash over a stable identity (seed x epoch x pid,
+// or seed x feature bits), never a stateful RNG draw. That is what keeps chaos runs
 // bit-reproducible across worker counts: shards may consult the plane in
 // any order, any number of times, and always get the same answer. Fault
 // schedules therefore "commit" at epoch boundaries by construction — the

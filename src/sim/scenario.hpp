@@ -129,9 +129,8 @@ class ScenarioDriver {
       return epochs == 0 ? 0.0 : live_epoch_sum / static_cast<double>(epochs);
     }
     // Note `spawned` includes the constructor's standing population, so a
-    // per-epoch arrival rate must be computed by differencing two Stats
-    // snapshots (see the churn section of bench/engine_scaling.cpp), not
-    // by dividing the totals.
+    // per-epoch arrival rate must subtract it (or difference two Stats
+    // snapshots), not divide the totals.
   };
 
   /// The engine (and its system) must outlive the driver. `actuators` is

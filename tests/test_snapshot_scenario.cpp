@@ -1,11 +1,13 @@
 // Crash-fault injection over full scenario campaigns: a ScenarioDriver run
-// that is killed and restored from its snapshot at randomized epoch
+// under core::SupervisedEngine that is killed at randomized epoch
 // boundaries — including mid-campaign, with scheduled kills pending in the
-// departure heap — must finish in a state byte-identical to the
-// uninterrupted golden run. Also covers the Snapshotter worker (off-thread
-// encoding) and the driver restore constructor's compatibility guards.
+// departure heap — and rebuilt from its checkpoint bytes must finish in a
+// state byte-identical to the uninterrupted golden run. Also covers the
+// Snapshotter worker (off-thread encoding) and the driver restore
+// constructor's compatibility guards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -13,9 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/supervisor.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
-#include "sim/fault_injector.hpp"
 #include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -55,7 +57,7 @@ ml::TraceSet training_corpus() {
 
 /// A churn-heavy script whose campaigns straddle the crash region:
 /// staggered ransomware + cryptominer waves are still arriving while the
-/// injector kills the run, and finite lifetimes keep the departure heap
+/// crashes kill the run, and finite lifetimes keep the departure heap
 /// populated at every boundary.
 ScenarioScript churn_script() {
   ScenarioScript script;
@@ -76,23 +78,40 @@ ScenarioScript churn_script() {
 
 constexpr std::size_t kEpochs = 260;
 
-FaultInjector::RunFactory make_factory(const ml::SvmDetector& detector,
-                                       std::size_t threads) {
-  return [&detector,
-          threads](const snapshot::SnapshotImage* image) -> FaultInjector::Run {
-    FaultInjector::Run run;
-    run.sys = std::make_unique<SimSystem>();
-    run.engine = std::make_unique<ValkyrieEngine>(*run.sys, detector, threads);
+core::SupervisedEngine::WorldFactory make_factory(
+    const ml::SvmDetector& detector, std::size_t threads) {
+  return [&detector, threads](
+             const snapshot::SnapshotImage* image) -> core::SupervisedWorld {
+    core::SupervisedWorld world;
+    world.system = std::make_unique<SimSystem>();
+    world.engine =
+        std::make_unique<ValkyrieEngine>(*world.system, detector, threads);
     if (image == nullptr) {
-      run.driver =
-          std::make_unique<ScenarioDriver>(*run.engine, churn_script());
+      world.driver =
+          std::make_unique<ScenarioDriver>(*world.engine, churn_script());
     } else {
-      snapshot::restore(*image, *run.engine, snapshot::RestoreContext{});
-      run.driver = std::make_unique<ScenarioDriver>(
-          *run.engine, churn_script(), image->driver);
+      snapshot::restore(*image, *world.engine, snapshot::RestoreContext{});
+      world.driver = std::make_unique<ScenarioDriver>(
+          *world.engine, churn_script(), image->driver);
     }
-    return run;
+    return world;
   };
+}
+
+/// `crashes` distinct crash steps strictly inside the run, drawn from
+/// `seed` (a crash before the first step or after the last would
+/// degenerate to a plain round trip).
+std::vector<std::uint64_t> draw_crash_steps(std::uint64_t seed,
+                                            std::size_t crashes) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> steps;
+  while (steps.size() < crashes) {
+    const std::uint64_t step = 1 + rng.below(kEpochs - 1);
+    if (std::find(steps.begin(), steps.end(), step) == steps.end()) {
+      steps.push_back(step);
+    }
+  }
+  return steps;
 }
 
 TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
@@ -102,31 +121,44 @@ TEST(SnapshotScenario, CrashedAndRestoredCampaignMatchesGoldenRun) {
   std::vector<std::uint8_t> golden;
   ScenarioDriver::Stats golden_stats{};
   {
-    FaultInjector::Run run = make_factory(detector, 2)(nullptr);
-    for (std::size_t i = 0; i < kEpochs; ++i) run.driver->step();
-    golden = snapshot::encode(snapshot::capture(*run.driver));
-    golden_stats = run.driver->stats();
+    const core::SupervisedWorld world = make_factory(detector, 2)(nullptr);
+    for (std::size_t i = 0; i < kEpochs; ++i) world.driver->step();
+    golden = snapshot::encode(snapshot::capture(*world.driver));
+    golden_stats = world.driver->stats();
   }
   ASSERT_GT(golden_stats.attack_spawned, 10u)
       << "campaigns must actually have injected attacks";
   ASSERT_GT(golden_stats.driver_kills, 0u);
 
-  // Crash at 3 randomized boundaries (seed-deterministic), mid-campaign.
-  for (const std::uint64_t seed : {0x1dea5ULL, 0xbeefULL}) {
-    FaultInjector injector(make_factory(detector, 2), seed);
-    const FaultInjector::Report report = injector.run(kEpochs, 3);
-    EXPECT_EQ(report.crashes, 3u);
-    ASSERT_EQ(report.crash_epochs.size(), 3u);
-    EXPECT_EQ(golden, report.final_snapshot)
-        << "seed " << seed << ": crashed run diverged from golden";
-  }
-
-  // And across engine configurations: a run crashed under one worker count
-  // and restored under another still matches.
-  {
-    FaultInjector injector(make_factory(detector, 8), 0x77aa);
-    const FaultInjector::Report report = injector.run(kEpochs, 2);
-    EXPECT_EQ(golden, report.final_snapshot);
+  // Crash at randomized boundaries (seed-deterministic), mid-campaign, and
+  // rebuild the world from parsed checkpoint bytes. Checkpointing every
+  // step makes each crash restore the boundary just before it; every 7th
+  // step makes the restores replay several epochs. The 8-worker run must
+  // land on the 2-worker golden bytes.
+  const struct {
+    std::uint64_t seed;
+    std::uint64_t interval;
+    std::size_t threads;
+    std::size_t crashes;
+  } runs[] = {{0x1dea5, 1, 2, 3}, {0xbeef, 7, 2, 3}, {0x77aa, 16, 8, 2}};
+  for (const auto& run : runs) {
+    core::SupervisedEngine::Config config;
+    config.checkpoint_interval = run.interval;
+    config.crash_epochs = draw_crash_steps(run.seed, run.crashes);
+    core::SupervisedEngine supervisor(make_factory(detector, run.threads),
+                                      config);
+    supervisor.run(kEpochs);
+    EXPECT_EQ(golden, snapshot::encode(snapshot::capture(*supervisor.driver())))
+        << "seed " << run.seed << ": crashed run diverged from golden";
+    const core::SupervisedEngine::Health health = supervisor.health();
+    EXPECT_EQ(health.injected_crashes, run.crashes) << "seed " << run.seed;
+    EXPECT_EQ(health.recoveries, run.crashes) << "seed " << run.seed;
+    // Each crash restores the last checkpoint strictly before it.
+    for (const core::SupervisedEngine::RecoveryRecord& record :
+         supervisor.recovery_log()) {
+      EXPECT_EQ(record.replay_epochs, (record.at_step - 1) % run.interval + 1)
+          << "seed " << run.seed << ", crash at " << record.at_step;
+    }
   }
 }
 

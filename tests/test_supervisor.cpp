@@ -264,7 +264,31 @@ TEST(Supervisor, DeterministicFaultExhaustsTheRecoveryCap) {
   EXPECT_EQ(supervisor.health().steps, 50u);
 }
 
-// --- Checkpoint generations, priced durability, adaptive cadence ------------
+// --- Checkpoint cadence, generations and priced durability -----------------
+
+TEST(Supervisor, CrashOnACheckpointBoundaryKeepsTheCadence) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  const std::vector<std::uint8_t> golden = golden_run(detector);
+
+  SupervisedEngine::Config config;
+  config.checkpoint_interval = 16;
+  // 32 is a checkpoint step: the replayed world must still be checkpointed
+  // there, or every later checkpoint slides one step off the grid.
+  config.crash_epochs = {32, 57};
+  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
+  supervisor.run(kEpochs);
+
+  EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden);
+  EXPECT_FALSE(supervisor.latest_checkpoint().empty());  // also flushes
+  const SupervisedEngine::Health health = supervisor.health();
+  // Crash at 32 restores step 16 (16 replayed); crash at 57 restores the
+  // step-48 checkpoint (9 replayed), exactly as it does without the first.
+  ASSERT_EQ(supervisor.recovery_log().size(), 2u);
+  EXPECT_EQ(supervisor.recovery_log()[0].replay_epochs, 16u);
+  EXPECT_EQ(supervisor.recovery_log()[1].replay_epochs, 9u);
+  EXPECT_EQ(health.epochs_replayed, 25u);
+  EXPECT_EQ(health.checkpoints, 1u + kEpochs / 16);
+}
 
 TEST(Supervisor, CorruptedLatestCheckpointFallsBackToThePreviousGeneration) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
@@ -327,45 +351,21 @@ TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   EXPECT_EQ(health.checkpoints, 12u);
 }
 
-TEST(Supervisor, AdaptiveCadenceIsDeterministicAndConvergesToTheGoldenState) {
+TEST(Supervisor, InvalidConfigurationsAreRejected) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  const std::vector<std::uint8_t> golden = golden_run(detector);
-
-  SupervisedEngine::Config config;
-  config.checkpoint_interval = 64;
-  config.adaptive_interval = true;
-  config.min_checkpoint_interval = 8;
-  config.max_checkpoint_interval = 64;
-  config.crash_epochs = {100, 105};
-  SupervisedEngine supervisor(scenario_factory(detector, 2), config);
-  supervisor.run(kEpochs);
-
-  // Checkpoints never mutate the world, so the adapted schedule lands on
-  // the same bytes as ANY other cadence — including the crash-free run's.
-  EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden);
-  // The trajectory is a pure function of the deterministic crash schedule:
-  // 64 → 32 (crash at 100) → 16 (crash at 105) → 32 (64-step clean streak
-  // ending at 169; the second doubling needs 128 clean steps and never
-  // arrives before step 200).
-  EXPECT_EQ(supervisor.current_interval(), 32u);
-  EXPECT_FALSE(supervisor.latest_checkpoint().empty());  // also flushes
-  const SupervisedEngine::Health health = supervisor.health();
-  EXPECT_EQ(health.recoveries, 2u);
-  // Crash at 100 restores the step-64 checkpoint (36 replayed); the halved
-  // interval then checkpoints at 101, so the crash at 105 replays only 4.
-  EXPECT_EQ(health.worst_replay, 36u);
-  EXPECT_EQ(health.epochs_replayed, 40u);
-}
-
-TEST(Supervisor, AdaptiveBoundsAreValidated) {
-  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
-  SupervisedEngine::Config config;
-  config.adaptive_interval = true;
-  config.checkpoint_interval = 2;  // below the floor
-  config.min_checkpoint_interval = 4;
-  config.max_checkpoint_interval = 64;
-  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1),
-                                config),
+  SupervisedEngine::Config zero_interval;
+  zero_interval.checkpoint_interval = 0;
+  EXPECT_THROW(SupervisedEngine(scenario_factory(detector, 1), zero_interval),
+               std::invalid_argument);
+  EXPECT_THROW(SupervisedEngine(nullptr, SupervisedEngine::Config{}),
+               std::invalid_argument);
+  const SupervisedEngine::WorldFactory engineless =
+      [](const snapshot::SnapshotImage*) {
+        SupervisedWorld world;
+        world.system = std::make_unique<sim::SimSystem>();
+        return world;
+      };
+  EXPECT_THROW(SupervisedEngine(engineless, SupervisedEngine::Config{}),
                std::invalid_argument);
 }
 
