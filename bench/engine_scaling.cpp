@@ -338,7 +338,7 @@ PidScalePoint run_pid_scale_point(std::size_t target_live,
                                   std::uint64_t total, bool smoke) {
   sim::SimSystem sys;
   sys.enable_counter_rng();
-  sys.enable_bounded_history(8);
+  sys.set_history_window(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(2);
   const std::size_t batch = std::max<std::size_t>(1, target_live / 8);
@@ -500,7 +500,7 @@ PidLookupPoint run_pid_lookup_point(std::size_t live,
 // component, each timed in isolation over the same population size: the RNG
 // + signature draw that is workload execution and HPC capture for the bench
 // workload (xoshiro stream vs the opt-in counter stream), feature
-// extraction, the history append (unbounded vector vs bounded ring), the
+// extraction, the history append (whole-window vector vs finite ring), the
 // per-slot Welford window fold, batch inference, and the serial epoch
 // bookkeeping — plus one
 // full engine step as the reference total. This is the map that justifies
@@ -571,7 +571,7 @@ std::vector<BreakdownRow> run_sim_breakdown(const ml::MlpDetector& detector,
                     })});
   }
 
-  // History append: unbounded vector push vs bounded ring overwrite.
+  // History append: whole-window vector push vs finite ring overwrite.
   {
     std::vector<std::vector<hpc::HpcSample>> hist(n);
     for (auto& h : hist) h.reserve(static_cast<std::size_t>(inner) * 8);

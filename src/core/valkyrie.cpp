@@ -105,6 +105,9 @@ ValkyrieEngine::ValkyrieEngine(sim::SimSystem& sys,
                                const ml::Detector& detector,
                                std::size_t worker_threads)
     : sys_(sys), detector_(detector) {
+  // The system retains exactly the raw samples the detector reads; from
+  // here on the window only widens (attach, step).
+  sys_.set_history_window(detector_.raw_window());
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw != 0 && worker_threads > hw) worker_threads = hw;
   if (worker_threads > 1) {
@@ -138,6 +141,9 @@ void ValkyrieEngine::attach(sim::ProcessId pid, ValkyrieConfig config,
                             const ml::Detector* terminal_detector) {
   if (attached_index_.contains(pid)) {
     throw std::invalid_argument("ValkyrieEngine: process already attached");
+  }
+  if (terminal_detector != nullptr) {
+    widen_history(terminal_detector->raw_window());
   }
   attached_index_.insert(pid, static_cast<std::uint32_t>(attached_.size()));
   Attached a{pid,
@@ -186,7 +192,11 @@ void ValkyrieEngine::prune_detached() {
                   attached_.end());
 }
 
-void ValkyrieEngine::infer_attachment(Attached& a,
+void ValkyrieEngine::widen_history(std::size_t window) {
+  if (window > sys_.history_window()) sys_.set_history_window(window);
+}
+
+void ValkyrieEngine::infer_attachment(Attached& a, std::size_t slot,
                                       std::vector<ActuatorCommand>& commands) {
   // One summary per process per epoch; both detectors share it, so
   // feature extraction and statistics assembly happen exactly once.
@@ -194,7 +204,7 @@ void ValkyrieEngine::infer_attachment(Attached& a,
   const ml::Inference inference = fault_plane_ == nullptr
                                       ? a.stream.infer(detector_, summary)
                                       : guarded_infer(a, summary);
-  finish_attachment(a, &summary, inference, commands);
+  finish_attachment(a, slot, &summary, inference, commands);
 }
 
 ml::Inference ValkyrieEngine::sanitize(ml::Inference inference) noexcept {
@@ -242,37 +252,54 @@ ml::Inference ValkyrieEngine::guarded_infer(Attached& a,
   }
 }
 
-void ValkyrieEngine::finish_attachment(Attached& a,
+std::optional<ml::Inference> ValkyrieEngine::terminal_verdict(
+    Attached& a, std::size_t slot, const ml::WindowSummary* summary) {
+  const ml::Detector& terminal = *a.terminal_detector;
+  const std::optional<double> fraction = terminal.vote_fraction();
+  const bool terminable =
+      a.monitor.measurements() >= a.monitor.config().required_measurements;
+  // A vote-structured terminal detector folds every epoch from attach —
+  // O(1), and it never needs the raw window, so the history can retain
+  // none. Any other one is consulted at the terminable decision only.
+  if (!fraction && !terminable) return std::nullopt;
+  const ml::WindowAccumulator& acc = sys_.slot_accumulator(slot);
+  ml::Inference verdict;
+  try {
+    if (fraction && a.terminal_stream.can_fold(acc.count())) {
+      verdict = a.terminal_stream.fold_vote(
+          terminal.measurement_vote(acc.newest_features()), acc.count(),
+          *fraction);
+    } else {
+      // Catch-up after a mid-run attach, a quarantined epoch, or a
+      // whole-window detector's decision: the streaming path over the
+      // summary (assembled on demand on the batch route).
+      ml::WindowSummary assembled;
+      if (summary == nullptr) {
+        assembled = sys_.window_summary(a.pid);
+        summary = &assembled;
+      }
+      verdict = a.terminal_stream.infer(terminal, *summary);
+    }
+  } catch (...) {
+    // The terminal detector gets the same containment as the per-epoch
+    // one: a throw yields kInvalid (the monitor stays terminable until a
+    // valid epoch decides).
+    if (fault_plane_ == nullptr) throw;
+    health_detector_faults_.fetch_add(1, std::memory_order_relaxed);
+    a.terminal_stream.mark_observed(acc.count());
+    verdict = ml::Inference::kInvalid;
+  }
+  if (!terminable) return std::nullopt;
+  return fault_plane_ != nullptr ? sanitize(verdict) : verdict;
+}
+
+void ValkyrieEngine::finish_attachment(Attached& a, std::size_t slot,
                                        const ml::WindowSummary* summary,
                                        ml::Inference inference,
                                        std::vector<ActuatorCommand>& commands) {
-  std::optional<ml::Inference> terminal;
-  if (a.terminal_detector != nullptr &&
-      a.monitor.measurements() >= a.monitor.config().required_measurements) {
-    // StreamingInference catches up on any epochs it was not consulted
-    // for, so the first terminable-state query pays one linear pass and
-    // every subsequent epoch is O(1).
-    ml::WindowSummary assembled;
-    if (summary == nullptr) {
-      assembled = sys_.window_summary(a.pid);
-      summary = &assembled;
-    }
-    if (fault_plane_ == nullptr) {
-      terminal = a.terminal_stream.infer(*a.terminal_detector, *summary);
-    } else {
-      // The terminal detector gets the same containment as the per-epoch
-      // one: a throw yields kInvalid (the monitor stays terminable until a
-      // valid epoch decides).
-      try {
-        terminal = sanitize(
-            a.terminal_stream.infer(*a.terminal_detector, *summary));
-      } catch (...) {
-        health_detector_faults_.fetch_add(1, std::memory_order_relaxed);
-        a.terminal_stream.mark_observed(summary->count);
-        terminal = ml::Inference::kInvalid;
-      }
-    }
-  }
+  const std::optional<ml::Inference> terminal =
+      a.terminal_detector != nullptr ? terminal_verdict(a, slot, summary)
+                                     : std::nullopt;
   const ValkyrieMonitor::PlannedAction planned =
       a.monitor.plan(a.pid, inference, terminal);
   a.last_action = planned.action;
@@ -555,6 +582,8 @@ std::size_t ValkyrieEngine::step() {
   const ml::Detector::PlaneSections sections = detector_.plane_sections();
   const bool batch_route = sections != ml::Detector::PlaneSections::kFull;
   if (batch_route) sys_.enable_feature_plane(sections);
+  // Likewise the raw window it reads (widening only).
+  widen_history(detector_.raw_window());
   // Serial open phase: CFS share snapshot; the live list and pid -> slot
   // remap are frozen until the epoch closes, so slot i below is live[i]
   // for the whole dispatch.
@@ -607,9 +636,9 @@ std::size_t ValkyrieEngine::step() {
         verdict = batch_verdict(a, slot, plane.counts[slot], fraction);
       }
       if (verdict) {
-        finish_attachment(a, nullptr, *verdict, commands);
+        finish_attachment(a, slot, nullptr, *verdict, commands);
       } else {
-        infer_attachment(a, commands);
+        infer_attachment(a, slot, commands);
       }
     }
   };
@@ -716,8 +745,10 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
         att.has_terminal ? a.terminal_detector->state_hash() : 0;
     att.stream_malicious = a.stream.malicious_count();
     att.stream_counted = a.stream.counted();
+    att.stream_skipped = a.stream.skipped();
     att.terminal_malicious = a.terminal_stream.malicious_count();
     att.terminal_counted = a.terminal_stream.counted();
+    att.terminal_skipped = a.terminal_stream.skipped();
     // Canonicalize to the observable view (see AttachmentImage): the raw
     // pair also records idle kNone visits, which last_action() cannot tell
     // from no visit, so only a real action from THIS step survives into
@@ -786,10 +817,12 @@ void ValkyrieEngine::restore_from(const snapshot::EngineImage& image,
                static_cast<ValkyrieMonitor::Action>(att.last_action),
                att.last_action_step};
     a.stream.restore(static_cast<std::size_t>(att.stream_malicious),
-                     static_cast<std::size_t>(att.stream_counted));
+                     static_cast<std::size_t>(att.stream_counted),
+                     static_cast<std::size_t>(att.stream_skipped));
     a.terminal_stream.restore(
         static_cast<std::size_t>(att.terminal_malicious),
-        static_cast<std::size_t>(att.terminal_counted));
+        static_cast<std::size_t>(att.terminal_counted),
+        static_cast<std::size_t>(att.terminal_skipped));
     staged.push_back(std::move(a));
   }
   util::PidMap<std::uint32_t> index;

@@ -163,6 +163,14 @@ class ValkyrieMonitor {
 /// past the batch call. The batch kernels preserve the scalar accumulation
 /// order, so both routes produce the same bits.
 ///
+/// The detectors also size the system's raw-sample history
+/// (Detector::raw_window, SimSystem::set_history_window): the constructor
+/// sets it from the engine's detector, attach() widens it to a terminal
+/// detector's window and step() widens it if the declaration grew. A vote
+/// or summary detector reads no raw sample, so the system retains none.
+/// Terminal detectors with a vote structure fold the newest measurement's
+/// vote every epoch from attach, so they need no raw window either.
+///
 /// The dispatch is bracketed by serial phases: the CFS share snapshot
 /// before (SimSystem::begin_epoch) and the command commit after. Every
 /// monitor emits its ActuatorCommand into a per-shard buffer, drained
@@ -245,13 +253,14 @@ class ValkyrieEngine {
 
   /// Attaches a process with its own config and actuator. A process can be
   /// attached at most once at a time (re-attach after detach() starts a
-  /// fresh monitor; its streaming state catches up from the accumulated
-  /// window). Legal at any point of a run, including for a process whose
-  /// mid-epoch admission is still pending — the monitor simply starts
-  /// deciding from the process's first executed epoch on. If
-  /// `terminal_detector` is non-null it provides the accumulated-window
-  /// decision once N* measurements have been gathered (see
-  /// ValkyrieMonitor::plan); it must outlive the engine.
+  /// fresh monitor; its streaming state catches up from the measurements
+  /// the system still retains — see StreamingInference). Legal at any
+  /// point of a run, including for a process whose mid-epoch admission is
+  /// still pending — the monitor simply starts deciding from the process's
+  /// first executed epoch on. If `terminal_detector` is non-null it
+  /// provides the accumulated-window decision once N* measurements have
+  /// been gathered (see ValkyrieMonitor::plan), and the system's history
+  /// window widens to its raw_window(); it must outlive the engine.
   void attach(sim::ProcessId pid, ValkyrieConfig config,
               std::unique_ptr<Actuator> actuator,
               const ml::Detector* terminal_detector = nullptr);
@@ -379,7 +388,11 @@ class ValkyrieEngine {
   /// The per-slot path: one attachment's streaming inference over its
   /// window summary + monitor decision for the current step, appending any
   /// resulting command to `commands`.
-  void infer_attachment(Attached& a, std::vector<ActuatorCommand>& commands);
+  void infer_attachment(Attached& a, std::size_t slot,
+                        std::vector<ActuatorCommand>& commands);
+
+  /// Widens the system's history window to `window` (never narrows).
+  void widen_history(std::size_t window);
 
   /// Phase (2) of a shard on the batch route: ONE detector call over the
   /// shard's plane segment (columns [begin, begin + segment.count)),
@@ -429,12 +442,20 @@ class ValkyrieEngine {
   /// Pid-sorted lookup into retry_ (retry_.size() when absent).
   [[nodiscard]] std::size_t find_retry(sim::ProcessId pid) const noexcept;
 
-  /// The decision tail shared by both routes: terminal-detector
-  /// consultation (when armed), monitor plan, action bookkeeping, command
-  /// emission. `summary` may be null — the terminal path then assembles
-  /// one on demand, so the batch route only pays for summaries on the
-  /// rare terminable epochs.
-  void finish_attachment(Attached& a, const ml::WindowSummary* summary,
+  /// The terminal detector's step for one attachment: a vote-structured
+  /// detector folds the newest measurement every epoch (catching up
+  /// through the summary when it cannot fold); any other one runs only at
+  /// the terminable decision. Returns the verdict once the monitor is
+  /// terminable, nullopt before. `summary` may be null — it is then
+  /// assembled on demand, so the batch route only pays for summaries on
+  /// rare catch-up and terminable epochs.
+  [[nodiscard]] std::optional<ml::Inference> terminal_verdict(
+      Attached& a, std::size_t slot, const ml::WindowSummary* summary);
+
+  /// The decision tail shared by both routes: terminal-detector step
+  /// (when armed), monitor plan, action bookkeeping, command emission.
+  void finish_attachment(Attached& a, std::size_t slot,
+                         const ml::WindowSummary* summary,
                          ml::Inference inference,
                          std::vector<ActuatorCommand>& commands);
 

@@ -232,6 +232,9 @@ class FaultyDetector final : public ml::Detector {
     const PlaneSections inner = inner_.plane_sections();
     return inner == PlaneSections::kStatsOnly ? PlaneSections::kFull : inner;
   }
+  [[nodiscard]] std::size_t raw_window() const override {
+    return inner_.raw_window();
+  }
 
   [[nodiscard]] ml::Inference infer(
       std::span<const hpc::HpcSample> window) const override;

@@ -1,5 +1,6 @@
 #include "ml/detector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -99,30 +100,40 @@ Inference StreamingInference::infer(const Detector& detector,
                                     const WindowSummary& summary) {
   const std::optional<double> fraction = detector.vote_fraction();
   if (!fraction || summary.count == 0) return detector.infer(summary);
-  if (counted_ > summary.count) reset();  // window shrank: recount
-  if (counted_ + 1 == summary.count) {
+  std::size_t seen = counted_ + skipped_;
+  if (seen > summary.count) {  // window shrank: recount
+    reset();
+    seen = 0;
+  }
+  if (seen + 1 == summary.count) {
     // The common per-epoch step: exactly one new measurement.
     if (detector.measurement_vote(summary.newest)) ++malicious_;
-    counted_ = summary.count;
-  } else if (counted_ < summary.count) {
-    // Attached mid-run (or several epochs elapsed between calls): fold the
-    // not-yet-counted measurements from the raw window. One-time cost.
-    // window_total()/window_at() read through the span pair, so a wrapped
-    // bounded-history ring catches up the same way an unbounded one does.
-    if (summary.window_total() < summary.count) {
-      return detector.infer(summary);  // raw window unavailable; fall back
+    ++counted_;
+  } else if (seen < summary.count) {
+    // Catch-up: measurement i sits at logical window index
+    // i + total - count, so the producer retains the newest `retained`
+    // measurements — the newest always, through summary.newest. Skip what
+    // it dropped, fold the rest.
+    const std::size_t total = summary.window_total();
+    const std::size_t retained = std::min(std::max<std::size_t>(total, 1),
+                                          summary.count);
+    const std::size_t first = summary.count - retained;
+    if (seen < first) {
+      skipped_ += first - seen;
+      seen = first;
     }
-    hpc::FeatureVec f;
-    for (std::size_t i = counted_; i < summary.count; ++i) {
-      hpc::to_features(summary.window_at(i), f);
-      if (detector.measurement_vote(f)) ++malicious_;
+    if (total == 0) {
+      if (detector.measurement_vote(summary.newest)) ++malicious_;
+    } else {
+      hpc::FeatureVec f;
+      for (std::size_t i = seen; i < summary.count; ++i) {
+        hpc::to_features(summary.window_at(i + total - summary.count), f);
+        if (detector.measurement_vote(f)) ++malicious_;
+      }
     }
-    counted_ = summary.count;
+    counted_ += summary.count - seen;
   }
-  return static_cast<double>(malicious_) >
-                 *fraction * static_cast<double>(counted_)
-             ? Inference::kMalicious
-             : Inference::kBenign;
+  return verdict(*fraction);
 }
 
 std::vector<double> window_features(std::span<const hpc::HpcSample> window) {

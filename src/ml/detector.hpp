@@ -90,7 +90,7 @@ struct SummaryMatrixView {
   const std::span<const hpc::HpcSample>* windows = nullptr;
   /// Wrapped ring tails matching `windows` column for column (see
   /// WindowSummary::window_wrap); null when the producer's histories are
-  /// unbounded (every wrap is then empty).
+  /// whole-window (every wrap is then empty).
   const std::span<const hpc::HpcSample>* windows_wrap = nullptr;
   std::size_t count = 0;   ///< batch items (columns)
   std::size_t stride = 0;  ///< doubles between feature rows
@@ -130,8 +130,9 @@ class Detector {
   /// Incremental entry point: classifies from the streaming summary of the
   /// accumulated window. The default adapter forwards to the whole-window
   /// overload via summary.window (linearizing the span pair first when the
-  /// producer's bounded ring has wrapped — see infer_wrapped); summary-
-  /// capable detectors override this and never touch the raw measurements.
+  /// producer's finite-window ring has wrapped — see infer_wrapped);
+  /// summary-capable detectors override this and never touch the raw
+  /// measurements.
   [[nodiscard]] virtual Inference infer(const WindowSummary& summary) const {
     if (summary.window_wrap.empty()) return infer(summary.window);
     return infer_wrapped(summary);
@@ -197,6 +198,21 @@ class Detector {
     return PlaneSections::kFull;
   }
 
+  /// Sentinel raw_window() meaning "every sample accumulated so far".
+  static constexpr std::size_t kWholeWindow = static_cast<std::size_t>(-1);
+
+  /// How many of the newest raw samples the scalar path reads through
+  /// WindowSummary::window / window_wrap. The engine sizes every process's
+  /// retained history to exactly this (SimSystem::set_history_window), so
+  /// samples no detector reads are never stored, appended or snapshotted.
+  /// The default is kWholeWindow for a kFull detector and 0 for one with a
+  /// batch kernel: the batch route never hands a kernel raw windows
+  /// (SummaryMatrixView::windows is always null) and both routes must
+  /// produce the same bits, so such a detector cannot depend on them.
+  [[nodiscard]] virtual std::size_t raw_window() const {
+    return plane_sections() == PlaneSections::kFull ? kWholeWindow : 0;
+  }
+
   /// Compatibility fingerprint recorded in snapshots. A restore is refused
   /// (typed kIncompatible error) when the hash recorded at capture time
   /// differs from the target engine's detector — a detector swapped or
@@ -209,8 +225,8 @@ class Detector {
  protected:
   /// Bridge for raw-window detectors handed a wrapped ring window: copies
   /// the span pair into one oldest-first buffer and classifies that. Costs
-  /// an allocation, paid only by legacy whole-window detectors under the
-  /// (opt-in) bounded-history mode; streaming detectors never get here.
+  /// an allocation, paid only by whole-window detectors whose declared
+  /// raw_window() is finite; streaming detectors never get here.
   [[nodiscard]] Inference infer_wrapped(const WindowSummary& summary) const;
 };
 
@@ -220,11 +236,18 @@ class Detector {
 ///   - vote-based detectors: fold the newest measurement's vote into running
 ///     counts and compare fractions — O(1) per epoch;
 ///   - everything else: hand over the streaming summary (summary-capable
-///     detectors are O(1); legacy whole-window detectors fall back to the
-///     raw window through the default adapter).
+///     detectors are O(1); whole-window detectors read the raw window the
+///     producer retains for them through the default adapter).
 ///
-/// Catches up from summary.window when attached to a process that already
-/// has history, and recounts after a shrink (episode reset).
+/// Catch-up — folding votes for measurements the instance was not consulted
+/// on (a mid-run attach, or several epochs between calls) — folds the
+/// uncounted measurements the producer still retains: the raw window's
+/// samples, and at least the newest measurement, whose features every
+/// summary carries. Older ones are SKIPPED: a skipped measurement enters
+/// neither the malicious tally nor the denominator, so the verdict is the
+/// vote fraction over what was seen. An unbounded producer retains
+/// everything, so nothing is skipped there. A shrink (episode reset)
+/// recounts from scratch.
 ///
 /// One instance serves exactly one (process, detector) pair: progress is
 /// tracked by measurement count alone, so pointing an instance at a
@@ -240,7 +263,7 @@ class StreamingInference {
   /// measurement can be folded directly via fold_vote(). Any other
   /// progression (catch-up, shrink, empty window) must go through infer().
   [[nodiscard]] bool can_fold(std::size_t count) const noexcept {
-    return counted_ + 1 == count;
+    return counted_ + skipped_ + 1 == count;
   }
 
   /// Folds one externally-computed vote for the newest measurement (the
@@ -249,16 +272,14 @@ class StreamingInference {
   [[nodiscard]] Inference fold_vote(bool malicious_vote, std::size_t count,
                                     double fraction) noexcept {
     if (malicious_vote) ++malicious_;
-    counted_ = count;
-    return static_cast<double>(malicious_) >
-                   fraction * static_cast<double>(counted_)
-               ? Inference::kMalicious
-               : Inference::kBenign;
+    counted_ = count - skipped_;
+    return verdict(fraction);
   }
 
   void reset() noexcept {
     malicious_ = 0;
     counted_ = 0;
+    skipped_ = 0;
   }
 
   /// Marks `count` measurements as observed WITHOUT folding any votes —
@@ -268,22 +289,35 @@ class StreamingInference {
   /// a deterministic per-measurement fault would otherwise re-throw on the
   /// same feature bits every epoch forever. No-op when already caught up.
   void mark_observed(std::size_t count) noexcept {
-    if (count > counted_) counted_ = count;
+    if (count > counted_ + skipped_) counted_ = count - skipped_;
   }
 
-  /// Running vote counts, for snapshot/restore.
+  /// Running vote counts, for snapshot/restore: measurements voted on
+  /// (the denominator), malicious votes among them, and measurements
+  /// skipped because the producer no longer retained them at catch-up.
   [[nodiscard]] std::size_t malicious_count() const noexcept {
     return malicious_;
   }
   [[nodiscard]] std::size_t counted() const noexcept { return counted_; }
-  void restore(std::size_t malicious, std::size_t counted) noexcept {
+  [[nodiscard]] std::size_t skipped() const noexcept { return skipped_; }
+  void restore(std::size_t malicious, std::size_t counted,
+               std::size_t skipped) noexcept {
     malicious_ = malicious;
     counted_ = counted;
+    skipped_ = skipped;
   }
 
  private:
+  [[nodiscard]] Inference verdict(double fraction) const noexcept {
+    return static_cast<double>(malicious_) >
+                   fraction * static_cast<double>(counted_)
+               ? Inference::kMalicious
+               : Inference::kBenign;
+  }
+
   std::size_t malicious_ = 0;
   std::size_t counted_ = 0;
+  std::size_t skipped_ = 0;
 };
 
 /// Aggregate feature vector for whole-window models (the ANNs): per-event

@@ -398,9 +398,6 @@ void Lstm::train(const TraceSet& train_set, const LstmTrainOptions& options) {
 
 Inference LstmDetector::infer(std::span<const hpc::HpcSample> window) const {
   if (window.empty()) return Inference::kBenign;
-  // Feed the most recent max_bptt-ish chunk (long windows carry no extra
-  // signal once the hidden state saturates, and this bounds inference cost).
-  constexpr std::size_t kMaxSteps = 64;
   const std::size_t start =
       window.size() > kMaxSteps ? window.size() - kMaxSteps : 0;
   std::vector<std::vector<double>> seq;

@@ -127,10 +127,16 @@ class LstmDetector final : public Detector {
  public:
   explicit LstmDetector(Lstm model) : model_(std::move(model)) {}
 
+  /// Inference feeds at most the newest kMaxSteps measurements: long
+  /// windows carry no extra signal once the hidden state saturates, and
+  /// this bounds inference cost.
+  static constexpr std::size_t kMaxSteps = 64;
+
   [[nodiscard]] std::string_view name() const override { return "lstm"; }
   using Detector::infer;  // keep infer(WindowSummary) visible
   [[nodiscard]] Inference infer(
       std::span<const hpc::HpcSample> window) const override;
+  [[nodiscard]] std::size_t raw_window() const override { return kMaxSteps; }
 
   [[nodiscard]] const Lstm& model() const noexcept { return model_; }
 

@@ -111,6 +111,9 @@ class MlpDetector final : public Detector {
                ? PlaneSections::kStatsOnly
                : PlaneSections::kFull;
   }
+  /// infer(WindowSummary) reads only the running mean/stddev, in every
+  /// geometry, so no raw sample is ever needed.
+  [[nodiscard]] std::size_t raw_window() const override { return 0; }
 
   [[nodiscard]] const Mlp& model() const noexcept { return mlp_; }
 

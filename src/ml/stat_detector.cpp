@@ -302,7 +302,7 @@ Inference StatisticalDetector::infer(const WindowSummary& summary) const {
     return malicious ? Inference::kMalicious : Inference::kBenign;
   }
   if (summary.window_wrap.empty()) return infer(summary.window);
-  // Wrapped bounded-history ring: same newest-first vote walk as
+  // Wrapped finite-window ring: same newest-first vote walk as
   // infer(span), reading logical positions through the span pair.
   const std::size_t total = summary.window_total();
   const std::size_t take = std::min(config_.vote_window, total);

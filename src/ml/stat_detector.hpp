@@ -52,9 +52,8 @@ class StatisticalDetector final : public Detector {
   /// are present — the attack-signature distribution as well.
   void fit(std::span<const Example> examples);
 
-  /// Sentinel vote_window meaning "vote over the entire accumulated
-  /// window" (the terminable-decision view).
-  static constexpr std::size_t kWholeWindow = static_cast<std::size_t>(-1);
+  // vote_window == kWholeWindow (Detector::kWholeWindow) votes over the
+  // entire accumulated window: the terminable-decision view.
 
   [[nodiscard]] std::string_view name() const override {
     return "statistical";
@@ -91,6 +90,14 @@ class StatisticalDetector final : public Detector {
     return config_.vote_window == 1 || config_.vote_window == kWholeWindow
                ? PlaneSections::kNewestOnly
                : PlaneSections::kFull;
+  }
+  /// Only a finite multi-sample vote reads raw samples: its newest
+  /// vote_window. The newest-only vote reads the summary's newest features
+  /// and the whole-window vote folds running counts.
+  [[nodiscard]] std::size_t raw_window() const override {
+    return config_.vote_window > 1 && config_.vote_window < kWholeWindow
+               ? config_.vote_window
+               : 0;
   }
 
   /// Detection score (exposed for calibration and tests). With an attack

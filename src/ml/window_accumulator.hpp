@@ -48,12 +48,13 @@ struct WindowSummary {
   /// The raw accumulated window, oldest first. May be empty for callers
   /// that only stream; the default Detector adapter needs it.
   std::span<const hpc::HpcSample> window{};
-  /// Wrapped tail of a bounded ring history: producers that keep the window
-  /// in a fixed-capacity ring expose the logical window as the span pair
-  /// [window..., window_wrap...] — `window` is the older (post-head) run,
-  /// `window_wrap` the recycled front, newest measurement last. Always
-  /// empty for unbounded histories, so single-span consumers see exactly
-  /// the pre-ring view; windowed consumers read through window_at().
+  /// Wrapped tail of a finite-window ring history: producers that keep
+  /// the window in a fixed-capacity ring expose the logical window as the
+  /// span pair [window..., window_wrap...] — `window` is the older
+  /// (post-head) run, `window_wrap` the recycled front, newest measurement
+  /// last. Always empty for whole-window histories, so single-span
+  /// consumers see exactly the pre-ring view; windowed consumers read
+  /// through window_at().
   std::span<const hpc::HpcSample> window_wrap{};
 
   /// Measurements in the logical window (both spans).

@@ -157,14 +157,17 @@ void SimSystem::enable_feature_plane(ml::Detector::PlaneSections sections) {
 void SimSystem::reserve_plane() {
   if (!plane_enabled_) return;
   // Pad the stride to a full cache line of doubles so feature rows keep a
-  // fixed 64-byte-aligned distance and a grown plane is only reallocated
-  // when the capacity line is actually crossed. reserve() floors the
-  // stride at the reserved capacity, so churn admissions after a reserve
-  // never regrow the plane.
+  // fixed 64-byte-aligned distance. The stride follows the peak live slot
+  // count, so only the rows live slots use are ever written; the storage
+  // behind it is reserved (untouched) for the widest plane at the
+  // reserve() count, so churn admissions growing the stride never
+  // reallocate.
   constexpr std::size_t kPad = 8;
-  const std::size_t want = std::max(slot_pid_.size(), reserved_capacity_);
-  const std::size_t stride =
-      std::max(plane_stride_, (want + kPad - 1) / kPad * kPad);
+  const auto padded = [](std::size_t n) {
+    return (n + kPad - 1) / kPad * kPad;
+  };
+  plane_.reserve(3 * hpc::kFeatureDim * padded(reserved_capacity_));
+  const std::size_t stride = std::max(plane_stride_, padded(slot_pid_.size()));
   if (stride == plane_stride_ && plane_.size() == plane_rows() * stride) {
     return;
   }
@@ -202,37 +205,34 @@ void SimSystem::enable_counter_rng() {
   for (util::Rng& r : rng_s_) r = util::Rng::counter_stream(r());
 }
 
-void SimSystem::enable_bounded_history(std::size_t capacity) {
+void SimSystem::set_history_window(std::size_t window) {
   if (epoch_open_) {
-    throw std::logic_error("SimSystem::enable_bounded_history: epoch open");
+    throw std::logic_error("SimSystem::set_history_window: epoch open");
   }
-  if (capacity == 0) {
-    throw std::invalid_argument(
-        "SimSystem::enable_bounded_history: zero capacity");
-  }
-  for (const ColdProc& cold : cold_) {
-    if (cold.history.size() > capacity) {
-      throw std::logic_error(
-          "SimSystem::enable_bounded_history: an existing history already "
-          "exceeds the capacity");
+  if (window == history_window_) return;
+  for (ColdProc& cold : cold_) {
+    // Straighten a wrapped ring to oldest-first (head 0), the layout both
+    // a grown ring and a trimmed one continue from.
+    std::rotate(cold.history.begin(),
+                cold.history.begin() + static_cast<std::ptrdiff_t>(cold.head),
+                cold.history.end());
+    cold.head = 0;
+    if (cold.history.size() > window) {
+      cold.history.erase(cold.history.begin(),
+                         cold.history.end() -
+                             static_cast<std::ptrdiff_t>(window));
+      cold.history.shrink_to_fit();
     }
   }
-  // Every history is a straight oldest-first buffer here (heads are 0), so
-  // an exactly-full one starts overwriting at index 0 — its oldest sample.
-  history_cap_ = capacity;
+  history_window_ = window;
 }
 
 void SimSystem::history_spans(const ColdProc& cold,
                               std::span<const hpc::HpcSample>& older,
                               std::span<const hpc::HpcSample>& wrap) const {
-  if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
-      cold.head != 0) {
-    older = {cold.history.data() + cold.head, history_cap_ - cold.head};
-    wrap = {cold.history.data(), cold.head};
-  } else {
-    older = {cold.history.data(), cold.history.size()};
-    wrap = {};
-  }
+  // head advances only once a ring is full, so a nonzero head is a wrap.
+  older = {cold.history.data() + cold.head, cold.history.size() - cold.head};
+  wrap = {cold.history.data(), cold.head};
 }
 
 SimSystem::HistoryView SimSystem::history_view(ProcessId pid) const {
@@ -322,10 +322,13 @@ bool SimSystem::step_slot(std::size_t slot) {
   } else {
     invalid_streak_s_[slot] = 0;
     last_sample_s_[slot] = step.hpc;
-    if (history_cap_ != 0 && cold.history.size() == history_cap_) {
-      // Bounded ring: overwrite the oldest retained sample in place.
-      cold.history[cold.head] = step.hpc;
-      cold.head = cold.head + 1 == history_cap_ ? 0 : cold.head + 1;
+    if (cold.history.size() == history_window_) {
+      // Full ring: overwrite the oldest retained sample in place. At
+      // window 0 nothing is retained, and the row's history is untouched.
+      if (history_window_ != 0) {
+        cold.history[cold.head] = step.hpc;
+        cold.head = cold.head + 1 == history_window_ ? 0 : cold.head + 1;
+      }
     } else {
       cold.history.push_back(step.hpc);
     }
@@ -593,10 +596,8 @@ void SimSystem::run_epochs(std::size_t n, util::ThreadPool* pool) {
 void SimSystem::reserve_history(std::size_t epochs) {
   for (const std::uint32_t row : row_s_) {
     std::vector<hpc::HpcSample>& history = cold_[row].history;
-    std::size_t want = history.size() + epochs;
-    // A bounded ring never grows past its capacity.
-    if (history_cap_ != 0) want = std::min(want, history_cap_);
-    history.reserve(want);
+    // A ring never grows past the history window.
+    history.reserve(std::min(history.size() + epochs, history_window_));
   }
 }
 
@@ -914,7 +915,7 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
   image.retire_pending = retire_pending_;
   image.recycle_histories = recycle_histories_;
   image.counter_rng = counter_rng_;
-  image.history_capacity = history_cap_;
+  image.history_window = history_window_;
   image.total_spawned = next_pid_;
   image.retention_enabled = retention_enabled_;
   image.retention_epochs = retention_epochs_;
@@ -926,7 +927,7 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
 
   image.slots.reserve(slot_pid_.size());
   for (std::size_t s = 0; s < slot_pid_.size(); ++s) {
-    snapshot::SlotImage slot;
+    snapshot::SlotImage& slot = image.slots.emplace_back();
     slot.pid = slot_pid_[s];
     slot.rng = rng_s_[s].state();
     slot.cgroup = cgroup_s_[s];
@@ -938,7 +939,6 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
     slot.exit = static_cast<std::uint8_t>(exit_s_[s]);
     slot.invalid_streak = invalid_streak_s_[s];
     slot.feature_streak = feature_streak_s_[s];
-    image.slots.push_back(std::move(slot));
   }
 
   // Keyed cold rows, canonicalized to ascending-pid order: the pid map's
@@ -952,31 +952,25 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
   std::sort(tracked.begin(), tracked.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  // Rows are most of an image: fill them in place.
   image.procs.reserve(tracked.size());
   for (const auto& [pid, rec] : tracked) {
     const ColdProc& cold = cold_[rec.row];
-    snapshot::ProcImage proc;
+    snapshot::ProcImage& proc = image.procs.emplace_back();
     proc.pid = pid;
     proc.slot = rec.slot;
     if (cold.workload != nullptr) {
       proc.workload = snapshot::poly_image(*cold.workload);
     }
-    if (history_cap_ != 0 && cold.history.size() == history_cap_ &&
-        cold.head != 0) {
-      // Linearize a wrapped ring oldest-first, so the image is layout-
-      // independent and a restored ring restarts with head 0 pointing at
-      // its (then-oldest) first element.
-      proc.history.reserve(history_cap_);
-      proc.history.insert(proc.history.end(),
-                          cold.history.begin() +
-                              static_cast<std::ptrdiff_t>(cold.head),
-                          cold.history.end());
-      proc.history.insert(proc.history.end(), cold.history.begin(),
-                          cold.history.begin() +
-                              static_cast<std::ptrdiff_t>(cold.head));
-    } else {
-      proc.history = cold.history;
-    }
+    // Linearize a wrapped ring oldest-first, so the image is layout-
+    // independent and a restored ring restarts with head 0 pointing at
+    // its (then-oldest) first element.
+    std::span<const hpc::HpcSample> older;
+    std::span<const hpc::HpcSample> wrap;
+    history_spans(cold, older, wrap);
+    proc.history.reserve(cold.history.size());
+    proc.history.insert(proc.history.end(), older.begin(), older.end());
+    proc.history.insert(proc.history.end(), wrap.begin(), wrap.end());
     proc.retired_cgroup = cold.retired.cgroup;
     proc.retired_effective = cold.retired.effective;
     proc.retired_last_sample = cold.retired.last_sample;
@@ -984,7 +978,6 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
     proc.retired_last_progress = cold.retired.last_progress;
     proc.retired_epochs_run = cold.retired.epochs_run;
     proc.retired_exit = static_cast<std::uint8_t>(cold.retired.exit);
-    image.procs.push_back(std::move(proc));
   }
 
   // Already ascending-pid (factor_entries canonicalizes), and exactly the
@@ -1046,12 +1039,10 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
                         "restore: scheduler entry inconsistent with its row");
     }
   }
-  if (image.history_capacity != 0) {
-    for (const snapshot::ProcImage& proc : image.procs) {
-      if (proc.history.size() > image.history_capacity) {
-        throw SerialError(SerialError::Code::kMalformed,
-                          "restore: history exceeds its bounded capacity");
-      }
+  for (const snapshot::ProcImage& proc : image.procs) {
+    if (proc.history.size() > image.history_window) {
+      throw SerialError(SerialError::Code::kMalformed,
+                        "restore: history exceeds the history window");
     }
   }
   // Rows are ascending-pid (just checked), so pid -> row index resolves by
@@ -1144,7 +1135,7 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   // into a counter-mode system — or vice versa — replays faithfully.
   counter_rng_ = image.counter_rng;
   rng_.set_counter_mode(counter_rng_);
-  history_cap_ = image.history_capacity;
+  history_window_ = static_cast<std::size_t>(image.history_window);
   epoch_ = image.epoch;
   retire_pending_ = image.retire_pending;
   recycle_histories_ = image.recycle_histories;

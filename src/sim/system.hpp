@@ -8,15 +8,19 @@
 // arrays indexed by *live slot* (rng, cgroup caps, effective shares, last
 // sample, window accumulator, last progress, epoch count, exit flag), kept
 // compact by a stable compaction pass whenever a process exits. Cold state
-// (the workload object, the growing sample history, and a snapshot of the
-// hot fields taken when the process retires) sits in separate pooled rows
-// so it never pollutes the hot stride. A robin-hood pid map
-// (util::PidMap<PidRec>: pid -> {slot, cold row}) makes every pid-addressed
-// accessor O(1) while the epoch loop walks slots 0..live-1 with unit
-// stride — and, unlike the dense pid-indexed remap it replaces, its memory
-// is O(tracked processes), not O(every pid ever spawned): under churn with
-// the retention policy armed (enable_retirement_retention) a 10M-spawn run
-// holding thousands live keeps a thousands-sized table forever.
+// (the workload object, the retained window of raw samples, and a snapshot
+// of the hot fields taken when the process retires) sits in separate pooled
+// rows so it never pollutes the hot stride. How many raw samples a row
+// retains is one number, the history window (set_history_window): every
+// sample for a bare system, and exactly what its detectors read once a
+// ValkyrieEngine drives it — none at all for vote and summary detectors.
+// A robin-hood pid map (util::PidMap<PidRec>: pid -> {slot, cold row})
+// makes every pid-addressed accessor O(1) while the epoch loop walks slots
+// 0..live-1 with unit stride — and, unlike the dense pid-indexed remap it
+// replaces, its memory is O(tracked processes), not O(every pid ever
+// spawned): under churn with the retention policy armed
+// (enable_retirement_retention) a 10M-spawn run holding thousands live
+// keeps a thousands-sized table forever.
 //
 // An epoch splits into a serial global phase (begin_epoch: one CFS
 // total-weight pass over the live list, so each share lookup is O(1)), a
@@ -157,8 +161,9 @@ class SimSystem {
   void run_epochs(std::size_t n, util::ThreadPool* pool = nullptr);
 
   /// Pre-reserves capacity for `epochs` further samples in every live
-  /// process's history, so the per-epoch hot path performs no heap
-  /// allocation until the reservation is exhausted.
+  /// process's history, capped at the history window (nothing at window
+  /// 0), so the per-epoch hot path performs no heap allocation until the
+  /// reservation is exhausted.
   void reserve_history(std::size_t epochs);
 
   // --- Epoch driver API -----------------------------------------------------
@@ -186,9 +191,9 @@ class SimSystem {
   void begin_epoch();
 
   /// Runs one live slot's process for the open epoch: effective shares,
-  /// workload execution, HPC capture, history append, window fold. Safe to
-  /// call concurrently for distinct slots. Returns true if the workload ran
-  /// to natural completion this epoch.
+  /// workload execution, HPC capture, history append (within the history
+  /// window), window fold. Safe to call concurrently for distinct slots.
+  /// Returns true if the workload ran to natural completion this epoch.
   bool step_slot(std::size_t slot);
 
   /// Serial epoch-close phase: advances the epoch count, then commits
@@ -266,26 +271,29 @@ class SimSystem {
     return counter_rng_;
   }
 
-  // --- Bounded ring histories -----------------------------------------------
+  // --- History window --------------------------------------------------------
 
-  /// Caps every process's sample history at `capacity` samples, kept in a
-  /// fixed-size ring: once full, the oldest sample is overwritten in place,
-  /// so multi-thousand-epoch runs stop growing memory linearly. Consumers
-  /// see the logical window as a span pair (WindowSummary::window /
-  /// window_wrap, oldest first); sample_history() keeps returning the raw
-  /// buffer, whose order is the ring's once wrapped. Streaming statistics
-  /// are unaffected (the accumulator folds every sample regardless of what
-  /// the ring retains). Throws if an epoch is open, capacity is zero, or a
-  /// process's history already exceeds the capacity.
-  void enable_bounded_history(std::size_t capacity);
+  /// How many of the newest raw samples every process's history retains:
+  /// 0 appends nothing (step_slot never touches the cold row's history), a
+  /// finite n keeps a fixed-size ring of the newest n — once full, the
+  /// oldest sample is overwritten in place — and ml::Detector::kWholeWindow
+  /// (the default of a bare system) keeps every sample. Consumers see the
+  /// retained window as a span pair (WindowSummary::window / window_wrap,
+  /// oldest first). Streaming statistics are unaffected: the accumulator
+  /// folds every sample regardless of what the history retains.
+  /// ValkyrieEngine sets this from its detector's raw_window(). Shrinking
+  /// trims every existing history to its newest `window` samples; widening
+  /// keeps what is retained and grows from there. Throws std::logic_error
+  /// while an epoch is open.
+  void set_history_window(std::size_t window);
 
-  [[nodiscard]] std::size_t history_capacity() const noexcept {
-    return history_cap_;
+  [[nodiscard]] std::size_t history_window() const noexcept {
+    return history_window_;
   }
 
   /// Ordered view of one process's retained samples: `older` then `newer`
-  /// is oldest-first (`newer` is empty until the ring wraps, so unbounded
-  /// histories read as a single span).
+  /// is oldest-first (`newer` is empty until a finite ring wraps, so
+  /// whole-window histories read as a single span).
   struct HistoryView {
     std::span<const hpc::HpcSample> older{};
     std::span<const hpc::HpcSample> newer{};
@@ -427,16 +435,20 @@ class SimSystem {
   /// Most recent HPC sample (empty sample before the first epoch).
   [[nodiscard]] const hpc::HpcSample& last_sample(ProcessId pid) const;
 
-  /// All samples captured so far, oldest first. Empty for a retired pid
-  /// whose buffer was reclaimed by the retirement pool.
+  /// The retained raw samples: every sample captured so far, oldest first,
+  /// under the whole-window default; only the newest history_window() of
+  /// them otherwise, in ring order once a finite ring has wrapped
+  /// (history_view() reads them oldest-first); empty at window 0. Empty
+  /// too for a retired pid whose buffer was reclaimed by the retirement
+  /// pool.
   [[nodiscard]] const std::vector<hpc::HpcSample>& sample_history(
       ProcessId pid) const;
 
   /// Streaming statistics over the process's accumulated window, maintained
   /// in O(kFeatureDim) per epoch alongside the history (so per-epoch
   /// inference never re-derives features from the full window). The
-  /// returned summary carries the raw window span for detectors that still
-  /// need it.
+  /// returned summary carries the retained raw window for detectors that
+  /// read it.
   [[nodiscard]] ml::WindowSummary window_summary(ProcessId pid) const;
 
   /// The accumulator itself (for callers that only want the running stats).
@@ -523,9 +535,10 @@ class SimSystem {
   struct ColdProc {
     std::unique_ptr<Workload> workload;
     std::vector<hpc::HpcSample> history;
-    /// Ring write position under bounded histories: once the buffer holds
-    /// history_cap_ samples, the next sample overwrites history[head] (the
-    /// oldest). Always 0 while unbounded or still filling.
+    /// Ring write position under a finite history window: once the buffer
+    /// holds history_window_ samples, the next sample overwrites
+    /// history[head] (the oldest). Always 0 while the ring is filling, so
+    /// a nonzero head means the ring has wrapped.
     std::size_t head = 0;
     RetiredState retired{};
   };
@@ -574,9 +587,11 @@ class SimSystem {
   void retire_dead_slots();
 
   /// Grows the plane to the current slot count and armed rows; never
-  /// shrinks. A growth wipes the columns instead of migrating them — the
-  /// next per-slot phase rewrites every live column before anything reads
-  /// it. No-op when the plane is disabled.
+  /// shrinks, so the stride follows the peak live slot count. A growth
+  /// wipes the columns instead of migrating them — the next per-slot phase
+  /// rewrites every live column before anything reads it. After reserve()
+  /// the storage already has capacity for the widest plane at the reserved
+  /// count, so growth allocates nothing. No-op when the plane is disabled.
   void reserve_plane();
 
   /// Rows the plane carries: one kFeatureDim group per armed section
@@ -587,7 +602,7 @@ class SimSystem {
   }
 
   /// The process's retained window as the oldest-first span pair (wrap
-  /// empty until a bounded ring actually wraps).
+  /// empty until a finite ring actually wraps).
   void history_spans(const ColdProc& cold,
                      std::span<const hpc::HpcSample>& older,
                      std::span<const hpc::HpcSample>& wrap) const;
@@ -649,15 +664,14 @@ class SimSystem {
   bool plane_enabled_ = false;
   bool plane_newest_ = false;  // maintain the newest-feature rows
   bool plane_stats_ = false;   // maintain the mean/stddev rows
-  std::size_t plane_stride_ = 0;  // slot capacity padded to 8 doubles,
-                                  // floored at the reserve() capacity
+  std::size_t plane_stride_ = 0;  // peak live slots padded to 8 doubles
   std::vector<double> plane_;  // plane_rows() x plane_stride_, feature-major:
                                // [newest rows][mean rows][stddev rows]
   std::vector<std::size_t> plane_count_;  // per-slot measurement count
 
-  // --- Counter RNG / bounded history (see the enable_* docs) ---------------
+  // --- Counter RNG / history window (see the enable_*/set_* docs) ----------
   bool counter_rng_ = false;
-  std::size_t history_cap_ = 0;  // 0 = unbounded
+  std::size_t history_window_ = ml::Detector::kWholeWindow;
 
   // --- Open-epoch state -----------------------------------------------------
   double epoch_total_weight_ = 0.0;
@@ -686,8 +700,8 @@ class SimSystem {
   // recycle_histories_ is set.
   std::vector<std::vector<hpc::HpcSample>> history_pool_;
   bool recycle_histories_ = false;
-  // Floor for hot-array/plane capacity set by reserve(), so plane growth
-  // under churn never reallocates once reserved.
+  // Capacity set by reserve(): the plane storage is reserved for the widest
+  // plane at this count, so stride growth under churn never reallocates.
   std::size_t reserved_capacity_ = 0;
   // --- Retirement retention (see enable_retirement_retention) ---------------
   bool retention_enabled_ = false;

@@ -72,6 +72,7 @@ struct ProcImage {
   /// epoch boundaries where the admission queues are provably empty).
   std::uint32_t slot = 0;
   PolyImage workload;  // absent when reclaimed by the retirement pool
+  /// The retained raw samples only (at most SystemImage::history_window).
   std::vector<hpc::HpcSample> history;
   // RetiredState, verbatim.
   sim::ResourceShares retired_cgroup{};
@@ -105,10 +106,12 @@ struct SystemImage {
   /// only state; the KIND must travel too, or a restored counter-mode run
   /// would replay through xoshiro scrambles and diverge.
   bool counter_rng = false;
-  /// Bounded-history ring capacity, 0 = unbounded (v4). Histories are
-  /// always serialized linearized oldest-first, so this is the only ring
-  /// state the image needs (restored heads start at 0).
-  std::uint64_t history_capacity = 0;
+  /// The history window (v6; v4/v5 carried a ring capacity with 0 =
+  /// unbounded): how many newest raw samples each history retains, with
+  /// ml::Detector::kWholeWindow meaning all of them and 0 none. Histories
+  /// are always serialized linearized oldest-first, so this is the only
+  /// ring state the image needs (restored heads start at 0).
+  std::uint64_t history_window = static_cast<std::uint64_t>(-1);
 
   /// Total pids ever allocated (v5): the restore target's next spawn gets
   /// pid total_spawned. Decoupled from procs.size() now that reclaimed
@@ -159,8 +162,12 @@ struct AttachmentImage {
   std::uint64_t terminal_hash = 0;  // terminal detector fingerprint
   std::uint64_t stream_malicious = 0;
   std::uint64_t stream_counted = 0;
+  /// Measurements a stream's catch-up skipped because the system no
+  /// longer retained them (v6; see ml::StreamingInference).
+  std::uint64_t stream_skipped = 0;
   std::uint64_t terminal_malicious = 0;
   std::uint64_t terminal_counted = 0;
+  std::uint64_t terminal_skipped = 0;  // v6
   /// The OBSERVABLE action view, canonicalized at capture: the raw
   /// (last_action, last_action_step) pair also records idle kNone visits,
   /// which a restored engine cannot reproduce, so capture stores what
@@ -225,7 +232,7 @@ struct DriverImage {
 
 /// A complete decoded snapshot.
 struct SnapshotImage {
-  std::uint32_t version = 5;
+  std::uint32_t version = 6;
   SystemImage system;
   EngineImage engine;
   bool has_driver = false;

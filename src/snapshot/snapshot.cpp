@@ -11,6 +11,7 @@
 namespace valkyrie::snapshot {
 namespace {
 
+using util::ByteCursor;
 using util::ByteReader;
 using util::ByteWriter;
 using util::SerialError;
@@ -30,10 +31,14 @@ constexpr std::array<std::uint8_t, 8> kMagic = {'V', 'L', 'K', 'Y',
 // retention state (policy flags + pending reclamation queue) — a v4
 // image's dense positional tables cannot represent a run whose reclaimed
 // pids have no row at all.
+// v6 sizes histories by what the detectors read: the v4 ring capacity
+// field becomes the history window (kWholeWindow = every sample, 0 = none),
+// histories carry only the retained window, and each attachment carries
+// its two streams' skip counters.
 // Older snapshots are refused rather than defaulted: the restore contract
 // is bit-replay, and an older capture cannot promise the newer fields were
 // all zero at capture time.
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 
 constexpr std::uint32_t fourcc(char a, char b, char c, char d) noexcept {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -62,14 +67,17 @@ constexpr std::size_t kEmptyPolyBytes = 8 + 8;  // two zero length prefixes
 static_assert(kMinSlotBytes == 4 + kRngBytes + 2 * kSharesBytes + kSampleBytes +
                                    kAccumBytes + 8 + 8 + 1 + 8 +
                                    4 * hpc::kFeatureDim);
+// A row's retired state: cgroup/effective, last sample, accum, progress,
+// epochs, exit.
+constexpr std::size_t kRetiredBytes =
+    2 * kSharesBytes + kSampleBytes + kAccumBytes + 8 + 8 + 1;
 // pid, slot, workload, history count, the retired state
-static_assert(kMinRowBytes == 4 + 4 + kEmptyPolyBytes + 8 + 2 * kSharesBytes +
-                                  kSampleBytes + kAccumBytes + 8 + 8 + 1);
+static_assert(kMinRowBytes == 4 + 4 + kEmptyPolyBytes + 8 + kRetiredBytes);
 // pid, monitor config, actuator, threat/penalty/compensation, threat
-// state, measurements, state, terminal flag and hash, four verdict
+// state, measurements, state, terminal flag and hash, six verdict
 // counters, last action and its step
 static_assert(kMinAttachmentBytes == 4 + 8 + 1 + 1 + kEmptyPolyBytes + 3 * 8 +
-                                         1 + 8 + 1 + 1 + 8 + 4 * 8 + 1 + 8);
+                                         1 + 8 + 1 + 1 + 8 + 6 * 8 + 1 + 8);
 // pid, kind, delta, failures, next epoch
 static_assert(kMinRetryBytes == 4 + 1 + 8 + 4 + 8);
 // {pid, 8-byte word}: retire queue, scheduler entries, departures
@@ -77,7 +85,7 @@ constexpr std::size_t kPidPairBytes = 4 + 8;
 constexpr std::size_t kFramingBytes = 4 + 8 + 4;  // fourcc, length, CRC
 // Each section's fields outside its tables, table counts included.
 // System: eight scheduler/platform numbers, RNG, epoch, three flags,
-// history capacity, total spawned, retention flag and window, four counts.
+// history window, total spawned, retention flag and window, four counts.
 constexpr std::size_t kSystemFixedBytes =
     8 * 8 + kRngBytes + 8 + 3 + 8 + 8 + 1 + 8 + 4 * 8;
 // Engine: detector hash, step tag, two counts.
@@ -87,8 +95,12 @@ constexpr std::size_t kEngineFixedBytes = 8 + 8 + 2 * 8;
 constexpr std::size_t kDriverFixedBytes = 8 + kRngBytes + 9 * 8 + 5 * 8;
 
 // --- Field-group helpers -----------------------------------------------------
+// The put_* helpers write through a ByteWriter, or through the ByteCursor
+// of one ByteWriter::run when a whole fixed-width group (a slot, a row's
+// retired state) is written with a single growth.
 
-void put_rng(ByteWriter& out, const std::array<std::uint64_t, 4>& state) {
+template <class Out>
+void put_rng(Out& out, const std::array<std::uint64_t, 4>& state) {
   for (const std::uint64_t word : state) out.u64(word);
 }
 
@@ -98,7 +110,8 @@ std::array<std::uint64_t, 4> get_rng(ByteReader& in) {
   return state;
 }
 
-void put_shares(ByteWriter& out, const sim::ResourceShares& s) {
+template <class Out>
+void put_shares(Out& out, const sim::ResourceShares& s) {
   out.f64(s.cpu);
   out.f64(s.mem);
   out.f64(s.net);
@@ -114,7 +127,8 @@ sim::ResourceShares get_shares(ByteReader& in) {
   return s;
 }
 
-void put_sample(ByteWriter& out, const hpc::HpcSample& sample) {
+template <class Out>
+void put_sample(Out& out, const hpc::HpcSample& sample) {
   out.f64_block(sample.counts);
 }
 
@@ -124,7 +138,8 @@ hpc::HpcSample get_sample(ByteReader& in) {
   return sample;
 }
 
-void put_features(ByteWriter& out, const hpc::FeatureVec& vec) {
+template <class Out>
+void put_features(Out& out, const hpc::FeatureVec& vec) {
   out.f64_block(vec);
 }
 
@@ -134,7 +149,8 @@ hpc::FeatureVec get_features(ByteReader& in) {
   return vec;
 }
 
-void put_accum(ByteWriter& out, const ml::WindowAccumulator::State& s) {
+template <class Out>
+void put_accum(Out& out, const ml::WindowAccumulator::State& s) {
   out.u64(s.count);
   put_features(out, s.mean);
   put_features(out, s.m2);
@@ -185,7 +201,7 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
   out.boolean(sys.retire_pending);
   out.boolean(sys.recycle_histories);
   out.boolean(sys.counter_rng);     // v4
-  out.u64(sys.history_capacity);    // v4
+  out.u64(sys.history_window);      // v6 (v4: ring capacity)
   out.u64(sys.total_spawned);       // v5
   out.boolean(sys.retention_enabled);  // v5
   out.u64(sys.retention_epochs);       // v5
@@ -197,17 +213,18 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
 
   out.u64(sys.slots.size());
   for (const SlotImage& slot : sys.slots) {
-    out.u32(slot.pid);
-    put_rng(out, slot.rng);
-    put_shares(out, slot.cgroup);
-    put_shares(out, slot.effective);
-    put_sample(out, slot.last_sample);
-    put_accum(out, slot.accum);
-    out.f64(slot.last_progress);
-    out.u64(slot.epochs_run);
-    out.u8(slot.exit);
-    out.u64(slot.invalid_streak);
-    for (const std::uint32_t fs : slot.feature_streak) out.u32(fs);  // v3
+    ByteCursor run = out.run(kMinSlotBytes);  // a slot is all fixed-width
+    run.u32(slot.pid);
+    put_rng(run, slot.rng);
+    put_shares(run, slot.cgroup);
+    put_shares(run, slot.effective);
+    put_sample(run, slot.last_sample);
+    put_accum(run, slot.accum);
+    run.f64(slot.last_progress);
+    run.u64(slot.epochs_run);
+    run.u8(slot.exit);
+    run.u64(slot.invalid_streak);
+    for (const std::uint32_t fs : slot.feature_streak) run.u32(fs);  // v3
   }
 
   out.u64(sys.procs.size());
@@ -217,13 +234,14 @@ void encode_system(ByteWriter& out, const SystemImage& sys) {
     put_poly(out, proc.workload);
     out.u64(proc.history.size());
     out.f64_rows(std::span(proc.history), &hpc::HpcSample::counts);
-    put_shares(out, proc.retired_cgroup);
-    put_shares(out, proc.retired_effective);
-    put_sample(out, proc.retired_last_sample);
-    put_accum(out, proc.retired_accum);
-    out.f64(proc.retired_last_progress);
-    out.u64(proc.retired_epochs_run);
-    out.u8(proc.retired_exit);
+    ByteCursor retired = out.run(kRetiredBytes);
+    put_shares(retired, proc.retired_cgroup);
+    put_shares(retired, proc.retired_effective);
+    put_sample(retired, proc.retired_last_sample);
+    put_accum(retired, proc.retired_accum);
+    retired.f64(proc.retired_last_progress);
+    retired.u64(proc.retired_epochs_run);
+    retired.u8(proc.retired_exit);
   }
 
   out.u64(sys.sched_entries.size());  // v5: keyed {pid, factor} entries
@@ -248,7 +266,7 @@ SystemImage decode_system(ByteReader& in) {
   sys.retire_pending = in.boolean();
   sys.recycle_histories = in.boolean();
   sys.counter_rng = in.boolean();
-  sys.history_capacity = in.u64();
+  sys.history_window = in.u64();
   sys.total_spawned = in.u64();
   sys.retention_enabled = in.boolean();
   sys.retention_epochs = in.u64();
@@ -324,8 +342,10 @@ void encode_engine(ByteWriter& out, const EngineImage& engine) {
     out.u64(att.terminal_hash);
     out.u64(att.stream_malicious);
     out.u64(att.stream_counted);
+    out.u64(att.stream_skipped);  // v6
     out.u64(att.terminal_malicious);
     out.u64(att.terminal_counted);
+    out.u64(att.terminal_skipped);  // v6
     out.u8(att.last_action);
     out.u64(att.last_action_step);
   }
@@ -360,8 +380,10 @@ EngineImage decode_engine(ByteReader& in) {
     att.terminal_hash = in.u64();
     att.stream_malicious = in.u64();
     att.stream_counted = in.u64();
+    att.stream_skipped = in.u64();
     att.terminal_malicious = in.u64();
     att.terminal_counted = in.u64();
+    att.terminal_skipped = in.u64();
     att.last_action = in.u8();
     att.last_action_step = in.u64();
   }
@@ -752,7 +774,7 @@ std::vector<FieldDiff> diff(const SnapshotImage& a, const SnapshotImage& b) {
   d.u64("system.recycle_histories", sa.recycle_histories,
         sb.recycle_histories);
   d.u64("system.counter_rng", sa.counter_rng, sb.counter_rng);
-  d.u64("system.history_capacity", sa.history_capacity, sb.history_capacity);
+  d.u64("system.history_window", sa.history_window, sb.history_window);
   d.u64("system.total_spawned", sa.total_spawned, sb.total_spawned);
   d.u64("system.retention_enabled", sa.retention_enabled,
         sb.retention_enabled);
@@ -848,10 +870,13 @@ std::vector<FieldDiff> diff(const SnapshotImage& a, const SnapshotImage& b) {
     d.u64(path + ".stream_malicious", aa.stream_malicious,
           ab.stream_malicious);
     d.u64(path + ".stream_counted", aa.stream_counted, ab.stream_counted);
+    d.u64(path + ".stream_skipped", aa.stream_skipped, ab.stream_skipped);
     d.u64(path + ".terminal_malicious", aa.terminal_malicious,
           ab.terminal_malicious);
     d.u64(path + ".terminal_counted", aa.terminal_counted,
           ab.terminal_counted);
+    d.u64(path + ".terminal_skipped", aa.terminal_skipped,
+          ab.terminal_skipped);
     d.u64(path + ".last_action", aa.last_action, ab.last_action);
     d.u64(path + ".last_action_step", aa.last_action_step,
           ab.last_action_step);

@@ -87,7 +87,7 @@ struct RestoreContext {
 inline constexpr std::size_t kSampleBytes = hpc::kNumEvents * sizeof(double);
 inline constexpr std::size_t kMinSlotBytes = 665;
 inline constexpr std::size_t kMinRowBytes = 605;
-inline constexpr std::size_t kMinAttachmentBytes = 114;
+inline constexpr std::size_t kMinAttachmentBytes = 130;
 inline constexpr std::size_t kMinRetryBytes = 25;
 
 /// Decodes and validates a snapshot byte stream. Registry-free: workloads

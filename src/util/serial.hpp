@@ -12,7 +12,10 @@
 // or store, written as a shift expression the compiler folds into a single
 // mov. Runs of doubles — samples, feature vectors, whole histories — go
 // through the block calls (f64_block, f64_rows): one check for the whole
-// run, then a tight loop. crc32 is slicing-by-16 over constexpr tables.
+// run, then a tight loop. crc32 folds runs of 64+ bytes with carry-less
+// multiplication (PCLMULQDQ) on x86-64 CPUs that have it — snapshot
+// sections are megabytes, and the table walk was a third of encode — and
+// is slicing-by-16 over constexpr tables otherwise and for the tail.
 //
 // Every reader operation validates against the remaining byte count before
 // touching memory and throws a typed SerialError on violation, so a
@@ -149,10 +152,22 @@ inline constexpr auto kCrc32Tables = [] {
   return tables;
 }();
 
+/// True when this CPU can run crc32_clmul (x86-64 with PCLMULQDQ and
+/// SSE4.1); decided once, at the first call.
+[[nodiscard]] bool crc32_clmul_available() noexcept;
+
+/// Advances the running (pre-inversion) CRC-32 state `crc` over `n` bytes
+/// at `p` by folding 64-byte blocks with carry-less multiplication, then
+/// Barrett-reducing. Pre: crc32_clmul_available(), n >= 64, n % 16 == 0.
+[[nodiscard]] std::uint32_t crc32_clmul(const std::uint8_t* p, std::size_t n,
+                                        std::uint32_t crc) noexcept;
+
 }  // namespace detail
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span,
-/// sixteen bytes per step; only the final <16 bytes go one at a time.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span:
+/// the 16-byte-aligned bulk of a run of 64+ bytes through the carry-less
+/// multiply fold where the CPU has one, then sixteen bytes per table step;
+/// only the final <16 bytes go one at a time.
 [[nodiscard]] inline std::uint32_t crc32(
     std::span<const std::uint8_t> bytes) noexcept {
   const auto& t = detail::kCrc32Tables;
@@ -165,6 +180,12 @@ inline constexpr auto kCrc32Tables = [] {
   std::uint32_t crc = 0xffffffffu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
+  if (n >= 64 && detail::crc32_clmul_available()) {
+    const std::size_t bulk = n & ~std::size_t{15};
+    crc = detail::crc32_clmul(p, bulk, crc);
+    p += bulk;
+    n -= bulk;
+  }
   for (; n >= 16; p += 16, n -= 16) {
     crc = fold(detail::load_le32(p) ^ crc, 15) ^
           fold(detail::load_le32(p + 4), 11) ^
@@ -174,6 +195,35 @@ inline constexpr auto kCrc32Tables = [] {
   for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
+
+/// Stores little-endian primitives into bytes already grown for them (see
+/// ByteWriter::run): the same encodings as ByteWriter's field calls, with
+/// no per-field growth, for a group of fields whose total width is fixed.
+class ByteCursor {
+ public:
+  explicit ByteCursor(std::uint8_t* p) noexcept : p_(p) {}
+
+  void u8(std::uint8_t v) noexcept { *p_++ = v; }
+
+  void u32(std::uint32_t v) noexcept {
+    detail::store_le32(p_, v);
+    p_ += sizeof(v);
+  }
+
+  void u64(std::uint64_t v) noexcept {
+    detail::store_le64(p_, v);
+    p_ += sizeof(v);
+  }
+
+  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
+
+  void f64_block(std::span<const double> values) noexcept {
+    p_ = detail::store_f64s(p_, values);
+  }
+
+ private:
+  std::uint8_t* p_;
+};
 
 /// Appends little-endian primitives to a growing byte buffer. Every call
 /// grows the buffer once, by the call's full width, then stores into it.
@@ -198,6 +248,10 @@ class ByteWriter {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
+
+  /// Grows the buffer once by `n` bytes for a fixed-width group of fields
+  /// the caller then stores through the cursor; it must store exactly `n`.
+  [[nodiscard]] ByteCursor run(std::size_t n) { return ByteCursor(extend(n)); }
 
   void bytes(std::span<const std::uint8_t> data) {
     std::copy(data.begin(), data.end(), extend(data.size()));

@@ -9,13 +9,21 @@
 // (attach / detach / step / monitor / last_action), so one templated script
 // runs against either. PerSlotRoute below is the engine-side reference:
 // the same detector, served by the engine's per-slot route.
+//
+// The engine retains only the raw samples its detector reads
+// (Detector::raw_window), so a reference system keeps the same window
+// (SequentialLoop does so itself) and the suites compare Telemetry: the
+// retained samples, the newest sample and the accumulator state.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -26,10 +34,46 @@
 
 namespace valkyrie::reference {
 
+/// What a system holds of one process's telemetry.
+struct Telemetry {
+  std::vector<hpc::HpcSample> retained;  // the retained window, oldest first
+  hpc::HpcSample last_sample{};
+  ml::WindowAccumulator::State accum{};
+};
+
+inline Telemetry telemetry(const sim::SimSystem& sys, sim::ProcessId pid) {
+  Telemetry t;
+  const sim::SimSystem::HistoryView view = sys.history_view(pid);
+  for (std::size_t i = 0; i < view.size(); ++i) t.retained.push_back(view[i]);
+  t.last_sample = sys.last_sample(pid);
+  t.accum = sys.window_accumulator(pid).state();
+  return t;
+}
+
+/// Bit-exact equality of two processes' telemetry.
+inline void expect_same_telemetry(const Telemetry& a, const Telemetry& b,
+                                  const std::string& label) {
+  ASSERT_EQ(a.retained.size(), b.retained.size()) << label;
+  for (std::size_t e = 0; e < a.retained.size(); ++e) {
+    ASSERT_EQ(a.retained[e].counts, b.retained[e].counts)
+        << label << ", retained sample " << e;
+  }
+  EXPECT_EQ(a.last_sample.counts, b.last_sample.counts) << label;
+  EXPECT_EQ(a.accum.count, b.accum.count) << label;
+  EXPECT_EQ(a.accum.mean, b.accum.mean) << label;
+  EXPECT_EQ(a.accum.m2, b.accum.m2) << label;
+  EXPECT_EQ(a.accum.newest, b.accum.newest) << label;
+  EXPECT_EQ(a.accum.fcount, b.accum.fcount) << label;
+  EXPECT_EQ(a.accum.newest_mask, b.accum.newest_mask) << label;
+}
+
 class SequentialLoop {
  public:
+  /// Keeps the detector's raw window, as the engine does.
   SequentialLoop(sim::SimSystem& sys, const ml::Detector& detector)
-      : sys_(sys), detector_(detector) {}
+      : sys_(sys), detector_(detector) {
+    sys_.set_history_window(detector.raw_window());
+  }
 
   void attach(sim::ProcessId pid, core::ValkyrieConfig config,
               std::unique_ptr<core::Actuator> actuator) {
@@ -87,12 +131,16 @@ class SequentialLoop {
 
 /// Forwards everything but the plane declaration, so ValkyrieEngine serves
 /// the wrapped detector per slot: the reference the batch route must match,
-/// fault accounting included.
+/// fault accounting included. The raw window forwards too, so both routes
+/// retain the same history.
 class PerSlotRoute final : public ml::Detector {
  public:
   explicit PerSlotRoute(const ml::Detector& inner) : inner_(inner) {}
 
   [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  [[nodiscard]] std::size_t raw_window() const override {
+    return inner_.raw_window();
+  }
   [[nodiscard]] std::uint64_t state_hash() const override {
     return inner_.state_hash();
   }

@@ -316,7 +316,7 @@ struct RunResult {
   std::vector<double> progress;
   std::vector<double> sched_factors;
   std::vector<double> cpu_caps;
-  std::vector<std::vector<hpc::HpcSample>> histories;
+  std::vector<reference::Telemetry> telemetry;
 };
 
 template <typename Driver>
@@ -360,7 +360,7 @@ RunResult drive(sim::SimSystem& sys, Driver& engine) {
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
+    r.telemetry.push_back(reference::telemetry(sys, pid));
   }
   return r;
 }
@@ -393,15 +393,13 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.progress, b.progress) << label << ", " << threads;
   EXPECT_EQ(a.sched_factors, b.sched_factors) << label << ", " << threads;
   EXPECT_EQ(a.cpu_caps, b.cpu_caps) << label << ", " << threads;
-  ASSERT_EQ(a.histories.size(), b.histories.size());
-  for (std::size_t p = 0; p < a.histories.size(); ++p) {
-    ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << label << ", " << threads << " workers, attachment " << p;
-    for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
-      ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << label << ", " << threads << " workers, attachment " << p
-          << ", epoch " << e;
-    }
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (std::size_t p = 0; p < a.telemetry.size(); ++p) {
+    reference::expect_same_telemetry(a.telemetry[p], b.telemetry[p],
+                                     std::string(label) + ", " +
+                                         std::to_string(threads) +
+                                         " workers, attachment " +
+                                         std::to_string(p));
   }
 }
 

@@ -109,7 +109,7 @@ struct RunResult {
   std::vector<double> progress;
   std::vector<double> cpu_caps;
   std::vector<double> sched_factors;  // -1 marks "never entered the pool"
-  std::vector<std::vector<hpc::HpcSample>> histories;
+  std::vector<reference::Telemetry> telemetry;
   // Per attached-at-end pid: monitor internals.
   std::vector<double> threats;
   std::vector<std::size_t> measurements;
@@ -188,7 +188,7 @@ RunResult drive_churn(sim::SimSystem& sys, Driver& engine) {
                                           sim::ExitReason::kRunning
                                   ? sys.scheduler().weight_factor(pid)
                                   : -1.0);
-    r.histories.push_back(sys.sample_history(pid));
+    r.telemetry.push_back(reference::telemetry(sys, pid));
     if (engine.is_attached(pid)) {
       r.threats.push_back(engine.monitor(pid).threat());
       r.measurements.push_back(engine.monitor(pid).measurements());
@@ -221,14 +221,12 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.sched_factors, b.sched_factors) << threads << " workers";
   EXPECT_EQ(a.threats, b.threats) << threads << " workers";
   EXPECT_EQ(a.measurements, b.measurements) << threads << " workers";
-  ASSERT_EQ(a.histories.size(), b.histories.size());
-  for (std::size_t p = 0; p < a.histories.size(); ++p) {
-    ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << threads << " workers, pid " << p;
-    for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
-      ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << threads << " workers, pid " << p << ", epoch " << e;
-    }
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (std::size_t p = 0; p < a.telemetry.size(); ++p) {
+    reference::expect_same_telemetry(a.telemetry[p], b.telemetry[p],
+                                     std::to_string(threads) +
+                                         " workers, pid " +
+                                         std::to_string(p));
   }
 }
 

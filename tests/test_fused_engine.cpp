@@ -3,8 +3,9 @@
 // infer_batch (the window MLP) and no batch kernel at all (a kFull stub
 // served per slot) — an engine run must be bit-identical to the plain
 // sequential loop of sequential_loop.hpp for any worker count: actions,
-// monitor states, threat indices, measurement counts, HPC histories,
-// scheduler weights, cgroup caps, progress and exit reasons. The runs mix
+// monitor states, threat indices, measurement counts, retained HPC samples
+// and window state, scheduler weights, cgroup caps, progress and exit
+// reasons. The runs mix
 // kills, natural completions, unattached processes and a mid-run detach +
 // re-attach, so the per-slot catch-up path runs on both routes. The
 // schedule also carries a structural contract: exactly ONE pool dispatch
@@ -144,7 +145,7 @@ struct RunResult {
   std::vector<double> progress;
   std::vector<double> sched_factors;
   std::vector<double> cpu_caps;
-  std::vector<std::vector<hpc::HpcSample>> histories;
+  std::vector<reference::Telemetry> telemetry;
 };
 
 /// The shared script, against the engine or the sequential loop.
@@ -203,7 +204,7 @@ RunResult drive(sim::SimSystem& sys, Driver& driver) {
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
+    r.telemetry.push_back(reference::telemetry(sys, pid));
   }
   return r;
 }
@@ -235,14 +236,11 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.progress, b.progress) << label;
   EXPECT_EQ(a.sched_factors, b.sched_factors) << label;
   EXPECT_EQ(a.cpu_caps, b.cpu_caps) << label;
-  ASSERT_EQ(a.histories.size(), b.histories.size());
-  for (std::size_t p = 0; p < a.histories.size(); ++p) {
-    ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << label << ", attachment " << p;
-    for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
-      ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << label << ", attachment " << p << ", epoch " << e;
-    }
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (std::size_t p = 0; p < a.telemetry.size(); ++p) {
+    reference::expect_same_telemetry(a.telemetry[p], b.telemetry[p],
+                                     label + ", attachment " +
+                                         std::to_string(p));
   }
 }
 

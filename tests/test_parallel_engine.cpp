@@ -1,9 +1,10 @@
 // Determinism contract of the sharded engine: for ANY worker count, a run
 // must be bit-identical to the sequential engine — monitor states, actions,
-// threat indices, HPC histories, scheduler weights, cgroup caps and exit
-// reasons. Every process owns its Rng and window state, shares are computed
-// from a serial snapshot, and actuator commands are committed serially in
-// attachment order, so nothing may depend on thread interleaving.
+// threat indices, retained HPC samples and window state, scheduler
+// weights, cgroup caps and exit reasons. Every process owns its Rng and
+// window state, shares are computed from a serial snapshot, and actuator
+// commands are committed serially in attachment order, so nothing may
+// depend on thread interleaving.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
+#include "sequential_loop.hpp"
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -106,7 +108,7 @@ struct RunResult {
   std::vector<double> progress;
   std::vector<double> sched_factors;
   std::vector<double> cpu_caps;
-  std::vector<std::vector<hpc::HpcSample>> histories;
+  std::vector<reference::Telemetry> telemetry;
 };
 
 RunResult run_engine(std::size_t worker_threads) {
@@ -156,7 +158,7 @@ RunResult run_engine(std::size_t worker_threads) {
     r.progress.push_back(sys.workload(pid).total_progress());
     r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.histories.push_back(sys.sample_history(pid));
+    r.telemetry.push_back(reference::telemetry(sys, pid));
   }
   return r;
 }
@@ -175,14 +177,12 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.progress, b.progress) << threads << " workers";
   EXPECT_EQ(a.sched_factors, b.sched_factors) << threads << " workers";
   EXPECT_EQ(a.cpu_caps, b.cpu_caps) << threads << " workers";
-  ASSERT_EQ(a.histories.size(), b.histories.size());
-  for (std::size_t p = 0; p < a.histories.size(); ++p) {
-    ASSERT_EQ(a.histories[p].size(), b.histories[p].size())
-        << threads << " workers, pid " << p;
-    for (std::size_t e = 0; e < a.histories[p].size(); ++e) {
-      ASSERT_EQ(a.histories[p][e].counts, b.histories[p][e].counts)
-          << threads << " workers, pid " << p << ", epoch " << e;
-    }
+  ASSERT_EQ(a.telemetry.size(), b.telemetry.size());
+  for (std::size_t p = 0; p < a.telemetry.size(); ++p) {
+    reference::expect_same_telemetry(a.telemetry[p], b.telemetry[p],
+                                     std::to_string(threads) +
+                                         " workers, pid " +
+                                         std::to_string(p));
   }
 }
 

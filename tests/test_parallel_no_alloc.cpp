@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string_view>
 
 #include "core/actuator.hpp"
@@ -85,10 +86,13 @@ class SigWorkload final : public sim::Workload {
 /// the per-shard buffers without ever reaching the termination budget. The
 /// declared sections pick the route: kFull is served per slot; kNewestOnly
 /// arms a newest-only plane and takes one infer_batch call per shard (the
-/// default adapter, reading the plane's counts).
+/// default adapter, reading the plane's counts). The declared raw window,
+/// when given, overrides the route's default history window.
 class FlappingDetector final : public ml::Detector {
  public:
-  explicit FlappingDetector(PlaneSections sections) : sections_(sections) {}
+  explicit FlappingDetector(PlaneSections sections,
+                            std::optional<std::size_t> window = std::nullopt)
+      : sections_(sections), window_(window) {}
 
   [[nodiscard]] std::string_view name() const override { return "flap"; }
   [[nodiscard]] ml::Inference infer(
@@ -104,9 +108,13 @@ class FlappingDetector final : public ml::Detector {
   [[nodiscard]] PlaneSections plane_sections() const override {
     return sections_;
   }
+  [[nodiscard]] std::size_t raw_window() const override {
+    return window_ ? *window_ : Detector::raw_window();
+  }
 
  private:
   PlaneSections sections_;
+  std::optional<std::size_t> window_;
 };
 
 using Sections = ml::Detector::PlaneSections;
@@ -212,17 +220,20 @@ TEST(ParallelNoAlloc, FaultArmedIdleShardedBatchedStepIsAllocationFree) {
 // step — performs zero heap allocations: the admission queue, scheduler
 // batch ops, retirement pool, attachment table and feature plane are all
 // pre-sized.
-void expect_steady_state_churn_does_not_allocate(std::size_t worker_threads,
-                                                 Sections route) {
-  const FlappingDetector detector(route);
+void expect_steady_state_churn_does_not_allocate(
+    std::size_t worker_threads, Sections route,
+    std::optional<std::size_t> window = std::nullopt) {
+  const FlappingDetector detector(route, window);
   sim::SimSystem sys;
   ValkyrieEngine engine(sys, detector, worker_threads);
 
-  constexpr std::size_t kProcs = 24;
+  // Under a finite window the population lives longer than the ring, so
+  // every ring wraps inside the measured epochs.
+  const std::size_t kProcs = window && *window != 0 ? *window + 16 : 24;
   // The warmup must outlive the pool-priming transient: the very first
   // cold-pool arrival doubles its history until it first donates (it lives
   // kProcs epochs, so its last regrowth lands before epoch kProcs).
-  constexpr std::size_t kWarmup = 32;
+  const std::size_t kWarmup = kProcs + 8;
   constexpr std::size_t kMeasured = 48;
   sys.reserve(kProcs + kWarmup + kMeasured + 8);
   engine.reserve(kProcs + kWarmup + kMeasured + 8);
@@ -277,6 +288,13 @@ void expect_steady_state_churn_does_not_allocate(std::size_t worker_threads,
 
   EXPECT_EQ(after, before)
       << "churn epoch allocated with " << worker_threads << " workers";
+  EXPECT_EQ(sys.history_window(), detector.raw_window());
+  if (window && *window != 0) {
+    // The oldest live process has outlived its ring: it wrapped.
+    const sim::ProcessId oldest = sys.live_processes().front();
+    EXPECT_EQ(sys.sample_history(oldest).size(), *window);
+    EXPECT_FALSE(sys.history_view(oldest).newer.empty());
+  }
 }
 
 TEST(ParallelNoAlloc, SequentialPerSlotChurnIsAllocationFreeUnderReserve) {
@@ -293,6 +311,25 @@ TEST(ParallelNoAlloc, SequentialBatchedChurnIsAllocationFreeUnderReserve) {
 
 TEST(ParallelNoAlloc, ShardedBatchedChurnIsAllocationFreeUnderReserve) {
   expect_steady_state_churn_does_not_allocate(4, kBatched);
+}
+
+// The same churn at the two history windows a declaration can ask for:
+// none at all, and a 64-sample ring that wraps in steady state — on both
+// routes, sequential and sharded.
+TEST(ParallelNoAlloc, ChurnAtWindowZeroIsAllocationFreeOnBothRoutes) {
+  for (const Sections route : {kPerSlot, kBatched}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      expect_steady_state_churn_does_not_allocate(workers, route, 0);
+    }
+  }
+}
+
+TEST(ParallelNoAlloc, ChurnAtWindow64IsAllocationFreeOnBothRoutes) {
+  for (const Sections route : {kPerSlot, kBatched}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      expect_steady_state_churn_does_not_allocate(workers, route, 64);
+    }
+  }
 }
 
 // Retention-armed churn: same 1-in-1-out loop, but with TRUE cold-row

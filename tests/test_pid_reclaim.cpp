@@ -127,7 +127,7 @@ TEST(PidReclaim, ParkedWeightAnswersInsideWindowThenReclaims) {
 // capacity must stay pinned while thousands of pids march through.
 TEST(PidReclaim, SchedulerTableCapacityBoundedUnderChurn) {
   SimSystem sys;
-  sys.enable_bounded_history(8);
+  sys.set_history_window(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(2);
   constexpr std::size_t kLive = 64;
@@ -166,7 +166,7 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
 
   SimSystem sys;
   sys.enable_counter_rng();
-  sys.enable_bounded_history(8);
+  sys.set_history_window(8);
   sys.enable_history_recycling();
   sys.enable_retirement_retention(kWindow);
   sys.reserve(kLive + kBatch * (kWindow + 2));
@@ -253,7 +253,7 @@ std::vector<std::uint8_t> system_bytes(const snapshot::SystemImage& image) {
 
 TEST(PidReclaim, MidChurnSnapshotRoundTripWithSparsePids) {
   SimSystem golden;
-  golden.enable_bounded_history(8);
+  golden.set_history_window(8);
   golden.enable_history_recycling();
   golden.enable_retirement_retention(2);
   for (int i = 0; i < 8; ++i) scripted_spawn(golden);
@@ -269,7 +269,7 @@ TEST(PidReclaim, MidChurnSnapshotRoundTripWithSparsePids) {
 
   // Byte path: encode -> parse -> restore into a fresh world.
   const snapshot::SnapshotImage parsed = snapshot::parse(bytes);
-  EXPECT_EQ(parsed.version, 5u);
+  EXPECT_EQ(parsed.version, 6u);
   SimSystem restored;
   restored.restore_from(parsed.system,
                         snapshot::WorkloadRegistry::bundled());
@@ -303,10 +303,11 @@ TEST(PidReclaim, OlderFormatVersionsAreRefusedTyped) {
   std::vector<std::uint8_t> bytes = system_bytes(sys.snapshot_state());
 
   // Byte 8 is the format version u32's LSB (little-endian, after the
-  // 8-byte magic, outside the CRC-protected sections). Every pre-v5
+  // 8-byte magic, outside the CRC-protected sections). Every pre-v6
   // revision must fail typed — a v4 reader's layout (dense rows, unkeyed
-  // factors) would misparse v5 payloads as garbage otherwise.
-  for (const std::uint8_t old_version : {0, 1, 2, 3, 4}) {
+  // factors) or a v5 one (no skip counters) would misparse v6 payloads as
+  // garbage otherwise.
+  for (const std::uint8_t old_version : {0, 1, 2, 3, 4, 5}) {
     std::vector<std::uint8_t> stale = bytes;
     stale[8] = old_version;
     try {

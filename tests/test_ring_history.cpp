@@ -1,11 +1,13 @@
-// Bounded ring-buffer history contract (PR 9): capping per-process sample
-// history must change MEMORY, never statistics or determinism. Pre-wrap a
-// bounded system is indistinguishable from unbounded; post-wrap the
-// history_view() span pair reads the last `capacity` samples oldest-first,
-// streaming window statistics stay bit-identical (the accumulator folds
-// every sample regardless of retention), engine runs on summary-driven
-// detectors are unaffected, and a bounded snapshot round-trips through the
-// v4 image (linearized oldest-first) byte-identically.
+// Finite history-window contract: a process's history retains exactly the
+// newest `window` raw samples in a fixed-size ring. Before the ring wraps
+// it holds every sample; across a wrap the history_view() span pair reads
+// the newest `window` samples oldest-first; the streaming window
+// statistics never depend on the window (the accumulator folds every
+// sample); shrinking trims to the newest samples and widening keeps them;
+// and an engine whose detector declares a finite raw window
+// (Detector::raw_window) is deterministic across worker counts and
+// round-trips through a snapshot (rings linearized oldest-first)
+// byte-identically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,15 +20,15 @@
 #include "attacks/cryptominer.hpp"
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
-#include "ml/mlp.hpp"
+#include "ml/stat_detector.hpp"
 #include "sim/system.hpp"
+#include "snapshot/registry.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace valkyrie {
 namespace {
-
 hpc::HpcSignature benign_signature() {
   hpc::HpcSignature sig;
   sig.at(hpc::Event::kInstructions) = 3e8;
@@ -76,92 +78,119 @@ void expect_same_sample(const hpc::HpcSample& a, const hpc::HpcSample& b,
   EXPECT_EQ(a.counts, b.counts) << what << " sample " << i;
 }
 
-/// Twin systems stepped in lockstep: one unbounded, one capped at `cap`.
-struct TwinSystems {
-  sim::SimSystem unbounded;
-  sim::SimSystem bounded;
+/// A bare system under a finite window, plus every sample each process
+/// committed, recorded from last_sample() after each epoch — the oracle the
+/// retained ring must be a suffix of.
+struct RecordedSystem {
+  sim::SimSystem sys;
   std::vector<sim::ProcessId> pids;
+  std::vector<std::vector<hpc::HpcSample>> seen;
 
-  explicit TwinSystems(std::size_t cap, int processes = 6) {
-    bounded.enable_bounded_history(cap);
+  explicit RecordedSystem(std::size_t window, int processes = 6) {
+    sys.set_history_window(window);
     for (int i = 0; i < processes; ++i) {
       const hpc::HpcSignature sig =
           i % 3 == 1 ? attack_signature() : benign_signature();
-      const sim::ProcessId a =
-          unbounded.spawn(std::make_unique<SigWorkload>(sig));
-      const sim::ProcessId b =
-          bounded.spawn(std::make_unique<SigWorkload>(sig));
-      EXPECT_EQ(a, b);
-      pids.push_back(a);
+      pids.push_back(sys.spawn(std::make_unique<SigWorkload>(sig)));
     }
+    seen.resize(pids.size());
   }
 
   void run(int epochs) {
     for (int e = 0; e < epochs; ++e) {
-      unbounded.run_epoch();
-      bounded.run_epoch();
+      sys.run_epoch();
+      for (std::size_t i = 0; i < pids.size(); ++i) {
+        seen[i].push_back(sys.last_sample(pids[i]));
+      }
+    }
+  }
+
+  /// The retained view must be exactly the newest `n` recorded samples.
+  void expect_view_is_suffix(std::size_t n, const char* what) const {
+    for (std::size_t i = 0; i < pids.size(); ++i) {
+      const sim::SimSystem::HistoryView view = sys.history_view(pids[i]);
+      ASSERT_EQ(view.size(), n) << what;
+      const std::size_t offset = seen[i].size() - n;
+      for (std::size_t k = 0; k < n; ++k) {
+        expect_same_sample(view[k], seen[i][offset + k], what, k);
+      }
     }
   }
 };
 
-TEST(RingHistory, PreWrapIdenticalToUnbounded) {
-  constexpr std::size_t kCap = 32;
-  TwinSystems twins(kCap);
-  twins.run(20);  // well under the cap
-  for (const sim::ProcessId pid : twins.pids) {
-    const auto& full = twins.unbounded.sample_history(pid);
-    const sim::SimSystem::HistoryView view = twins.bounded.history_view(pid);
-    ASSERT_EQ(view.size(), full.size());
-    EXPECT_TRUE(view.newer.empty()) << "no wrap may have happened yet";
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      expect_same_sample(view[i], full[i], "pre-wrap", i);
-    }
+TEST(RingHistory, RingKeepsTheNewestSamplesInOrderAcrossAWrap) {
+  constexpr std::size_t kWindow = 24;
+  RecordedSystem rec(kWindow);
+  rec.run(20);  // under the window: every sample, no wrap yet
+  rec.expect_view_is_suffix(20, "pre-wrap");
+  for (const sim::ProcessId pid : rec.pids) {
+    EXPECT_TRUE(rec.sys.history_view(pid).newer.empty());
+  }
+  rec.run(80);  // wraps several times
+  rec.expect_view_is_suffix(kWindow, "post-wrap");
+  for (const sim::ProcessId pid : rec.pids) {
+    EXPECT_FALSE(rec.sys.history_view(pid).newer.empty())
+        << "the ring must actually have wrapped";
+    // The raw buffer holds the same samples in ring order.
+    EXPECT_EQ(rec.sys.sample_history(pid).size(), kWindow);
   }
 }
 
-TEST(RingHistory, PostWrapViewIsTheSuffixOfTheUnboundedRun) {
-  constexpr std::size_t kCap = 24;
-  TwinSystems twins(kCap);
-  twins.run(100);  // wraps several times
-  for (const sim::ProcessId pid : twins.pids) {
-    const auto& full = twins.unbounded.sample_history(pid);
-    ASSERT_EQ(full.size(), 100u);
-    const sim::SimSystem::HistoryView view = twins.bounded.history_view(pid);
-    ASSERT_EQ(view.size(), kCap) << "retention is exactly the cap";
-    EXPECT_FALSE(view.newer.empty()) << "the ring must actually have wrapped";
-    const std::size_t offset = full.size() - kCap;
-    for (std::size_t i = 0; i < kCap; ++i) {
-      expect_same_sample(view[i], full[offset + i], "post-wrap", i);
-    }
-    // The raw buffer still holds the same kCap samples (rotated), so
-    // retired-observability consumers lose nothing.
-    EXPECT_EQ(twins.bounded.sample_history(pid).size(), kCap);
-  }
-}
-
-TEST(RingHistory, WindowStatisticsUnaffectedByBounding) {
-  constexpr std::size_t kCap = 16;
-  TwinSystems twins(kCap);
-  twins.run(80);  // stats fold 80 samples; ring retains 16
-  for (const sim::ProcessId pid : twins.pids) {
-    const ml::WindowSummary a = twins.unbounded.window_summary(pid);
-    const ml::WindowSummary b = twins.bounded.window_summary(pid);
-    EXPECT_EQ(a.count, b.count);
+TEST(RingHistory, WindowStatisticsFoldEverySample) {
+  constexpr std::size_t kWindow = 16;
+  RecordedSystem rec(kWindow);
+  rec.run(80);  // stats fold 80 samples; the ring retains 16
+  for (std::size_t i = 0; i < rec.pids.size(); ++i) {
+    ml::WindowAccumulator oracle;
+    for (const hpc::HpcSample& sample : rec.seen[i]) oracle.add(sample);
+    const ml::WindowSummary want = oracle.summary();
+    const ml::WindowSummary got = rec.sys.window_summary(rec.pids[i]);
+    EXPECT_EQ(got.count, want.count);
     for (std::size_t f = 0; f < hpc::kFeatureDim; ++f) {
-      EXPECT_TRUE(same_bits(a.newest[f], b.newest[f])) << "feature " << f;
-      EXPECT_TRUE(same_bits(a.mean[f], b.mean[f])) << "feature " << f;
-      EXPECT_TRUE(same_bits(a.stddev[f], b.stddev[f])) << "feature " << f;
+      EXPECT_TRUE(same_bits(got.newest[f], want.newest[f])) << "feature " << f;
+      EXPECT_TRUE(same_bits(got.mean[f], want.mean[f])) << "feature " << f;
+      EXPECT_TRUE(same_bits(got.stddev[f], want.stddev[f])) << "feature " << f;
     }
-    // The bounded summary's raw window reads through the span pair and
-    // must cover exactly the retained ring, newest measurement last.
-    const std::size_t total = b.window_total();
-    EXPECT_EQ(total, kCap);
-    const auto& full = twins.unbounded.sample_history(pid);
-    for (std::size_t i = 0; i < total; ++i) {
-      expect_same_sample(b.window_at(i), full[full.size() - total + i],
-                         "summary window", i);
+    // The summary's raw window reads through the span pair and covers
+    // exactly the retained ring, newest measurement last.
+    ASSERT_EQ(got.window_total(), kWindow);
+    const std::size_t offset = rec.seen[i].size() - kWindow;
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      expect_same_sample(got.window_at(k), rec.seen[i][offset + k],
+                         "summary window", k);
     }
   }
+}
+
+TEST(RingHistory, ShrinkingTrimsToTheNewestAndWideningKeepsThem) {
+  RecordedSystem rec(ml::Detector::kWholeWindow, 3);
+  rec.run(10);
+  rec.expect_view_is_suffix(10, "whole window");
+
+  rec.sys.set_history_window(4);
+  EXPECT_EQ(rec.sys.history_window(), 4u);
+  rec.expect_view_is_suffix(4, "trimmed");
+  rec.run(6);  // the trimmed ring wraps
+  rec.expect_view_is_suffix(4, "wrapped after trim");
+
+  rec.sys.set_history_window(8);  // widen a wrapped ring
+  rec.expect_view_is_suffix(4, "widened");
+  rec.run(4);
+  rec.expect_view_is_suffix(8, "grown after widening");
+  rec.run(5);
+  rec.expect_view_is_suffix(8, "wrapped after widening");
+
+  rec.sys.set_history_window(0);
+  rec.run(3);
+  for (const sim::ProcessId pid : rec.pids) {
+    EXPECT_TRUE(rec.sys.sample_history(pid).empty());
+    EXPECT_EQ(rec.sys.window_summary(pid).window_total(), 0u);
+    EXPECT_EQ(rec.sys.window_summary(pid).count, 28u);
+  }
+
+  rec.sys.begin_epoch();
+  EXPECT_THROW(rec.sys.set_history_window(16), std::logic_error);
+  rec.sys.abort_epoch();
 }
 
 ml::TraceSet training_corpus() {
@@ -219,44 +248,46 @@ void scripted_epoch(sim::SimSystem& sys, core::ValkyrieEngine& engine) {
   engine.step();
 }
 
-TEST(RingHistory, EngineThreatTrajectoryUnaffectedOnSummaryDetector) {
-  // The MLP classifies window SUMMARIES, which bounding never changes —
-  // so a bounded engine run must land on identical monitor state even
-  // after the rings wrap many times, through churn and recycling.
-  const ml::MlpDetector detector =
-      ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
-  sim::SimSystem unbounded;
-  sim::SimSystem bounded;
-  bounded.enable_bounded_history(16);
-  core::ValkyrieEngine engine_u(unbounded, detector, 2);
-  core::ValkyrieEngine engine_b(bounded, detector, 2);
-  for (int i = 0; i < 8; ++i) {
-    scripted_spawn(unbounded, engine_u);
-    scripted_spawn(bounded, engine_b);
+/// A statistical detector voting over its 8 newest measurements: the one
+/// in-tree declaration of a small finite raw window (served per slot).
+ml::StatisticalDetector window_vote_detector() {
+  ml::StatDetectorConfig config;
+  config.threshold = 0.5;
+  config.vote_window = 8;
+  ml::StatisticalDetector detector(config);
+  detector.fit(ml::flatten(training_corpus()));
+  return detector;
+}
+
+std::vector<std::uint8_t> run_declared_window(const ml::Detector& detector,
+                                              std::size_t workers,
+                                              int epochs) {
+  sim::SimSystem sys;
+  core::ValkyrieEngine engine(sys, detector, workers);
+  EXPECT_EQ(sys.history_window(), detector.raw_window());
+  for (int i = 0; i < 8; ++i) scripted_spawn(sys, engine);
+  for (int epoch = 0; epoch < epochs; ++epoch) scripted_epoch(sys, engine);
+  for (const sim::ProcessId pid : sys.live_processes()) {
+    EXPECT_LE(sys.sample_history(pid).size(), detector.raw_window());
   }
-  unbounded.reserve_history(130);
-  for (int epoch = 0; epoch < 120; ++epoch) {
-    scripted_epoch(unbounded, engine_u);
-    scripted_epoch(bounded, engine_b);
-  }
-  ASSERT_EQ(unbounded.live_processes().size(),
-            bounded.live_processes().size());
-  for (const sim::ProcessId pid : unbounded.live_processes()) {
-    ASSERT_EQ(engine_u.is_attached(pid), engine_b.is_attached(pid));
-    if (!engine_u.is_attached(pid)) continue;
-    EXPECT_EQ(engine_u.monitor(pid).threat(), engine_b.monitor(pid).threat())
-        << "pid " << pid;
-    EXPECT_EQ(engine_u.monitor(pid).state(), engine_b.monitor(pid).state())
-        << "pid " << pid;
+  return snapshot::encode(snapshot::capture(engine));
+}
+
+TEST(RingHistory, DeclaredWindowEngineIsDeterministicAcrossWorkers) {
+  const ml::StatisticalDetector detector = window_vote_detector();
+  ASSERT_EQ(detector.raw_window(), 8u);
+  const std::vector<std::uint8_t> golden =
+      run_declared_window(detector, 1, 120);
+  for (const std::size_t workers : {2u, 8u}) {
+    EXPECT_EQ(golden, run_declared_window(detector, workers, 120))
+        << workers << " workers";
   }
 }
 
 TEST(RingHistory, SnapshotRoundTripContinuesByteIdentically) {
-  const ml::MlpDetector detector =
-      ml::MlpDetector::make_small_ann(training_corpus(), 0x5eed);
+  const ml::StatisticalDetector detector = window_vote_detector();
 
   sim::SimSystem golden_sys;
-  golden_sys.enable_bounded_history(20);
   core::ValkyrieEngine golden(golden_sys, detector, 2);
   for (int i = 0; i < 8; ++i) scripted_spawn(golden_sys, golden);
   for (int epoch = 0; epoch < 70; ++epoch) scripted_epoch(golden_sys, golden);
@@ -266,29 +297,20 @@ TEST(RingHistory, SnapshotRoundTripContinuesByteIdentically) {
   const std::vector<std::uint8_t> want =
       snapshot::encode(snapshot::capture(golden));
 
-  // The v4 image carries the capacity; the restored system re-arms the
-  // bound without the caller asking (fresh system, no pre-enable), and the
-  // linearized rings replay byte-identically.
+  // The image carries the window — a bare system adopts it on restore —
+  // and the linearized rings replay byte-identically.
   const snapshot::SnapshotImage image = snapshot::parse(mid);
-  EXPECT_EQ(image.system.history_capacity, 20u);
+  EXPECT_EQ(image.system.history_window, 8u);
+  sim::SimSystem bare;
+  bare.restore_from(image.system, snapshot::WorkloadRegistry::bundled());
+  EXPECT_EQ(bare.history_window(), 8u);
+
   sim::SimSystem sys2;
   core::ValkyrieEngine engine2(sys2, detector, 8);
   snapshot::restore(image, engine2, snapshot::RestoreContext{});
-  EXPECT_EQ(sys2.history_capacity(), 20u);
+  EXPECT_EQ(sys2.history_window(), 8u);
   for (int epoch = 0; epoch < 50; ++epoch) scripted_epoch(sys2, engine2);
   EXPECT_EQ(want, snapshot::encode(snapshot::capture(engine2)));
-}
-
-TEST(RingHistory, EnableValidatesItsPreconditions) {
-  sim::SimSystem sys;
-  EXPECT_THROW(sys.enable_bounded_history(0), std::invalid_argument);
-  (void)sys.spawn(std::make_unique<SigWorkload>(benign_signature()));
-  for (int i = 0; i < 10; ++i) sys.run_epoch();
-  // A history longer than the requested cap cannot be bounded in place.
-  EXPECT_THROW(sys.enable_bounded_history(4), std::logic_error);
-  // A cap that still fits is fine.
-  sys.enable_bounded_history(64);
-  EXPECT_EQ(sys.history_capacity(), 64u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// The codec primitives under the snapshot format: the sliced CRC-32
-// against a bytewise reference, the word-wide little-endian fields, and the
+// The codec primitives under the snapshot format: the CRC-32 (table-sliced,
+// and folded by carry-less multiplication where the CPU can) against a
+// bytewise reference, the word-wide little-endian fields, and the
 // block reads and writes for runs of doubles.
 #include <gtest/gtest.h>
 
@@ -19,17 +20,22 @@
 namespace valkyrie::util {
 namespace {
 
-/// Reference CRC-32: one byte at a time, one bit at a time, no tables —
-/// the oracle the sliced implementation must match exactly.
-std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xffffffffu;
+/// Reference CRC-32 state update: one byte at a time, one bit at a time,
+/// no tables.
+std::uint32_t crc32_bytewise_from(std::uint32_t crc,
+                                  std::span<const std::uint8_t> bytes) {
   for (const std::uint8_t b : bytes) {
     crc ^= b;
     for (int k = 0; k < 8; ++k) {
       crc = (crc & 1u) != 0 ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
     }
   }
-  return crc ^ 0xffffffffu;
+  return crc;
+}
+
+/// Reference CRC-32 — the oracle every implementation must match exactly.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
+  return crc32_bytewise_from(0xffffffffu, bytes) ^ 0xffffffffu;
 }
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
@@ -65,10 +71,12 @@ TEST(Crc32, KnownAnswer) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+// Lengths past 64 take the carry-less fold on CPUs that have it: 64-byte
+// blocks, then 16-byte folds, then the table tail.
 TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
-  const std::vector<std::uint8_t> buffer = random_bytes(64 + 16, 0xc0c0);
+  const std::vector<std::uint8_t> buffer = random_bytes(300 + 16, 0xc0c0);
   for (std::size_t offset = 0; offset < 16; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
+    for (std::size_t length = 0; length <= 300; ++length) {
       const std::span<const std::uint8_t> view(buffer.data() + offset, length);
       ASSERT_EQ(crc32(view), crc32_bytewise(view))
           << "offset " << offset << " length " << length;
@@ -79,6 +87,24 @@ TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
 TEST(Crc32, SlicedMatchesBytewiseOnOneMebibyte) {
   const std::vector<std::uint8_t> buffer = random_bytes(1 << 20, 0x5eed);
   EXPECT_EQ(crc32(buffer), crc32_bytewise(buffer));
+}
+
+// The fold kernel itself, from arbitrary running states (crc32() only ever
+// starts it from the initial one).
+TEST(Crc32, CarrylessFoldAdvancesAnyRunningState) {
+  if (!detail::crc32_clmul_available()) {
+    GTEST_SKIP() << "no PCLMULQDQ on this CPU";
+  }
+  const std::vector<std::uint8_t> buffer = random_bytes(4096 + 16, 0xf01d);
+  for (const std::uint32_t state : {0xffffffffu, 0u, 0x1234abcdu}) {
+    for (const std::size_t length : {64u, 80u, 112u, 128u, 192u, 1040u,
+                                     4096u}) {
+      const std::span<const std::uint8_t> view(buffer.data() + 3, length);
+      const std::uint32_t want = crc32_bytewise_from(state, view);
+      EXPECT_EQ(detail::crc32_clmul(view.data(), view.size(), state), want)
+          << "state " << state << " length " << length;
+    }
+  }
 }
 
 TEST(ByteCodec, FixedWidthFieldsAreLittleEndian) {
@@ -103,6 +129,31 @@ TEST(ByteCodec, FixedWidthFieldsAreLittleEndian) {
   EXPECT_EQ(bits(in.f64()), bits(-0.0));
   EXPECT_EQ(in.u64(), 0xa1a2a3a4a5a6a7a8ULL);
   EXPECT_TRUE(in.done());
+}
+
+// A run writes a fixed-width group with one growth; its bytes are exactly
+// those of the same fields written one call at a time.
+TEST(ByteCodec, RunCursorWritesTheSameBytesAsFieldCalls) {
+  const std::vector<double> doubles = awkward_doubles();
+  const auto fields = [&doubles](auto& out) {
+    out.u8(0xab);
+    out.u32(0x01020304u);
+    out.u64(0x1112131415161718ULL);
+    out.f64(-0.0);
+    out.f64_block(doubles);
+  };
+  std::vector<std::uint8_t> by_field;
+  ByteWriter field_writer(by_field);
+  fields(field_writer);
+
+  std::vector<std::uint8_t> by_run;
+  ByteWriter run_writer(by_run);
+  run_writer.u8(0x5a);  // the run starts past existing bytes
+  ByteCursor run = run_writer.run(by_field.size());
+  fields(run);
+  ASSERT_EQ(by_run.size(), by_field.size() + 1);
+  EXPECT_EQ(std::vector<std::uint8_t>(by_run.begin() + 1, by_run.end()),
+            by_field);
 }
 
 TEST(ByteCodec, BlockRoundTripsEveryBitPattern) {

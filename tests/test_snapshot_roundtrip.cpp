@@ -2,9 +2,10 @@
 // test): snapshot a churning engine run at epoch E — at a boundary where a
 // kill is still pending compaction (mid-churn) — restore the bytes into a
 // completely fresh system + engine, run both worlds to E+500, and demand
-// BIT-IDENTICAL histories, actions and threat indices, for any worker
-// count. The final encoded snapshots of the two worlds must be
-// byte-equal, which covers every field the engine stack carries.
+// BIT-IDENTICAL retained histories, window state, actions and threat
+// indices, for any worker count. The final encoded snapshots of the two
+// worlds must be byte-equal, which covers every field the engine stack
+// carries.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -231,14 +232,26 @@ TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryWorkerCount) {
     for (sim::ProcessId pid = 0; pid < golden->sys.total_spawned(); ++pid) {
       ASSERT_EQ(golden->sys.exit_reason(pid), world->sys.exit_reason(pid))
           << label << " pid " << pid;
+      // Both worlds retain the SVM's declared window — no raw samples.
       const auto& golden_history = golden->sys.sample_history(pid);
       const auto& world_history = world->sys.sample_history(pid);
       ASSERT_EQ(golden_history.size(), world_history.size())
           << label << " pid " << pid;
+      ASSERT_LE(world_history.size(), detector.raw_window());
       for (std::size_t e = 0; e < golden_history.size(); ++e) {
         ASSERT_EQ(golden_history[e].counts, world_history[e].counts)
             << label << " pid " << pid << " epoch " << e;
       }
+      ASSERT_EQ(golden->sys.last_sample(pid).counts,
+                world->sys.last_sample(pid).counts)
+          << label << " pid " << pid;
+      const ml::WindowAccumulator::State ga =
+          golden->sys.window_accumulator(pid).state();
+      const ml::WindowAccumulator::State wa =
+          world->sys.window_accumulator(pid).state();
+      ASSERT_EQ(ga.count, wa.count) << label << " pid " << pid;
+      ASSERT_EQ(ga.mean, wa.mean) << label << " pid " << pid;
+      ASSERT_EQ(ga.m2, wa.m2) << label << " pid " << pid;
       ASSERT_EQ(golden->engine->is_attached(pid),
                 world->engine->is_attached(pid))
           << label << " pid " << pid;
@@ -335,7 +348,7 @@ snapshot::SnapshotImage pinned_image() {
   sys.epoch = 4242;
   sys.retire_pending = true;
   sys.counter_rng = true;
-  sys.history_capacity = 64;
+  sys.history_window = 64;
   sys.total_spawned = 9;
   sys.retention_enabled = true;
   sys.retention_epochs = 32;
@@ -400,8 +413,10 @@ snapshot::SnapshotImage pinned_image() {
     att.terminal_hash = a == 1 ? 0xdeadbeefULL : 0;
     att.stream_malicious = 3 + a;
     att.stream_counted = 9 + a;
+    att.stream_skipped = 40 + a;
     att.terminal_malicious = a;
     att.terminal_counted = 2 * a;
+    att.terminal_skipped = 17 * a;
     att.last_action = static_cast<std::uint8_t>(a + 1);
     att.last_action_step = a == 0 ? 0 : 4241;
     eng.attachments.push_back(att);
@@ -428,17 +443,30 @@ snapshot::SnapshotImage pinned_image() {
   return image;
 }
 
-// The v5 wire format, pinned: the encoded bytes of a fixed hand-built
+// The v6 wire format, pinned: the encoded bytes of a fixed hand-built
 // image must hash to the value the format was recorded at, and decode back
 // to the identical image. A codec rewrite that moved one byte fails here.
-TEST(SnapshotFormat, V5BytesArePinned) {
+TEST(SnapshotFormat, V6BytesArePinned) {
   const snapshot::SnapshotImage image = pinned_image();
   const std::vector<std::uint8_t> bytes = snapshot::encode(image);
-  EXPECT_EQ(bytes.size(), 4458u);
-  EXPECT_EQ(util::fnv1a(bytes), 0xb873dbdc6185b040ULL);
+  EXPECT_EQ(bytes.size(), 4490u);
+  EXPECT_EQ(util::fnv1a(bytes), 0xa1eaf22c6e622b40ULL);
   EXPECT_TRUE(snapshot::diff(snapshot::parse(bytes), image).empty());
   // encode() reserved exactly the bytes it wrote, once.
   EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
+// A v5 header is refused typed: its attachments lack the skip counters, so
+// decoding it as v6 would misread every field after them.
+TEST(SnapshotFormat, V5HeaderIsRefused) {
+  std::vector<std::uint8_t> bytes = snapshot::encode(pinned_image());
+  bytes[8] = 5;  // the format version's LSB, right after the 8-byte magic
+  try {
+    (void)snapshot::parse(bytes);
+    FAIL() << "a v5 header was accepted";
+  } catch (const util::SerialError& err) {
+    EXPECT_EQ(err.code(), util::SerialError::Code::kBadVersion);
+  }
 }
 
 }  // namespace
