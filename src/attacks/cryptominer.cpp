@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "attacks/signatures.hpp"
 #include "sim/resources.hpp"
@@ -9,9 +12,30 @@
 #include "util/serial.hpp"
 
 namespace valkyrie::attacks {
+namespace {
+
+CryptominerConfig checked(CryptominerConfig c) {
+  const auto refuse = [](const char* what) {
+    throw std::invalid_argument(std::string("cryptominer: ") + what);
+  };
+  if (!(c.hashes_per_second >= 0.0 &&
+        c.hashes_per_second <= kMaxHashesPerSecond)) {
+    refuse("hashes_per_second must be in [0, kMaxHashesPerSecond]");
+  }
+  if (c.real_hashes_per_epoch < 0 ||
+      c.real_hashes_per_epoch > kMaxRealHashesPerEpoch) {
+    refuse("real_hashes_per_epoch must be in [0, kMaxRealHashesPerEpoch]");
+  }
+  if (c.difficulty_bits < 0 || c.difficulty_bits > 256) {
+    refuse("difficulty_bits must be in [0, 256]");
+  }
+  return c;
+}
+
+}  // namespace
 
 CryptominerAttack::CryptominerAttack(CryptominerConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       signature_(cryptominer_signature(config_.family_jitter, config_.seed)) {}
 
 sim::StepResult CryptominerAttack::run_epoch(const sim::ResourceShares& shares,
@@ -23,9 +47,10 @@ sim::StepResult CryptominerAttack::run_epoch(const sim::ResourceShares& shares,
 
   // Grind a real slice of the nonce space with double SHA-256; shares found
   // in the slice are extrapolated by the accounted/real ratio.
-  const int real = std::min(
-      config_.real_hashes_per_epoch,
-      static_cast<int>(std::ceil(hashes)) );
+  // (Compared as doubles first, so a high rate never reaches the cast.)
+  const int real = hashes < config_.real_hashes_per_epoch
+                       ? static_cast<int>(std::ceil(hashes))
+                       : config_.real_hashes_per_epoch;
   std::uint64_t found_in_slice = 0;
   std::uint8_t header[80] = {};
   for (int i = 0; i < real; ++i) {
@@ -94,10 +119,17 @@ std::unique_ptr<sim::Workload> CryptominerAttack::snapshot_load(
   CryptominerConfig config;
   config.name = in.str();
   config.hashes_per_second = in.f64();
-  config.real_hashes_per_epoch = static_cast<int>(in.i64());
-  config.difficulty_bits = static_cast<int>(in.i64());
+  const std::int64_t real_hashes = in.i64();
+  const std::int64_t difficulty = in.i64();
   config.family_jitter = in.f64();
   config.seed = in.u64();
+  // Checked before narrowing: a truncated value could land in range.
+  if (!std::in_range<int>(real_hashes) || !std::in_range<int>(difficulty)) {
+    throw util::SerialError(util::SerialError::Code::kMalformed,
+                            "cryptominer: count out of range");
+  }
+  config.real_hashes_per_epoch = static_cast<int>(real_hashes);
+  config.difficulty_bits = static_cast<int>(difficulty);
   auto out = std::make_unique<CryptominerAttack>(std::move(config));
   out->hashes_ = in.f64();
   out->shares_found_ = in.u64();

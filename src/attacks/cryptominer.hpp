@@ -15,6 +15,15 @@
 
 namespace valkyrie::attacks {
 
+/// Largest real_hashes_per_epoch a config may ask for: 4096 double SHA-256
+/// hashes per epoch, twice the largest in-tree value (2048; the default is
+/// 512).
+inline constexpr int kMaxRealHashesPerEpoch = 1 << 12;
+/// Largest modelled hash rate, 1e12 hashes/s: it sizes no work (only the
+/// real slice does), but keeps the extrapolated share count, at most the
+/// epoch's hashes, far inside the uint64 range it is converted to.
+inline constexpr double kMaxHashesPerSecond = 1e12;
+
 struct CryptominerConfig {
   std::string name = "cryptominer";
   /// Hash throughput at full CPU share (model hashes per second).
@@ -30,6 +39,11 @@ struct CryptominerConfig {
 
 class CryptominerAttack final : public sim::Workload {
  public:
+  /// Throws std::invalid_argument unless hashes_per_second is in
+  /// [0, kMaxHashesPerSecond], real_hashes_per_epoch in
+  /// [0, kMaxRealHashesPerEpoch] and difficulty_bits in [0, 256].
+  /// (WorkloadRegistry::load reports a payload carrying such a config as
+  /// SerialError{kMalformed}).
   explicit CryptominerAttack(CryptominerConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return config_.name; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "attacks/signatures.hpp"
 #include "sim/resources.hpp"
@@ -11,23 +13,30 @@
 namespace valkyrie::attacks {
 namespace {
 
-crypto::AesKey key_from_seed(std::uint64_t seed) {
-  crypto::AesKey key{};
-  std::uint64_t s = seed;
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<std::uint8_t>(util::splitmix64(s));
+RansomwareConfig checked(RansomwareConfig c) {
+  const auto refuse = [](const char* what) {
+    throw std::invalid_argument(std::string("ransomware: ") + what);
+  };
+  const auto rate = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  if (!rate(c.cpu_bytes_per_second) || !rate(c.files_per_epoch)) {
+    refuse("rates must be finite and >= 0");
   }
-  return key;
+  if (!(std::isfinite(c.mean_file_bytes) && c.mean_file_bytes > 0.0)) {
+    refuse("mean_file_bytes must be finite and > 0");
+  }
+  if (c.max_real_crypt_bytes > kMaxRealCryptBytes) {
+    refuse("max_real_crypt_bytes exceeds kMaxRealCryptBytes");
+  }
+  return c;
 }
 
 }  // namespace
 
 RansomwareAttack::RansomwareAttack(RansomwareConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       signature_(ransomware_signature(config_.family_jitter, config_.seed)),
       scan_signature_(
-          ransomware_scan_signature(config_.family_jitter, config_.seed)),
-      cipher_(key_from_seed(config_.seed)) {}
+          ransomware_scan_signature(config_.family_jitter, config_.seed)) {}
 
 sim::StepResult RansomwareAttack::run_epoch(const sim::ResourceShares& shares,
                                             sim::EpochContext& ctx) {
@@ -43,16 +52,14 @@ sim::StepResult RansomwareAttack::run_epoch(const sim::ResourceShares& shares,
   const double bytes =
       std::min(cpu_bytes, fs_bytes) * sim::memory_progress_multiplier(shares.mem);
 
-  // Encrypt a real slice with AES-128-CTR; the workload is genuinely
-  // computing the cipher, just not over every accounted byte.
+  // Read the plaintext slice: one draw per byte, because the HPC sample
+  // below reads the same stream. Nothing reads the ciphertext, so the
+  // cipher pass is not run; the nonce still advances, as it is serialized.
   const auto real_bytes = static_cast<std::size_t>(std::min<double>(
       bytes, static_cast<double>(config_.max_real_crypt_bytes)));
   if (real_bytes > 0) {
-    std::vector<std::uint8_t> buffer(real_bytes);
-    for (std::uint8_t& b : buffer) {
-      b = static_cast<std::uint8_t>(ctx.rng->below(256));
-    }
-    cipher_.ctr_crypt({buffer.data(), buffer.size()}, ++nonce_counter_);
+    for (std::size_t b = 0; b < real_bytes; ++b) (void)ctx.rng->below(256);
+    ++nonce_counter_;
   }
 
   bytes_encrypted_ += bytes;
@@ -128,7 +135,6 @@ std::unique_ptr<sim::Workload> RansomwareAttack::snapshot_load(
   config.family_jitter = in.f64();
   config.scan_phase_prob = in.f64();
   config.seed = in.u64();
-  // The cipher is a pure function of the seed; the constructor rebuilds it.
   auto out = std::make_unique<RansomwareAttack>(std::move(config));
   out->bytes_encrypted_ = in.f64();
   out->files_encrypted_ = in.f64();

@@ -1,12 +1,18 @@
 // Ransomware workload family — Fig. 6b and the Fig. 1 training corpus.
 //
 // Models the encryptor loop the paper's 67 open-source samples share: walk
-// the victim's file tree, read each file, encrypt (real AES-128-CTR over a
-// representative slice; the tail accounted arithmetically), write back.
-// Progress = bytes encrypted. Resource dependence: CPU share bounds the
-// cipher throughput, the file-access rate bounds file turnover, memory
-// pressure thrashes both — mirroring the two actuators the paper evaluates
-// (CPU: 11.67 MB/s -> ~152 KB/s; file rate 7 -> 1 files/epoch: -> 1.5 MB/s).
+// the victim's file tree, read each file, encrypt, write back. Progress =
+// bytes encrypted, accounted arithmetically. Resource dependence: CPU share
+// bounds the cipher throughput, the file-access rate bounds file turnover,
+// memory pressure thrashes both — mirroring the two actuators the paper
+// evaluates (CPU: 11.67 MB/s -> ~152 KB/s; file rate 7 -> 1 files/epoch:
+// -> 1.5 MB/s).
+//
+// The model costs only what its observables need. Each epoch reads a slice
+// of plaintext — one byte drawn from the per-process stream per slice byte
+// — because the HPC sample drawn after it reads the same stream, and it
+// advances the serialized nonce counter. No observable reads ciphertext, so
+// no cipher runs and no buffer is allocated.
 #pragma once
 
 #include <memory>
@@ -14,10 +20,14 @@
 #include <string>
 #include <vector>
 
-#include "crypto/aes128.hpp"
 #include "sim/workload.hpp"
 
 namespace valkyrie::attacks {
+
+/// Largest per-epoch plaintext slice (max_real_crypt_bytes) a config may
+/// ask for: 128 KiB, twice the default and only in-tree value. Each slice
+/// byte is one draw.
+inline constexpr std::size_t kMaxRealCryptBytes = std::size_t{1} << 17;
 
 struct RansomwareConfig {
   std::string name = "ransomware";
@@ -28,7 +38,9 @@ struct RansomwareConfig {
   /// Mean victim file size. 7 files/epoch * ~166 kB ~ 11.6 MB/s at 100 ms
   /// epochs, making CPU and filesystem near-balanced by default.
   double mean_file_bytes = 166.0e3;
-  /// Real AES is run over at most this many bytes per epoch.
+  /// Plaintext slice read per epoch, at most this many bytes (one draw from
+  /// the per-process stream per byte); the rest of the epoch's bytes are
+  /// accounted arithmetically. At most kMaxRealCryptBytes.
   std::size_t max_real_crypt_bytes = 1 << 16;
   /// Per-family signature jitter (the 67 samples differ slightly).
   double family_jitter = 0.0;
@@ -42,6 +54,11 @@ struct RansomwareConfig {
 
 class RansomwareAttack final : public sim::Workload {
  public:
+  /// Throws std::invalid_argument unless cpu_bytes_per_second and
+  /// files_per_epoch are finite and >= 0, mean_file_bytes is finite and
+  /// > 0, and max_real_crypt_bytes <= kMaxRealCryptBytes
+  /// (WorkloadRegistry::load reports a payload carrying such a config as
+  /// SerialError{kMalformed}).
   explicit RansomwareAttack(RansomwareConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return config_.name; }
@@ -69,7 +86,6 @@ class RansomwareAttack final : public sim::Workload {
   RansomwareConfig config_;
   hpc::HpcSignature signature_;
   hpc::HpcSignature scan_signature_;
-  crypto::Aes128 cipher_;
   double bytes_encrypted_ = 0.0;
   double files_encrypted_ = 0.0;
   std::uint64_t nonce_counter_ = 0;

@@ -2,15 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "attacks/signatures.hpp"
 #include "sim/resources.hpp"
 #include "util/serial.hpp"
 
 namespace valkyrie::attacks {
+namespace {
+
+/// The attacker's own fields and the epoch work they size; the Dram
+/// constructor checks the geometry and timings before it allocates the table.
+const RowhammerConfig& checked(const RowhammerConfig& c) {
+  const auto refuse = [](const char* what) {
+    throw std::invalid_argument(std::string("rowhammer: ") + what);
+  };
+  if (c.bank >= c.dram.banks) refuse("bank outside the geometry");
+  // In 64 bits, so a victim row near 2^32 cannot wrap into range.
+  if (c.victim_row < 1 ||
+      std::uint64_t{c.victim_row} + 2 > c.dram.rows_per_bank) {
+    refuse("victim row needs an aggressor row on each side");
+  }
+  if (!(c.slice_ms >= kMinSliceMs && c.slice_ms <= kMaxSliceMs)) {
+    refuse("slice_ms outside [kMinSliceMs, kMaxSliceMs]");
+  }
+  if (!(c.dram.t_rc_ns >= kMinRowCycleNs)) {
+    refuse("t_rc_ns below kMinRowCycleNs");
+  }
+  return c;
+}
+
+}  // namespace
 
 RowhammerAttack::RowhammerAttack(RowhammerConfig config)
-    : config_(config),
+    : config_(checked(config)),
       signature_(rowhammer_signature()),
       dram_(config.dram, config.dram_seed) {}
 
@@ -23,8 +49,8 @@ sim::StepResult RowhammerAttack::run_epoch(const sim::ResourceShares& shares,
   // Interleave active and idle time across the epoch in scheduler-slice
   // units; within an active slice the hammer loop activates the two
   // aggressor rows back to back at the row-cycle rate.
-  const int slices =
-      std::max(1, static_cast<int>(std::round(ctx.epoch_ms / config_.slice_ms)));
+  const auto slices = static_cast<std::uint64_t>(
+      std::clamp(std::round(ctx.epoch_ms / config_.slice_ms), 1.0, 0x1p32));
   const double slice_ns = config_.slice_ms * 1e6;
   const auto acts_per_active_slice = static_cast<std::uint64_t>(
       slice_ns / config_.dram.t_rc_ns);
@@ -32,13 +58,11 @@ sim::StepResult RowhammerAttack::run_epoch(const sim::ResourceShares& shares,
   double run_credit = 0.0;
   const std::uint32_t above = config_.victim_row - 1;
   const std::uint32_t below = config_.victim_row + 1;
-  for (int slice = 0; slice < slices; ++slice) {
+  for (std::uint64_t slice = 0; slice < slices; ++slice) {
     run_credit += s;
     if (run_credit >= 1.0) {
       run_credit -= 1.0;
-      for (std::uint64_t a = 0; a < acts_per_active_slice; ++a) {
-        dram_.activate(config_.bank, (a & 1) == 0 ? above : below);
-      }
+      dram_.hammer(config_.bank, above, below, acts_per_active_slice);
       iterations_ += acts_per_active_slice / 2;  // one iteration = one pair
     } else {
       dram_.idle_ns(slice_ns);

@@ -19,6 +19,17 @@
 
 namespace valkyrie::attacks {
 
+/// Bounds on the fields that size a rowhammer epoch's work. Slices of at
+/// least kMinSliceMs (half the shortest in-tree slice, 1 ms) and a row cycle
+/// of at least kMinRowCycleNs (about half the shortest in-tree tRC, 48.7 ns;
+/// every DDR3-DDR5 part's is above 40 ns) let an epoch of E ms hold at most
+/// E / kMinSliceMs slices and max(E, kMaxSliceMs) / kMinRowCycleNs
+/// activations: 200 and 4M at the default 100 ms epoch, twice the default
+/// config's. kMaxSliceMs is the default epoch.
+inline constexpr double kMinSliceMs = 0.5;
+inline constexpr double kMaxSliceMs = 100.0;
+inline constexpr double kMinRowCycleNs = 25.0;
+
 struct RowhammerConfig {
   dram::DramConfig dram{};
   /// Victim row being hammered (aggressors are victim ± 1).
@@ -31,6 +42,12 @@ struct RowhammerConfig {
 
 class RowhammerAttack final : public sim::Workload {
  public:
+  /// Throws std::invalid_argument unless the DRAM config passes the Dram
+  /// constructor's checks, bank < banks, 1 <= victim_row <= rows - 2 (both
+  /// aggressors exist), slice_ms is in [kMinSliceMs, kMaxSliceMs] and
+  /// t_rc_ns >= kMinRowCycleNs. It throws before the DRAM table is
+  /// allocated, so a payload carrying such a config is refused as cheaply
+  /// (WorkloadRegistry::load reports it as SerialError{kMalformed}).
   explicit RowhammerAttack(RowhammerConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "rowhammer"; }

@@ -26,6 +26,12 @@ class ByteReader;
 
 namespace valkyrie::dram {
 
+/// Largest banks x rows table a Dram accepts: the default geometry's 2^18
+/// rows (8 x 32768, a 2 MiB table) and the largest any in-tree config uses,
+/// so restoring a payload never allocates more than a default rowhammer
+/// does. A config past it is refused before the table is allocated.
+inline constexpr std::uint64_t kMaxRows = std::uint64_t{1} << 18;
+
 struct DramConfig {
   std::uint32_t banks = 8;
   std::uint32_t rows_per_bank = 32768;
@@ -50,11 +56,28 @@ struct FlipRecord {
 
 class Dram {
  public:
+  /// Throws std::invalid_argument unless banks >= 1, rows_per_bank >= 3,
+  /// banks x rows <= kMaxRows, t_rc_ns is finite and > 0, the refresh
+  /// window (in ns) is finite and at least t_rc_ns, and
+  /// flip_prob_per_excess is in [0, 1].
   explicit Dram(const DramConfig& config, std::uint64_t seed = 0xd7a3);
 
   /// Activates (opens) a row: advances time by tRC, accumulates disturbance
   /// on the two physically adjacent rows and possibly flips bits in them.
   void activate(std::uint32_t bank, std::uint32_t row);
+
+  /// The hammer loop: exactly `count` activations in `bank`, alternating
+  /// `row_a` and `row_b`, `row_a` first. Afterwards the clock, window
+  /// ordinal, activation count, RNG state, flip log and disturbance table
+  /// are bit-identical to `count` activate() calls — the clock still takes
+  /// one `+= t_rc_ns` per activation, the window changes on the same
+  /// activation, nothing is drawn below the threshold and every disturbance
+  /// past it draws once — but the disturbed rows' counters are resolved
+  /// once per call, and the per-activation divide becomes one compare
+  /// against the window's first clock value. Throws std::out_of_range,
+  /// before any activation, unless bank and both rows lie in the geometry.
+  void hammer(std::uint32_t bank, std::uint32_t row_a, std::uint32_t row_b,
+              std::uint64_t count);
 
   /// Advances model time without activity (e.g. the attacker is descheduled).
   /// Refresh windows elapse as usual, clearing disturbance counters.
@@ -78,7 +101,11 @@ class Dram {
   /// Serializes the mutable model state (RNG, clock, per-window disturbance
   /// counters — sparsely, the table is banks x rows — and the flip log);
   /// the config is the owner's to persist. snapshot_restore overwrites the
-  /// state of a Dram constructed with the same config.
+  /// state of a Dram constructed with the same config. It throws
+  /// SerialError{kMalformed} unless the clock is finite, non-negative and in
+  /// the stored window, the disturbance entries are strictly ascending
+  /// in-table indices with nonzero counts (what snapshot_save writes), and
+  /// every flip lies inside the geometry.
   void snapshot_save(util::ByteWriter& out) const;
   void snapshot_restore(util::ByteReader& in);
 

@@ -1,5 +1,6 @@
 #include "snapshot/registry.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "attacks/cryptominer.hpp"
@@ -52,7 +53,13 @@ std::unique_ptr<sim::Workload> WorkloadRegistry::load(
                           image.type + "'");
   }
   util::ByteReader reader(image.payload);
-  std::unique_ptr<sim::Workload> out = it->second(reader);
+  std::unique_ptr<sim::Workload> out;
+  try {
+    out = it->second(reader);
+  } catch (const std::invalid_argument& e) {
+    // A workload constructor refusing the config it was handed.
+    throw SerialError(SerialError::Code::kMalformed, e.what());
+  }
   if (!reader.done()) {
     throw SerialError(SerialError::Code::kMalformed,
                       "snapshot: trailing bytes after workload payload '" +

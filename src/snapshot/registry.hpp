@@ -43,8 +43,10 @@ class WorkloadRegistry {
   }
 
   /// Reconstructs a workload from its image. Throws
-  /// SerialError(kUnsupportedWorkload) for an unknown type and lets the
-  /// loader's own SerialErrors (malformed payload) propagate.
+  /// SerialError(kUnsupportedWorkload) for an unknown type, lets the
+  /// loader's own SerialErrors (malformed payload) propagate, and reports a
+  /// std::invalid_argument from the loader — a workload constructor
+  /// refusing its config — as SerialError(kMalformed).
   [[nodiscard]] std::unique_ptr<sim::Workload> load(
       const PolyImage& image) const;
 

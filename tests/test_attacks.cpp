@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "attacks/covert_channels.hpp"
 #include "attacks/cryptominer.hpp"
 #include "attacks/exfiltrator.hpp"
@@ -8,6 +12,7 @@
 #include "attacks/ransomware.hpp"
 #include "attacks/rowhammer.hpp"
 #include "attacks/tsa_covert.hpp"
+#include "util/serial.hpp"
 
 namespace valkyrie::attacks {
 namespace {
@@ -343,6 +348,123 @@ TEST(Cryptominer, CorpusVariantsDistinct) {
   const std::vector<CryptominerConfig> corpus = cryptominer_corpus();
   EXPECT_EQ(corpus.size(), 20u);
   EXPECT_NE(corpus[0].hashes_per_second, corpus[1].hashes_per_second);
+}
+
+// --- Bit pins ----------------------------------------------------------------
+//
+// Each attack model's observables over a fixed share schedule, folded into
+// one FNV-1a hash: every epoch's HPC sample bits, progress and per-process
+// RNG state, then the final snapshot payload (and, for the rowhammer, the
+// flip log). The literals were recorded before the models were cut down to
+// the work their observables need, so a restructuring that moves any bit
+// fails here.
+
+class Fnv1a {
+ public:
+  void u8(std::uint8_t b) noexcept {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void u64(std::uint64_t v) noexcept {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Full share, partial CPU shares (on the 48.7 ns rowhammer below, whose
+/// 1.3 ms slices never tile a 64 ms window, refresh windows change
+/// mid-slice), the CPU actuator's floor, the fs floor, a memory cap and all
+/// floors at once.
+std::vector<sim::ResourceShares> pin_schedule() {
+  const sim::ResourceShares full{};
+  return {full,
+          full,
+          {0.37, 1.0, 1.0, 1.0},
+          {0.37, 1.0, 1.0, 1.0},
+          {0.01, 1.0, 1.0, 1.0},
+          {1.0, 1.0, 1.0, 1.0 / 7.0},
+          {1.0, 0.9, 1.0, 1.0},
+          {0.62, 1.0, 1.0, 1.0},
+          full,
+          {0.01, 0.85, 1.0, 1.0 / 7.0},
+          full};
+}
+
+/// Runs `w` over the pin schedule on its own stream and folds every
+/// epoch's observables and the final snapshot payload into `hash`.
+void hash_model_run(sim::Workload& w, std::uint64_t seed, Fnv1a& hash) {
+  util::Rng rng(seed);
+  sim::EpochContext ctx;
+  ctx.rng = &rng;
+  std::uint64_t epoch = 0;
+  for (const sim::ResourceShares& shares : pin_schedule()) {
+    ctx.epoch = epoch++;
+    const sim::StepResult step = w.run_epoch(shares, ctx);
+    for (const double count : step.hpc.counts) hash.f64(count);
+    hash.f64(step.progress);
+    for (const std::uint64_t word : rng.state()) hash.u64(word);
+  }
+  std::vector<std::uint8_t> payload;
+  util::ByteWriter writer(payload);
+  w.snapshot_save(writer);
+  hash.u64(payload.size());
+  for (const std::uint8_t b : payload) hash.u8(b);
+}
+
+TEST(ModelPins, RowhammerBitsArePinned) {
+  RowhammerConfig lower_edge;  // aggressor row 0, a non-integer tRC
+  lower_edge.dram.banks = 2;
+  lower_edge.dram.rows_per_bank = 16;
+  lower_edge.dram.t_rc_ns = 48.7;
+  lower_edge.victim_row = 1;
+  lower_edge.bank = 1;
+  lower_edge.slice_ms = 1.3;
+  RowhammerConfig upper_edge;  // aggressor row rows-1, short windows
+  upper_edge.dram.rows_per_bank = 16;
+  upper_edge.dram.refresh_interval_ms = 10.0;
+  upper_edge.victim_row = 14;
+  upper_edge.bank = 5;
+  upper_edge.dram_seed = 0x77;
+
+  Fnv1a hash;
+  std::vector<std::uint64_t> flips;
+  for (const RowhammerConfig& config :
+       {RowhammerConfig{}, lower_edge, upper_edge}) {
+    RowhammerAttack attack(config);
+    hash_model_run(attack, 0x51, hash);
+    for (const dram::FlipRecord& flip : attack.dram().flips()) {
+      hash.u64(flip.bank);
+      hash.u64(flip.row);
+      hash.u64(flip.window);
+    }
+    flips.push_back(attack.dram().total_bit_flips());
+  }
+  EXPECT_EQ(flips, (std::vector<std::uint64_t>{31, 26, 11}));
+  EXPECT_EQ(hash.value(), 0xcd9df6415a7ce194ULL);
+}
+
+TEST(ModelPins, RansomwareBitsArePinned) {
+  Fnv1a hash;
+  for (const RansomwareConfig& config :
+       {RansomwareConfig{}, ransomware_corpus()[23]}) {
+    RansomwareAttack attack(config);
+    hash_model_run(attack, 0x52, hash);
+  }
+  EXPECT_EQ(hash.value(), 0x9bc8bac222920c0aULL);
+}
+
+TEST(ModelPins, CryptominerBitsArePinned) {
+  Fnv1a hash;
+  for (const CryptominerConfig& config :
+       {CryptominerConfig{}, cryptominer_corpus()[7]}) {
+    CryptominerAttack attack(config);
+    hash_model_run(attack, 0x53, hash);
+  }
+  EXPECT_EQ(hash.value(), 0x00a1c3a294d18364ULL);
 }
 
 }  // namespace

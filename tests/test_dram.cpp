@@ -1,6 +1,41 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <vector>
+
 #include "dram/dram.hpp"
+#include "util/rng.hpp"
+#include "util/serial.hpp"
+
+namespace {
+
+// While set, every operator new throws: the flip log's next append fails.
+std::atomic<bool> g_fail_allocations{false};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_fail_allocations.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// Out of line, so GCC never sees an inlined free() beside a call to the
+// operator new above and reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace valkyrie::dram {
 namespace {
@@ -157,6 +192,161 @@ TEST_P(DutyCycle, ThresholdSeparatesFlipFromNoFlip) {
 
 INSTANTIATE_TEST_SUITE_P(Duties, DutyCycle,
                          ::testing::Values(0.01, 0.05, 0.2, 0.5, 1.0));
+
+// --- Dram::hammer against activate() ------------------------------------------
+
+std::vector<std::uint8_t> saved(const Dram& dram) {
+  std::vector<std::uint8_t> bytes;
+  util::ByteWriter out(bytes);
+  dram.snapshot_save(out);
+  return bytes;
+}
+
+struct HammerCoverage {
+  int calls_crossing_a_window = 0;
+  int calls_with_flips = 0;
+  int edge_calls = 0;
+  int aliased_calls = 0;
+};
+
+/// Runs `calls` random hammer() calls, with random idle gaps between them,
+/// on one Dram and the same activations through activate() on a twin, and
+/// requires the two to match after every call: snapshot bytes (RNG state,
+/// clock, window, activation count, disturbance table, flip log), flips and
+/// the public counters. `coverage` tallies what the calls exercised.
+void expect_hammer_matches_activate(const DramConfig& cfg, std::uint64_t seed,
+                                    int calls, std::uint64_t max_count,
+                                    HammerCoverage& coverage) {
+  Dram bulk(cfg, seed);
+  Dram reference(cfg, seed);
+  util::Rng pick(seed ^ 0x9e37);
+  const std::uint32_t rows = cfg.rows_per_bank;
+  const double window_ns = cfg.refresh_interval_ms * 1e6;
+  // A few fixed victims, so counters build up past the threshold.
+  const std::uint32_t victims[] = {1, 2, rows / 2, rows - 2};
+  for (int call = 0; call < calls; ++call) {
+    const auto bank = static_cast<std::uint32_t>(pick.below(cfg.banks));
+    const std::uint32_t victim = victims[pick.below(4)];
+    std::uint32_t row_a = victim - 1;
+    std::uint32_t row_b = victim + 1;
+    switch (pick.below(6)) {
+      case 0: row_b = row_a + 1; break;   // adjacent aggressors
+      case 1: row_b = row_a; break;       // one row, twice
+      case 2: row_a = 0; break;           // lower edge
+      case 3: row_b = rows - 1; break;    // upper edge
+      case 4: std::swap(row_a, row_b); break;
+      default: break;                     // double-sided
+    }
+    coverage.edge_calls += row_a == 0 || row_b == rows - 1;
+    coverage.aliased_calls += row_b == row_a + 1 || row_b == row_a;
+    const std::uint64_t count =
+        pick.chance(0.1) ? pick.below(4) : pick.below(max_count + 1);
+    if (pick.chance(0.3)) {
+      const double idle = pick.uniform(0.0, 1.5 * window_ns);
+      bulk.idle_ns(idle);
+      reference.idle_ns(idle);
+    }
+
+    const std::uint64_t window_before = reference.refresh_windows_elapsed();
+    const std::uint64_t flips_before = reference.total_bit_flips();
+    bulk.hammer(bank, row_a, row_b, count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      reference.activate(bank, (i & 1) == 0 ? row_a : row_b);
+    }
+    coverage.calls_crossing_a_window +=
+        reference.refresh_windows_elapsed() != window_before;
+    coverage.calls_with_flips += reference.total_bit_flips() != flips_before;
+
+    ASSERT_EQ(saved(bulk), saved(reference))
+        << "call " << call << ": bank " << bank << " rows " << row_a << "/"
+        << row_b << " x" << count;
+    ASSERT_EQ(bulk.total_bit_flips(), reference.total_bit_flips());
+    for (std::size_t f = flips_before; f < bulk.flips().size(); ++f) {
+      EXPECT_EQ(bulk.flips()[f].bank, reference.flips()[f].bank);
+      EXPECT_EQ(bulk.flips()[f].row, reference.flips()[f].row);
+      EXPECT_EQ(bulk.flips()[f].window, reference.flips()[f].window);
+    }
+    ASSERT_EQ(bulk.total_activations(), reference.total_activations());
+    ASSERT_EQ(bulk.refresh_windows_elapsed(),
+              reference.refresh_windows_elapsed());
+    ASSERT_EQ(bulk.now_ms(), reference.now_ms());
+  }
+}
+
+void expect_matches_and_covers(const DramConfig& cfg, std::uint64_t seed,
+                               int calls, std::uint64_t max_count) {
+  HammerCoverage c;
+  expect_hammer_matches_activate(cfg, seed, calls, max_count, c);
+  EXPECT_GT(c.calls_crossing_a_window, 0);
+  EXPECT_GT(c.calls_with_flips, 0);
+  EXPECT_GT(c.edge_calls, 0);
+  EXPECT_GT(c.aliased_calls, 0);
+}
+
+TEST(DramHammer, MatchesActivateOnTheDefaultGeometry) {
+  // 64 ms windows hold 1.28M activations; 139K of them on one row flip.
+  expect_matches_and_covers(DramConfig{}, 0x11, 200, 200'000);
+}
+
+TEST(DramHammer, MatchesActivateOnASmallGeometry) {
+  expect_matches_and_covers(small_config(), 0x22, 300, 30'000);
+}
+
+TEST(DramHammer, MatchesActivateWithANonIntegerRowCycle) {
+  // 0.9 ms is 18,480.49 row cycles of 48.7 ns: the clock never lands on a
+  // window boundary, which the bulk loop must find by the same divide.
+  DramConfig cfg = small_config();
+  cfg.t_rc_ns = 48.7;
+  cfg.refresh_interval_ms = 0.9;
+  cfg.disturbance_threshold = 3000;
+  cfg.flip_prob_per_excess = 0.002;
+  expect_matches_and_covers(cfg, 0x33, 300, 25'000);
+}
+
+// The flip log's append is the one step that can throw. When it does, the
+// model must stand where activate() leaves it: this activation counted, its
+// draw taken, the disturbed row counted and the other neighbour not yet.
+TEST(DramHammer, AFailedFlipAppendLeavesTheModelWhereActivateWould) {
+  Dram bulk(small_config(), 9);
+  Dram reference(small_config(), 9);
+  bool bulk_threw = false;
+  std::uint64_t done = 0;
+  g_fail_allocations.store(true);
+  try {
+    bulk.hammer(0, 9, 11, 20'000);
+  } catch (const std::bad_alloc&) {
+    bulk_threw = true;
+  }
+  try {
+    for (; done < 20'000; ++done) {
+      reference.activate(0, (done & 1) == 0 ? 9 : 11);
+    }
+  } catch (const std::bad_alloc&) {
+  }
+  g_fail_allocations.store(false);
+  ASSERT_TRUE(bulk_threw);
+  ASSERT_LT(done, 20'000u);  // the first flip's append failed
+  EXPECT_EQ(bulk.total_activations(), done + 1);
+  EXPECT_EQ(saved(bulk), saved(reference));
+}
+
+TEST(DramHammer, ZeroCountIsANoOp) {
+  Dram dram(small_config(), 5);
+  dram.hammer(0, 9, 11, 7);
+  const std::vector<std::uint8_t> before = saved(dram);
+  dram.hammer(1, 0, 63, 0);
+  EXPECT_EQ(saved(dram), before);
+}
+
+TEST(DramHammer, RowsOutsideTheGeometryAreRefusedBeforeAnyActivation) {
+  Dram dram(small_config(), 5);
+  dram.hammer(0, 9, 11, 7);
+  const std::vector<std::uint8_t> before = saved(dram);
+  EXPECT_THROW(dram.hammer(2, 9, 11, 1), std::out_of_range);
+  EXPECT_THROW(dram.hammer(0, 64, 11, 1), std::out_of_range);
+  EXPECT_THROW(dram.hammer(0, 9, 0xffffffffu, 1), std::out_of_range);
+  EXPECT_EQ(saved(dram), before);
+}
 
 }  // namespace
 }  // namespace valkyrie::dram

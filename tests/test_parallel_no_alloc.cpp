@@ -16,12 +16,15 @@
 #include <optional>
 #include <string_view>
 
+#include "attacks/cryptominer.hpp"
+#include "attacks/ransomware.hpp"
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "fault/fault_plane.hpp"
 #include "ml/detector.hpp"
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
+#include "workloads/benchmarks.hpp"
 
 namespace {
 
@@ -419,6 +422,82 @@ TEST(ParallelNoAlloc, SequentialBatchedRetentionChurnIsAllocationFree) {
 
 TEST(ParallelNoAlloc, ShardedBatchedRetentionChurnIsAllocationFree) {
   expect_retention_churn_does_not_allocate(4, kBatched);
+}
+
+// Attack models in steady state: palette programs beside a ransomware and a
+// miner, under a detector that never votes malicious, so both attacks run
+// at full share every epoch. Their epochs must not allocate either — the
+// ransomware reads its plaintext slice as draws, with no buffer. The
+// rowhammer stays out: its flip log grows by design.
+class NeverMaliciousDetector final : public ml::Detector {
+ public:
+  explicit NeverMaliciousDetector(PlaneSections sections)
+      : sections_(sections) {}
+
+  [[nodiscard]] std::string_view name() const override { return "benign"; }
+  [[nodiscard]] ml::Inference infer(
+      std::span<const hpc::HpcSample> /*window*/) const override {
+    return ml::Inference::kBenign;
+  }
+  [[nodiscard]] ml::Inference infer(
+      const ml::WindowSummary& /*summary*/) const override {
+    return ml::Inference::kBenign;
+  }
+  [[nodiscard]] PlaneSections plane_sections() const override {
+    return sections_;
+  }
+
+ private:
+  PlaneSections sections_;
+};
+
+void expect_attack_epochs_do_not_allocate(std::size_t worker_threads,
+                                          Sections route) {
+  const NeverMaliciousDetector detector(route);
+  sim::SimSystem sys;
+  ValkyrieEngine engine(sys, detector, worker_threads);
+
+  constexpr std::size_t kWarmup = 8;
+  constexpr std::size_t kMeasured = 32;
+  const std::vector<workloads::BenchmarkSpec> palette =
+      workloads::all_single_threaded();
+  std::vector<std::unique_ptr<sim::Workload>> population;
+  for (std::size_t i = 0; i < 16; ++i) {
+    workloads::BenchmarkSpec spec = palette[i % palette.size()];
+    spec.epochs_of_work = 1e9;
+    population.push_back(std::make_unique<workloads::BenchmarkWorkload>(spec));
+  }
+  population.push_back(std::make_unique<attacks::RansomwareAttack>());
+  population.push_back(std::make_unique<attacks::CryptominerAttack>());
+  const std::size_t procs = population.size();
+  for (std::unique_ptr<sim::Workload>& workload : population) {
+    const sim::ProcessId pid = sys.spawn(std::move(workload));
+    engine.attach(pid, ValkyrieConfig{},
+                  std::make_unique<SchedulerWeightActuator>());
+  }
+
+  sys.reserve_history(kWarmup + kMeasured + 1);
+  for (std::size_t i = 0; i < kWarmup; ++i) engine.step();
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < kMeasured; ++i) live = engine.step();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after, before) << "attack epochs allocated with "
+                           << worker_threads << " workers";
+  EXPECT_EQ(live, procs);
+  for (const sim::ProcessId pid : sys.live_processes()) {
+    EXPECT_EQ(engine.last_action(pid), ValkyrieMonitor::Action::kNone);
+  }
+}
+
+TEST(ParallelNoAlloc, AttackModelEpochsAreAllocationFree) {
+  for (const Sections route : {kPerSlot, kBatched}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      expect_attack_epochs_do_not_allocate(workers, route);
+    }
+  }
 }
 
 }  // namespace

@@ -3,20 +3,30 @@
 // TYPED SnapshotError — never undefined behaviour — and a failed restore
 // must leave the target engine untouched (all-or-nothing). A corrupt count
 // must also be refused before parse allocates for it, which the replaced
-// operator new below observes.
+// operator new below observes. The same holds one level down, inside a
+// CRC-valid image: an attack payload whose fields would size, index or
+// divide out of range is refused with kMalformed before the workload is
+// built.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "attacks/cryptominer.hpp"
+#include "attacks/ransomware.hpp"
+#include "attacks/rowhammer.hpp"
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
+#include "dram/dram.hpp"
 #include "ml/svm.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -423,6 +433,223 @@ TEST(SnapshotCorruption, InflatedCountsAreRefusedBeforeAllocating) {
     EXPECT_EQ(code, SerialError::Code::kTruncated) << c.table;
     EXPECT_LE(g_largest_allocation.load(), 2 * c.section_len) << c.table;
   }
+}
+
+// --- Attack payloads ----------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+SerialError::Code load_failure_code(const PolyImage& image) {
+  try {
+    (void)WorkloadRegistry::bundled().load(image);
+  } catch (const SerialError& e) {
+    return e.code();
+  }
+  throw std::runtime_error("malformed payload loaded successfully");
+}
+
+// Rowhammer payload layout: banks u32 @0, rows u32 @4, t_rc_ns f64 @8,
+// refresh_interval_ms f64 @16, threshold u64 @24, flip probability f64 @32,
+// victim_row u32 @40, bank u32 @44, slice_ms f64 @48, seed u64 @56,
+// iterations u64 @64; then the DRAM state: RNG 4 x u64 @72, clock f64 @104,
+// window u64 @112, activations u64 @120, disturbance count u64 @128 and its
+// (index, count) pairs, then the flip count and (bank u32, row u32, window
+// u64) records.
+constexpr std::size_t kRhRows = 4;
+constexpr std::size_t kRhVictim = 40;
+constexpr std::size_t kRhClock = 104;
+constexpr std::size_t kRhWindow = 112;
+constexpr std::size_t kRhEntries = 128;
+
+/// A default rowhammer after two full-share epochs: a nonzero disturbance
+/// table in its current window and a non-empty flip log.
+PolyImage hammered_rowhammer() {
+  attacks::RowhammerAttack attack;
+  util::Rng rng(3);
+  sim::EpochContext ctx;
+  ctx.rng = &rng;
+  for (int e = 0; e < 2; ++e) attack.run_epoch(sim::ResourceShares{}, ctx);
+  EXPECT_GT(attack.dram().total_bit_flips(), 0u);
+  return poly_image(attack);
+}
+
+TEST(SnapshotCorruption, RowhammerPayloadOutsideItsGeometryIsRefused) {
+  const PolyImage good = hammered_rowhammer();
+  ASSERT_NO_THROW((void)WorkloadRegistry::bundled().load(good));
+  const std::vector<std::uint8_t>& bytes = good.payload;
+  const std::uint32_t rows =
+      util::ByteReader({bytes.data() + kRhRows, 4}).u32();
+  const std::size_t entries = read_u64(bytes, kRhEntries);
+  ASSERT_GE(entries, 2u);
+  const std::size_t first_entry = kRhEntries + 8;
+  const std::size_t flips_at = first_entry + 16 * entries;
+  ASSERT_GT(read_u64(bytes, flips_at), 0u);
+
+  const std::uint64_t window = read_u64(bytes, kRhWindow);
+  const std::uint64_t first_index = read_u64(bytes, first_entry);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  struct Patch {
+    const char* what;
+    std::size_t at;
+    bool wide;  // u64/f64, else u32
+    std::uint64_t value;
+  };
+  const Patch patches[] = {
+      {"victim row 0 (upper aggressor row 0xffffffff)", kRhVictim, false, 0},
+      {"victim row on the last row", kRhVictim, false, rows - 1},
+      {"victim row 0xffffffff (+ 2 wraps to 1)", kRhVictim, false,
+       0xffffffffu},
+      {"victim row 0xfffffffe (+ 2 wraps to 0)", kRhVictim, false,
+       0xfffffffeu},
+      {"bank past the bank count", kRhVictim + 4, false, 8},
+      {"zero banks", 0, false, 0},
+      {"nine banks, one past kMaxRows", 0, false, 9},
+      {"two rows per bank", kRhRows, false, 2},
+      {"NaN row cycle", 8, true, bits(std::nan(""))},
+      {"row cycle just below kMinRowCycleNs", 8, true,
+       bits(std::nextafter(attacks::kMinRowCycleNs, 0.0))},
+      {"zero refresh interval", 16, true, bits(0.0)},
+      {"flip probability above 1", 32, true, bits(1.5)},
+      {"infinite slice", 48, true, bits(kInf)},
+      {"slice just below kMinSliceMs", 48, true,
+       bits(std::nextafter(attacks::kMinSliceMs, 0.0))},
+      {"slice just above kMaxSliceMs", 48, true,
+       bits(std::nextafter(attacks::kMaxSliceMs, kInf))},
+      {"NaN clock", kRhClock, true, bits(std::nan(""))},
+      {"negative clock", kRhClock, true, bits(-1.0)},
+      {"clock outside the stored window", kRhWindow, true, window + 1},
+      {"repeated disturbance index", first_entry + 16, true, first_index},
+      {"zero disturbance count", first_entry + 8, true, 0},
+      {"flip outside the geometry", flips_at + 8 + 4, false, rows},
+  };
+  for (const Patch& patch : patches) {
+    PolyImage bad = good;
+    if (patch.wide) {
+      write_u64(bad.payload, patch.at, patch.value);
+    } else {
+      write_u32(bad.payload, patch.at, static_cast<std::uint32_t>(patch.value));
+    }
+    EXPECT_EQ(load_failure_code(bad), SerialError::Code::kMalformed)
+        << patch.what;
+  }
+}
+
+// A geometry of 2^32 - 1 banks x 2^32 - 1 rows is refused as kMalformed
+// before the DRAM table is allocated, not as a std::length_error from it.
+TEST(SnapshotCorruption, HugeDramGeometryIsRefusedBeforeAllocating) {
+  PolyImage bad = poly_image(attacks::RowhammerAttack{});
+  write_u32(bad.payload, 0, 0xffffffffu);
+  write_u32(bad.payload, kRhRows, 0xffffffffu);
+  g_largest_allocation.store(0);
+  g_tracking.store(true);
+  const SerialError::Code code = load_failure_code(bad);
+  g_tracking.store(false);
+  EXPECT_EQ(code, SerialError::Code::kMalformed);
+  // Far below even the default geometry's 2 MiB table.
+  EXPECT_LE(g_largest_allocation.load(), std::size_t{1} << 16);
+}
+
+// At the cap a payload costs what a default rowhammer does: restore's
+// largest allocation is the kMaxRows-counter table. One row more is refused.
+TEST(SnapshotCorruption, DramGeometryAtTheCapAllocatesOnlyItsTable) {
+  attacks::RowhammerConfig config;
+  config.dram.banks = 1;
+  config.dram.rows_per_bank = dram::kMaxRows;
+  const PolyImage at_cap = poly_image(attacks::RowhammerAttack(config));
+  g_largest_allocation.store(0);
+  g_tracking.store(true);
+  const std::unique_ptr<sim::Workload> loaded =
+      WorkloadRegistry::bundled().load(at_cap);
+  g_tracking.store(false);
+  EXPECT_EQ(g_largest_allocation.load(),
+            dram::kMaxRows * sizeof(std::uint64_t));
+
+  PolyImage past_cap = at_cap;
+  write_u32(past_cap.payload, kRhRows, config.dram.rows_per_bank + 1);
+  EXPECT_EQ(load_failure_code(past_cap), SerialError::Code::kMalformed);
+}
+
+TEST(SnapshotCorruption, AttackPayloadsThatSizeEpochWorkOutOfRangeAreRefused) {
+  // Ransomware: name (u64 length + bytes), then cpu_bytes_per_second,
+  // files_per_epoch, mean_file_bytes (f64) and max_real_crypt_bytes (u64).
+  const PolyImage ransomware = poly_image(attacks::RansomwareAttack{});
+  const std::size_t rw = 8 + read_u64(ransomware.payload, 0);
+  // Cryptominer: name, hashes_per_second (f64), real_hashes_per_epoch and
+  // difficulty_bits (i64).
+  const PolyImage miner = poly_image(attacks::CryptominerAttack{});
+  const std::size_t cm = 8 + read_u64(miner.payload, 0);
+
+  struct Patch {
+    const char* what;
+    const PolyImage* base;
+    std::size_t at;
+    std::uint64_t bits;
+  };
+  const Patch patches[] = {
+      {"NaN cipher rate", &ransomware, rw,
+       std::bit_cast<std::uint64_t>(std::nan(""))},
+      {"negative file rate", &ransomware, rw + 8,
+       std::bit_cast<std::uint64_t>(-1.0)},
+      {"zero mean file size", &ransomware, rw + 16,
+       std::bit_cast<std::uint64_t>(0.0)},
+      {"2^40-byte slice", &ransomware, rw + 24, std::uint64_t{1} << 40},
+      {"slice one byte past kMaxRealCryptBytes", &ransomware, rw + 24,
+       attacks::kMaxRealCryptBytes + 1},
+      {"infinite hash rate", &miner, cm,
+       std::bit_cast<std::uint64_t>(kInf)},
+      {"negative real hashes", &miner, cm + 8, ~std::uint64_t{0}},
+      {"2^32 + 512 real hashes", &miner, cm + 8, (std::uint64_t{1} << 32) + 512},
+      {"2^20 real hashes", &miner, cm + 8, std::uint64_t{1} << 20},
+      {"one real hash past kMaxRealHashesPerEpoch", &miner, cm + 8,
+       attacks::kMaxRealHashesPerEpoch + 1},
+      {"300 difficulty bits", &miner, cm + 16, 300},
+  };
+  // Each cap itself loads.
+  PolyImage at_cap = ransomware;
+  write_u64(at_cap.payload, rw + 24, attacks::kMaxRealCryptBytes);
+  EXPECT_NO_THROW((void)WorkloadRegistry::bundled().load(at_cap));
+  at_cap = miner;
+  write_u64(at_cap.payload, cm + 8, attacks::kMaxRealHashesPerEpoch);
+  EXPECT_NO_THROW((void)WorkloadRegistry::bundled().load(at_cap));
+
+  for (const Patch& patch : patches) {
+    ASSERT_NO_THROW((void)WorkloadRegistry::bundled().load(*patch.base));
+    PolyImage bad = *patch.base;
+    write_u64(bad.payload, patch.at, patch.bits);
+    EXPECT_EQ(load_failure_code(bad), SerialError::Code::kMalformed)
+        << patch.what;
+  }
+}
+
+// The whole path: a rowhammer payload patched inside a full image whose
+// CRCs are valid parses (parse is registry-free), and restore refuses it
+// with kMalformed and leaves the target untouched.
+TEST(SnapshotCorruption, PatchedRowhammerInAValidImageIsRefusedByRestore) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture source(detector);
+  source.sys.spawn(std::make_unique<attacks::RowhammerAttack>());
+  source.engine.step();
+  SnapshotImage image = capture(source.engine);
+  bool patched = false;
+  for (ProcImage& proc : image.system.procs) {
+    if (proc.workload.type == "attack.rowhammer") {
+      write_u32(proc.workload.payload, kRhVictim, 0);
+      patched = true;
+    }
+  }
+  ASSERT_TRUE(patched);
+  const SnapshotImage parsed = parse(encode(image));
+
+  Fixture target(detector);
+  const std::vector<std::uint8_t> before = encode(capture(target.engine));
+  try {
+    restore(parsed, target.engine, RestoreContext{});
+    FAIL() << "restore accepted a rowhammer with victim row 0";
+  } catch (const SerialError& e) {
+    EXPECT_EQ(e.code(), SerialError::Code::kMalformed);
+  }
+  EXPECT_EQ(before, encode(capture(target.engine)));
 }
 
 }  // namespace
