@@ -123,7 +123,8 @@ void ValkyrieEngine::reserve_shard_buffers(std::size_t per_shard) {
 }
 
 void ValkyrieEngine::reserve(std::size_t max_processes) {
-  attached_.reserve(max_processes);
+  // Plus the detach tombstones a step leaves in the table (see kPruneRatio).
+  attached_.reserve(max_processes + max_processes / (kPruneRatio - 1));
   attached_index_.reserve(max_processes);
   // The per-slot scratch follows the live count, which never exceeds the
   // processes ever spawned.
@@ -158,7 +159,7 @@ void ValkyrieEngine::attach(sim::ProcessId pid, ValkyrieConfig config,
   // ceil-chunk keeps the per-epoch hot path allocation-free without
   // shard_count-fold overcommit. (step() re-checks against its live-slot
   // ranges, which may cluster attachments.)
-  reserve_shard_buffers(shard_quota(attached_.size()));
+  reserve_shard_buffers(shard_quota(attached_index_.size()));
 }
 
 void ValkyrieEngine::detach(sim::ProcessId pid) {
@@ -166,9 +167,10 @@ void ValkyrieEngine::detach(sim::ProcessId pid) {
   if (idx_entry == nullptr) {
     throw std::out_of_range("ValkyrieEngine: process not attached");
   }
-  // Tombstone, don't erase: k detaches between steps cost one stable
-  // compaction pass (prune_detached) instead of k ordered erases — the
-  // same mark-then-compact pattern SimSystem uses for slot retirement.
+  // Tombstone, don't erase: a step prunes only once tombstones pass
+  // 1/kPruneRatio of the table, so many detaches share one stable
+  // compaction pass (prune_detached) instead of paying an ordered erase
+  // each.
   const auto idx = static_cast<std::size_t>(*idx_entry);
   attached_index_.erase(pid);
   attached_[idx].detached = true;
@@ -574,7 +576,9 @@ std::optional<ml::Inference> ValkyrieEngine::batch_verdict(
 
 std::size_t ValkyrieEngine::step() {
   ++step_tag_;
-  if (detached_count_ != 0) prune_detached();
+  // Tombstones are invisible to the step (their index entries are gone),
+  // so pruning waits until they pass 1/kPruneRatio of the table.
+  if (detached_count_ * kPruneRatio > attached_.size()) prune_detached();
   // The route, from the detector's declaration — re-read every step, so a
   // detector whose needs changed (e.g. StatisticalDetector::set_vote_window
   // moving it onto the raw-window path) is served by what it declares now.
@@ -595,9 +599,9 @@ std::size_t ValkyrieEngine::step() {
   // shard can own up to one ceil-chunk of *processes* worth of attachments
   // when they cluster. Re-check capacity against that bound (a no-op in
   // steady state; live counts only shrink between attaches).
-  if (!attached_.empty() && !live.empty()) {
+  if (!attached_index_.empty() && !live.empty()) {
     reserve_shard_buffers(
-        std::min(shard_quota(live.size()), attached_.size()));
+        std::min(shard_quota(live.size()), attached_index_.size()));
   }
   // Per-slot scratch, sized to the live list; capacity only grows, so the
   // steady-state epoch allocates nothing.
@@ -733,9 +737,9 @@ snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
   image.step_tag = step_tag_;
   image.attachments.reserve(attached_.size() - detached_count_);
   for (const Attached& a : attached_) {
-    // Tombstones are skipped: the captured table equals the post-prune
-    // table the uninterrupted run converges to at its next step, which is
-    // exactly what a restored engine's first step must start from.
+    // Tombstones are skipped: no output reads them, so the live entries in
+    // attach order are exactly what a restored engine's first step must
+    // start from, whenever the uninterrupted run happens to prune.
     if (a.detached) continue;
     snapshot::AttachmentImage att;
     att.pid = a.pid;

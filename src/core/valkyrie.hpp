@@ -270,10 +270,11 @@ class ValkyrieEngine {
   /// unmonitored. Restrictions already applied to the system are NOT
   /// lifted — call the actuator's reset through the monitor beforehand if
   /// that is wanted. The process may be re-attached later with fresh
-  /// state. The call itself is O(1) (the entry is tombstoned and the
-  /// attachment table compacted in one stable pass at the next step, the
-  /// same mark-then-compact pattern the system's slot retirement uses), so
-  /// churn drivers detaching every departure stay O(attached) per epoch.
+  /// state. The call itself is O(1): the entry is tombstoned, and a step
+  /// compacts the attachment table in one stable pass only once tombstones
+  /// exceed an eighth of it, so the pruning costs O(1) amortized per
+  /// detach and churn drivers detaching every departure stay O(live) per
+  /// epoch. Tombstones never reach an output or a snapshot.
   /// Throws std::out_of_range if the pid is not attached.
   void detach(sim::ProcessId pid);
 
@@ -311,8 +312,9 @@ class ValkyrieEngine {
 
   /// Captures the engine's response state (attachment table, streaming
   /// inference counts, step tag) plus the detector's compatibility
-  /// fingerprint. Detach tombstones are skipped — the captured table equals
-  /// the post-prune table the uninterrupted run reaches at its next step.
+  /// fingerprint. Detach tombstones are skipped — the captured table is the
+  /// live attachments in attach order, which is all a tombstone-free
+  /// restored engine needs to continue bit-identically.
   [[nodiscard]] snapshot::EngineImage snapshot_state() const;
 
   /// Rebuilds the attachment table from an image. Validates the detector
@@ -360,8 +362,9 @@ class ValkyrieEngine {
     // process is already dead, so staleness is detected by tag instead of
     // by eagerly clearing every attachment.
     std::uint64_t last_action_step = 0;
-    // Tombstone set by detach(); the entry is skipped by the step (its
-    // index entry is already gone) and reclaimed by prune_detached().
+    // Tombstone set by detach(); the entry is skipped by the step and by
+    // capture (its index entry is already gone) and reclaimed by the first
+    // prune_detached() after tombstones pass 1/kPruneRatio of the table.
     bool detached = false;
   };
 
@@ -463,8 +466,15 @@ class ValkyrieEngine {
   void commit_shard_commands();
 
   /// One stable compaction pass over the attachment table, reclaiming
-  /// tombstoned entries and re-deriving the pid index for survivors.
+  /// tombstoned entries and re-deriving the pid index for survivors. step()
+  /// runs it only once tombstones exceed 1/kPruneRatio of the table, so its
+  /// O(table) cost is paid once per ~table/kPruneRatio detaches.
   void prune_detached();
+
+  /// Tombstone share of attached_ past which step() prunes: between prunes
+  /// the table holds at most one tombstone per kPruneRatio - 1 live
+  /// entries, the slack reserve() sizes for.
+  static constexpr std::size_t kPruneRatio = 8;
 
   /// Commands one shard can emit for `items` work items: each item yields
   /// at most one command and a shard owns at most one ceil-chunk of items.
@@ -496,7 +506,7 @@ class ValkyrieEngine {
   std::vector<std::uint8_t> batch_votes_;
   std::vector<ml::Inference> batch_infer_;
   std::uint64_t step_tag_ = 0;  // bumped at the start of every step()
-  std::size_t detached_count_ = 0;  // tombstones awaiting prune_detached()
+  std::size_t detached_count_ = 0;  // tombstones in attached_
   // --- Fault plane / degraded modes (null plane + empty retry table keeps
   // every fault-free path untouched) ------------------------------------------
   const fault::FaultPlane* fault_plane_ = nullptr;  // borrowed, may be null

@@ -15,13 +15,21 @@
 
 namespace valkyrie::sim {
 
-// The compaction pass moves hot state between slots by plain assignment;
-// these stay trivially copyable so the shift is a handful of memcpys and
-// retirement snapshots cannot throw mid-compaction.
-static_assert(std::is_trivially_copyable_v<util::Rng>);
-static_assert(std::is_trivially_copyable_v<ResourceShares>);
-static_assert(std::is_trivially_copyable_v<hpc::HpcSample>);
-static_assert(std::is_trivially_copyable_v<ml::WindowAccumulator>);
+template <typename F>
+void SimSystem::for_each_hot_array(F&& f) {
+  f(slot_pid_);
+  f(row_s_);
+  f(rng_s_);
+  f(cgroup_s_);
+  f(effective_s_);
+  f(last_sample_s_);
+  f(accum_s_);
+  f(last_progress_s_);
+  f(epochs_run_s_);
+  f(exit_s_);
+  f(invalid_streak_s_);
+  f(feature_streak_s_);
+}
 
 SimSystem::SimSystem(const PlatformProfile& platform, std::uint64_t seed)
     : platform_(platform), rng_(seed), scheduler_(platform.scheduler) {}
@@ -111,19 +119,8 @@ void SimSystem::reserve(std::size_t max_processes) {
   // pending) — reserve that, or the first compaction cycle of a
   // steady-state churn run would reallocate once.
   retire_queue_.reserve(2 * max_processes + kRetireCompactMin);
-  slot_pid_.reserve(max_processes);
-  row_s_.reserve(max_processes);
+  for_each_hot_array([max_processes](auto& v) { v.reserve(max_processes); });
   factor_s_.reserve(max_processes);
-  rng_s_.reserve(max_processes);
-  cgroup_s_.reserve(max_processes);
-  effective_s_.reserve(max_processes);
-  last_sample_s_.reserve(max_processes);
-  accum_s_.reserve(max_processes);
-  last_progress_s_.reserve(max_processes);
-  epochs_run_s_.reserve(max_processes);
-  exit_s_.reserve(max_processes);
-  invalid_streak_s_.reserve(max_processes);
-  feature_streak_s_.reserve(max_processes);
   pending_admit_.reserve(max_processes);
   pending_kill_.reserve(max_processes);
   lifecycle_scratch_.reserve(max_processes);
@@ -675,35 +672,33 @@ void SimSystem::retire_dead_slots() {
   retire_pending_ = false;
   lifecycle_scratch_.clear();
   const std::size_t n = slot_pid_.size();
+  const auto dead = [this](std::size_t s) {
+    return exit_s_[s] != ExitReason::kRunning;
+  };
   std::size_t w = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const ProcessId pid = slot_pid_[s];
-    if (exit_s_[s] == ExitReason::kRunning) {
-      if (w != s) {
-        slot_pid_[w] = pid;
-        pid_map_.at(pid).slot = static_cast<std::uint32_t>(w);
-        row_s_[w] = row_s_[s];
-        rng_s_[w] = rng_s_[s];
-        cgroup_s_[w] = cgroup_s_[s];
-        effective_s_[w] = effective_s_[s];
-        last_sample_s_[w] = last_sample_s_[s];
-        accum_s_[w] = accum_s_[s];
-        last_progress_s_[w] = last_progress_s_[s];
-        epochs_run_s_[w] = epochs_run_s_[s];
-        exit_s_[w] = exit_s_[s];
-        invalid_streak_s_[w] = invalid_streak_s_[s];
-        feature_streak_s_[w] = feature_streak_s_[s];
-        if (plane_enabled_) {
-          // The plane follows the same stable remap as every hot array, so
-          // column i always belongs to live_processes()[i].
-          for (std::size_t r = 0; r < plane_rows(); ++r) {
-            plane_[r * plane_stride_ + w] = plane_[r * plane_stride_ + s];
-          }
-          plane_count_[w] = plane_count_[s];
-        }
+  std::size_t s = 0;
+  while (s < n) {
+    // The maximal run of survivors [s, end) shifts down to w in one move
+    // per hot array, preserving ascending pid order; the run before the
+    // first dead slot is already in place. The feature plane is per-epoch
+    // scratch (step_slot rewrites every live column before the batch call
+    // reads it), so its columns stay behind.
+    std::size_t end = s;
+    while (end < n && !dead(end)) ++end;
+    const std::size_t run = end - s;
+    if (w != s) {
+      for_each_hot_array([w, s, run](auto& v) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        static_assert(std::is_trivially_copyable_v<T>);
+        std::memmove(v.data() + w, v.data() + s, run * sizeof(T));
+      });
+      for (std::size_t i = w; i < w + run; ++i) {
+        pid_map_.at(slot_pid_[i]).slot = static_cast<std::uint32_t>(i);
       }
-      ++w;
-    } else {
+    }
+    w += run;
+    for (s = end; s < n && dead(s); ++s) {
+      const ProcessId pid = slot_pid_[s];
       PidRec& rec = pid_map_.at(pid);
       ColdProc& cold = cold_[rec.row];
       RetiredState& retired = cold.retired;
@@ -728,18 +723,7 @@ void SimSystem::retire_dead_slots() {
   scheduler_.remove_processes(lifecycle_scratch_);
   lifecycle_scratch_.clear();
   // Shrinking never releases capacity, so later spawns reuse it.
-  slot_pid_.resize(w);
-  row_s_.resize(w);
-  rng_s_.resize(w);
-  cgroup_s_.resize(w);
-  effective_s_.resize(w);
-  last_sample_s_.resize(w);
-  accum_s_.resize(w);
-  last_progress_s_.resize(w);
-  epochs_run_s_.resize(w);
-  exit_s_.resize(w);
-  invalid_streak_s_.resize(w);
-  feature_streak_s_.resize(w);
+  for_each_hot_array([w](auto& v) { v.resize(w); });
   if (plane_enabled_) plane_count_.resize(w);
 }
 
@@ -1182,19 +1166,8 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   }
 
   const std::size_t live = image.slots.size();
-  slot_pid_.resize(live);
-  row_s_.resize(live);
+  for_each_hot_array([live](auto& v) { v.resize(live); });
   factor_s_.assign(live, 0.0);
-  rng_s_.resize(live);
-  cgroup_s_.resize(live);
-  effective_s_.resize(live);
-  last_sample_s_.resize(live);
-  accum_s_.resize(live);
-  last_progress_s_.resize(live);
-  epochs_run_s_.resize(live);
-  exit_s_.resize(live);
-  invalid_streak_s_.resize(live);
-  feature_streak_s_.resize(live);
   for (std::size_t s = 0; s < live; ++s) {
     const snapshot::SlotImage& slot = image.slots[s];
     slot_pid_[s] = slot.pid;

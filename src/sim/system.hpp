@@ -217,15 +217,16 @@ class SimSystem {
   // A feature-major cache over the live slots for batch detector kernels:
   // row f of each armed group (newest features; window mean + stddev) holds
   // that feature for every live slot, rows are `stride` doubles apart
-  // (stride = slot capacity padded to a full cache line of doubles), and
-  // slot columns follow the same compaction/remap as every other hot array.
-  // step_slot() writes its slot's column from the freshly folded
+  // (stride = slot capacity padded to a full cache line of doubles).
+  // step_slot() writes its slot's column and count from the freshly folded
   // accumulator, so after an epoch's per-slot phase the plane carries
   // exactly the bits window_summary() would assemble per process — batch
   // kernels sweep it with unit-stride inner loops instead of gathering one
   // WindowSummary at a time. The plane holds no state of its own: rows
   // exist only for the armed sections and nothing reads a column before
-  // the epoch's per-slot phase rewrites it.
+  // the epoch's per-slot phase rewrites it. It is per-epoch scratch, so
+  // slot compaction leaves the columns where they are (only the count row
+  // is resized) and a restore sizes it without filling it.
 
   /// Arms per-slot plane maintenance for the given sections — what a batch
   /// driver's detector declares it reads (Detector::plane_sections; kFull
@@ -243,7 +244,7 @@ class SimSystem {
   /// The plane over all live slots (column i = live_processes()[i]). Rows
   /// of an unarmed section read as null pointers, and `windows` is always
   /// null. Valid after the epoch's per-slot phase has filled it and until
-  /// the next process-set mutation.
+  /// the next process-set mutation (a compaction leaves its columns behind).
   [[nodiscard]] ml::SummaryMatrixView feature_plane() const noexcept;
 
   /// A live slot's window accumulator (batch drivers that already hold the
@@ -579,12 +580,22 @@ class SimSystem {
   /// snapshot stays (release_row is the full reclaim).
   void reclaim_cold(ColdProc& cold);
 
-  /// Stable compaction: retires every slot whose exit flag is set, shifting
-  /// survivors down (preserving ascending pid order), snapshotting the
-  /// dead processes' hot fields into their cold entries, batch-removing
-  /// the retired pids from the scheduler, and (when recycling is armed)
-  /// returning their history buffers to the retirement pool.
+  /// Stable compaction: retires every slot whose exit flag is set,
+  /// snapshotting the dead processes' hot fields into their cold entries,
+  /// batch-removing the retired pids from the scheduler, and (when
+  /// recycling is armed) returning their history buffers to the retirement
+  /// pool. Survivors after the first dead slot shift down a maximal run at
+  /// a time, one memmove per hot array (ascending pid order preserved), and
+  /// only the moved slots' pid map entries are rewritten. The feature
+  /// plane is scratch and stays behind; only its count row is resized.
   void retire_dead_slots();
+
+  /// Visits the slot-indexed hot arrays as f(std::vector<T>&) — the one
+  /// list reserve(), the compaction's moves and resize, and restore_from's
+  /// resize share, so an array added later cannot be missed by one of
+  /// them. factor_s_ and the plane are per-epoch scratch, not on it.
+  template <typename F>
+  void for_each_hot_array(F&& f);
 
   /// Grows the plane to the current slot count and armed rows; never
   /// shrinks, so the stride follows the peak live slot count. A growth
@@ -679,7 +690,8 @@ class SimSystem {
   // Slots killed since the last compaction. Marked slots stay observable
   // (every accessor answers from the still-valid slot); the single
   // compaction pass runs at the next live_processes() or begin_epoch, so
-  // k kills in one commit cost one pass, not k.
+  // k kills in one commit cost one pass, not k — and the pass touches only
+  // the slots from the first dead one on, moving survivors a run at a time.
   bool retire_pending_ = false;
   // Set by step_slot when a workload completes; read serially at epoch
   // close. Relaxed is enough: the pool's join orders it before end_epoch.

@@ -153,8 +153,8 @@ struct MonitorImage {
 };
 
 /// One live engine attachment (detach tombstones are skipped at capture —
-/// a restored table equals the post-prune table the clean run converges to
-/// at its next step).
+/// no output reads them, so a restored table holds the live attachments in
+/// attach order, whenever the clean run prunes its own).
 struct AttachmentImage {
   sim::ProcessId pid = 0;
   MonitorImage monitor;

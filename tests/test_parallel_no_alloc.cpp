@@ -424,6 +424,60 @@ TEST(ParallelNoAlloc, ShardedBatchedRetentionChurnIsAllocationFree) {
   expect_retention_churn_does_not_allocate(4, kBatched);
 }
 
+// The engine reserved for exactly its peak simultaneous attachments (the
+// live population plus the arrival attached before the departure is
+// detached): reserve() must also hold the detach tombstones the steps leave
+// in the table between prunes. The window is measured from the first churn
+// epoch on — the table reaches its peak within a few epochs, so a warmup
+// would hide a short reservation — and the detector retains no raw
+// samples, so nothing else grows in it.
+TEST(ParallelNoAlloc, ExactEngineReserveCoversDetachTombstones) {
+  for (const Sections route : {kPerSlot, kBatched}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      const FlappingDetector detector(route, 0);
+      sim::SimSystem sys;
+      ValkyrieEngine engine(sys, detector, workers);
+      constexpr std::size_t kProcs = 24;
+      constexpr std::size_t kEpochs = 32;
+      sys.reserve(kProcs + kEpochs + 8);
+      engine.reserve(kProcs + 1);
+      std::vector<sim::ProcessId> fifo;
+      fifo.reserve(kProcs + kEpochs);
+      for (std::size_t i = 0; i < kProcs; ++i) {
+        const sim::ProcessId pid =
+            sys.spawn(std::make_unique<SigWorkload>(benign_signature()));
+        engine.attach(pid, ValkyrieConfig{},
+                      std::make_unique<SchedulerWeightActuator>());
+        fifo.push_back(pid);
+      }
+      std::vector<std::unique_ptr<sim::Workload>> workload_stash;
+      std::vector<std::unique_ptr<Actuator>> actuator_stash;
+      for (std::size_t i = 0; i < kEpochs; ++i) {
+        workload_stash.push_back(
+            std::make_unique<SigWorkload>(benign_signature()));
+        actuator_stash.push_back(std::make_unique<SchedulerWeightActuator>());
+      }
+      // Plain steps settle the plane and the per-slot scratch first.
+      engine.step();
+      engine.step();
+
+      const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+      for (std::size_t i = 0; i < kEpochs; ++i) {
+        sys.kill(fifo[i]);
+        const sim::ProcessId fresh = sys.spawn(std::move(workload_stash[i]));
+        engine.attach(fresh, ValkyrieConfig{}, std::move(actuator_stash[i]));
+        fifo.push_back(fresh);
+        engine.detach(fifo[i]);
+        ASSERT_EQ(engine.step(), kProcs);
+      }
+      const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after, before) << "churn allocated with " << workers
+                               << " workers, route "
+                               << static_cast<int>(route);
+    }
+  }
+}
+
 // Attack models in steady state: palette programs beside a ransomware and a
 // miner, under a detector that never votes malicious, so both attacks run
 // at full share every epoch. Their epochs must not allocate either — the

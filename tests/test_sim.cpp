@@ -1,13 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "fault/fault_plane.hpp"
 #include "sim/platform.hpp"
 #include "sim/resources.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
+#include "snapshot/image.hpp"
+#include "util/serial.hpp"
 
 namespace valkyrie::sim {
 namespace {
@@ -533,6 +543,334 @@ TEST(System, ReserveAndRecyclingKeepChurnBounded) {
   sys.run_epoch();
   EXPECT_EQ(sys.sample_history(fresh).size(), 1u);
   EXPECT_TRUE(sys.is_live(fresh));
+}
+
+// --- Slot compaction against a pid-keyed oracle -----------------------------
+//
+// The engine suites compare against a loop over the same SimSystem, so a
+// wrong run boundary in the compaction would sit on both sides. These
+// tests check each pass against what it must do per pid instead: capture
+// the state before the pass, then require every survivor unchanged at its
+// new slot, every retired pid's retirement snapshot equal to its last slot
+// values, and the pid -> slot table and live list consistent.
+
+/// Snapshot-capable workload whose counts and progress come from the
+/// slot's own stream, so every slot carries distinct state. Completes
+/// after `lifetime` epochs.
+class DrawingWorkload final : public Workload {
+ public:
+  explicit DrawingWorkload(std::uint64_t lifetime) : lifetime_(lifetime) {}
+
+  [[nodiscard]] std::string_view name() const override { return "drawing"; }
+  [[nodiscard]] bool is_attack() const override { return false; }
+  [[nodiscard]] std::string_view progress_units() const override {
+    return "units";
+  }
+  StepResult run_epoch(const ResourceShares& shares,
+                       EpochContext& ctx) override {
+    StepResult r;
+    r.progress = shares.cpu * ctx.rng->uniform();
+    for (double& c : r.hpc.counts) c = 1e6 * (1.0 + ctx.rng->uniform());
+    progress_ += r.progress;
+    r.finished = ++ran_ >= lifetime_;
+    return r;
+  }
+  [[nodiscard]] double total_progress() const override { return progress_; }
+  [[nodiscard]] std::string_view snapshot_type() const override {
+    return "test.drawing";
+  }
+  void snapshot_save(util::ByteWriter& out) const override {
+    out.u64(lifetime_);
+    out.u64(ran_);
+  }
+  [[nodiscard]] std::uint64_t ran() const noexcept { return ran_; }
+
+ private:
+  std::uint64_t lifetime_;
+  std::uint64_t ran_ = 0;
+  double progress_ = 0.0;
+};
+
+constexpr std::size_t kOracleProcs = 40;
+constexpr std::uint64_t kOracleWarmup = 3;
+constexpr std::uint32_t kRetiredSlot = 0xffffffffu;
+
+/// Sensor faults, so the quarantine streaks differ between slots too.
+const fault::FaultPlane& oracle_faults() {
+  static const fault::FaultPlane plane = [] {
+    fault::FaultPlane p(0x0dac1e);
+    p.sensor.dropout_rate = 0.15;
+    p.sensor.nan_rate = 0.25;
+    p.sensor.feature_fraction = 0.5;
+    return p;
+  }();
+  return plane;
+}
+
+/// 40 processes with distinct cgroup caps under sensor faults, run for a
+/// few epochs. Slots in `finishing` complete in the first epoch after the
+/// warmup.
+void build_oracle_world(SimSystem& sys, bool plane,
+                        const std::vector<std::size_t>& finishing = {}) {
+  if (plane) sys.enable_feature_plane(ml::Detector::PlaneSections::kFull);
+  sys.arm_sensor_faults(&oracle_faults());
+  for (std::size_t i = 0; i < kOracleProcs; ++i) {
+    const bool finishes =
+        std::find(finishing.begin(), finishing.end(), i) != finishing.end();
+    const ProcessId pid = sys.spawn(std::make_unique<DrawingWorkload>(
+        finishes ? kOracleWarmup + 1 : 1u << 30));
+    sys.set_cgroup_caps(pid, 0.3 + 0.015 * static_cast<double>(i),
+                        i % 3 == 0 ? std::optional<double>(0.8) : std::nullopt,
+                        i % 5 == 0 ? std::optional<double>(0.6) : std::nullopt,
+                        std::nullopt);
+  }
+  sys.run_epochs(kOracleWarmup);
+}
+
+/// The state the pid-addressed observers report, however it is stored.
+struct Observed {
+  ResourceShares cgroup;
+  ResourceShares effective;
+  hpc::HpcSample last_sample;
+  ml::WindowAccumulator::State accum;
+  double last_progress = 0.0;
+  std::uint64_t epochs_run = 0;
+  std::uint8_t exit = 0;
+};
+
+Observed observe(const SimSystem& sys, ProcessId pid) {
+  return {sys.cgroup_caps(pid),
+          sys.effective_shares(pid),
+          sys.last_sample(pid),
+          sys.window_accumulator(pid).state(),
+          sys.last_progress(pid),
+          sys.epochs_run(pid),
+          static_cast<std::uint8_t>(sys.exit_reason(pid))};
+}
+
+Observed from_slot(const snapshot::SlotImage& s) {
+  return {s.cgroup, s.effective, s.last_sample, s.accum,
+          s.last_progress, s.epochs_run, s.exit};
+}
+
+Observed from_retired(const snapshot::ProcImage& p) {
+  return {p.retired_cgroup,      p.retired_effective,
+          p.retired_last_sample, p.retired_accum,
+          p.retired_last_progress, p.retired_epochs_run,
+          p.retired_exit};
+}
+
+void expect_shares_eq(const ResourceShares& want, const ResourceShares& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.cpu, got.cpu) << what;
+  EXPECT_EQ(want.mem, got.mem) << what;
+  EXPECT_EQ(want.net, got.net) << what;
+  EXPECT_EQ(want.fs, got.fs) << what;
+}
+
+void expect_observed_eq(const Observed& want, const Observed& got,
+                        const std::string& what) {
+  expect_shares_eq(want.cgroup, got.cgroup, what + " cgroup");
+  expect_shares_eq(want.effective, got.effective, what + " effective");
+  EXPECT_EQ(want.last_sample.counts, got.last_sample.counts) << what;
+  EXPECT_EQ(want.accum.count, got.accum.count) << what;
+  EXPECT_EQ(want.accum.mean, got.accum.mean) << what;
+  EXPECT_EQ(want.accum.m2, got.accum.m2) << what;
+  EXPECT_EQ(want.accum.newest, got.accum.newest) << what;
+  EXPECT_EQ(want.accum.fcount, got.accum.fcount) << what;
+  EXPECT_EQ(want.accum.newest_mask, got.accum.newest_mask) << what;
+  EXPECT_EQ(want.last_progress, got.last_progress) << what;
+  EXPECT_EQ(want.epochs_run, got.epochs_run) << what;
+  EXPECT_EQ(want.exit, got.exit) << what;
+}
+
+/// The pid-keyed oracle for one compaction pass. `last` is every pid's
+/// last slot state before the pass (dead-marked or not); `after` is the
+/// image once the pass has run.
+void expect_pass_matches_oracle(const std::map<ProcessId, Observed>& last,
+                                const snapshot::SystemImage& after,
+                                const std::string& label) {
+  std::map<ProcessId, const snapshot::ProcImage*> procs;
+  for (const snapshot::ProcImage& p : after.procs) procs[p.pid] = &p;
+  std::vector<ProcessId> survivors;
+  for (const auto& [pid, state] : last) {
+    const std::string what = label + " pid " + std::to_string(pid);
+    ASSERT_TRUE(procs.count(pid)) << what;
+    const snapshot::ProcImage& proc = *procs.at(pid);
+    if (state.exit == static_cast<std::uint8_t>(ExitReason::kRunning)) {
+      survivors.push_back(pid);
+      continue;
+    }
+    // Retired: the slot is gone and the snapshot holds its last values.
+    EXPECT_EQ(proc.slot, kRetiredSlot) << what;
+    expect_observed_eq(state, from_retired(proc), what + " retired");
+  }
+  // Survivors keep ascending pid order and their state, at their new slot.
+  ASSERT_EQ(after.slots.size(), survivors.size()) << label;
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    const std::string what = label + " slot " + std::to_string(i);
+    ASSERT_EQ(after.slots[i].pid, survivors[i]) << what;
+    if (i != 0) {
+      EXPECT_LT(after.slots[i - 1].pid, after.slots[i].pid) << what;
+    }
+    expect_observed_eq(last.at(survivors[i]), from_slot(after.slots[i]),
+                       what);
+  }
+  // Every row's slot indexes its own pid.
+  std::size_t hot = 0;
+  for (const snapshot::ProcImage& p : after.procs) {
+    if (p.slot == kRetiredSlot) continue;
+    ++hot;
+    ASSERT_LT(p.slot, after.slots.size()) << label << " pid " << p.pid;
+    EXPECT_EQ(after.slots[p.slot].pid, p.pid) << label << " pid " << p.pid;
+  }
+  EXPECT_EQ(hot, after.slots.size()) << label;
+}
+
+/// After a pass the world keeps running correctly: one more epoch steps
+/// each live slot's own workload into its own cold row, and an armed plane
+/// carries exactly what window_summary() assembles, although the pass left
+/// its columns behind.
+void expect_next_epoch_consistent(SimSystem& sys, const std::string& label) {
+  sys.begin_epoch();
+  const std::span<const ProcessId> live = sys.live_processes();
+  for (std::size_t slot = 0; slot < live.size(); ++slot) sys.step_slot(slot);
+  if (sys.feature_plane_enabled()) {
+    const ml::SummaryMatrixView plane = sys.feature_plane();
+    ASSERT_EQ(plane.count, live.size()) << label;
+    for (std::size_t slot = 0; slot < live.size(); ++slot) {
+      const ml::WindowSummary want = sys.window_summary(live[slot]);
+      const ml::WindowSummary got = plane.gather(slot);
+      EXPECT_EQ(got.count, want.count) << label << " slot " << slot;
+      EXPECT_EQ(got.newest, want.newest) << label << " slot " << slot;
+      EXPECT_EQ(got.mean, want.mean) << label << " slot " << slot;
+      EXPECT_EQ(got.stddev, want.stddev) << label << " slot " << slot;
+    }
+  }
+  sys.end_epoch();
+  for (const ProcessId pid : sys.live_processes()) {
+    const auto& w = dynamic_cast<const DrawingWorkload&>(sys.workload(pid));
+    EXPECT_EQ(w.ran(), sys.epochs_run(pid)) << label << " pid " << pid;
+    const std::vector<hpc::HpcSample>& history = sys.sample_history(pid);
+    ASSERT_FALSE(history.empty()) << label << " pid " << pid;
+    EXPECT_EQ(history.back().counts, sys.last_sample(pid).counts)
+        << label << " pid " << pid;
+  }
+}
+
+TEST(SlotCompaction, KillPatternsMatchThePidKeyedOracle) {
+  std::vector<std::size_t> alternating;
+  for (std::size_t s = 1; s < kOracleProcs; s += 2) alternating.push_back(s);
+  std::vector<std::size_t> all;
+  for (std::size_t s = 0; s < kOracleProcs; ++s) all.push_back(s);
+  const std::vector<std::pair<std::string, std::vector<std::size_t>>>
+      patterns = {
+          {"slot 0", {0}},
+          {"last slot", {kOracleProcs - 1}},
+          {"adjacent runs", {3, 4, 5, 7, 8, 20, 21, 22, 23, 38}},
+          {"alternating", alternating},
+          {"all", all},
+          {"none", {}},
+      };
+  for (const bool plane : {false, true}) {
+    for (const auto& [name, kills] : patterns) {
+      const std::string label =
+          name + (plane ? " (plane armed)" : " (no plane)");
+      SimSystem sys;
+      build_oracle_world(sys, plane);
+      const std::vector<ProcessId> live(sys.live_processes().begin(),
+                                        sys.live_processes().end());
+      for (const std::size_t slot : kills) sys.kill(live[slot]);
+
+      // The state the pass starts from: kills marked, nothing moved yet.
+      const snapshot::SystemImage before = sys.snapshot_state();
+      ASSERT_EQ(before.retire_pending, !kills.empty()) << label;
+      ASSERT_EQ(before.slots.size(), kOracleProcs) << label;
+      std::map<ProcessId, Observed> last;
+      for (const snapshot::SlotImage& s : before.slots) {
+        last[s.pid] = from_slot(s);
+      }
+
+      bool sample_streak = false;
+      bool feature_streak = false;
+      for (const snapshot::SlotImage& s : before.slots) {
+        sample_streak |= s.invalid_streak != 0;
+        for (const std::uint32_t f : s.feature_streak) feature_streak |= f != 0;
+      }
+      ASSERT_TRUE(sample_streak && feature_streak)
+          << label << ": the faults must reach both kinds of streak";
+
+      (void)sys.live_processes();  // runs the pass
+      const snapshot::SystemImage after = sys.snapshot_state();
+      EXPECT_FALSE(after.retire_pending) << label;
+      expect_pass_matches_oracle(last, after, label);
+
+      // Fields the observers do not expose: the per-slot stream, the
+      // quarantine streaks and the cold row travel with the survivor.
+      std::map<ProcessId, const snapshot::SlotImage*> slot_before;
+      for (const snapshot::SlotImage& s : before.slots) slot_before[s.pid] = &s;
+      for (const snapshot::SlotImage& s : after.slots) {
+        const snapshot::SlotImage& b = *slot_before.at(s.pid);
+        EXPECT_EQ(s.rng, b.rng) << label << " pid " << s.pid;
+        EXPECT_EQ(s.invalid_streak, b.invalid_streak) << label;
+        EXPECT_EQ(s.feature_streak, b.feature_streak) << label;
+      }
+      ASSERT_EQ(after.procs.size(), before.procs.size()) << label;
+      for (std::size_t i = 0; i < after.procs.size(); ++i) {
+        EXPECT_EQ(after.procs[i].workload.payload,
+                  before.procs[i].workload.payload)
+            << label << " pid " << after.procs[i].pid;
+        EXPECT_EQ(after.procs[i].history.size(),
+                  before.procs[i].history.size())
+            << label << " pid " << after.procs[i].pid;
+      }
+      // Retired pids leave the CFS pool; survivors stay in it.
+      for (std::size_t i = 0; i < after.sched_entries.size(); ++i) {
+        const bool retired = after.procs[i].slot == kRetiredSlot;
+        EXPECT_EQ(after.sched_entries[i].factor < 0.0, retired)
+            << label << " pid " << after.procs[i].pid;
+      }
+      expect_next_epoch_consistent(sys, label);
+    }
+  }
+}
+
+TEST(SlotCompaction, CompletionAndDeferredKillShareOnePass) {
+  // Completions land inside the per-slot phase, where no snapshot can be
+  // taken, so the oracle reads the pid-addressed observers between the
+  // per-slot phase and end_epoch. Slots 7 and 30 complete; slot 12 gets a
+  // deferred kill, and slot 30's deferred kill loses to its completion.
+  for (const bool plane : {false, true}) {
+    const std::string label = plane ? "plane armed" : "no plane";
+    SimSystem sys;
+    build_oracle_world(sys, plane, {7, 30});
+    const std::vector<ProcessId> live(sys.live_processes().begin(),
+                                      sys.live_processes().end());
+    sys.begin_epoch();
+    sys.kill(live[12]);
+    sys.kill(live[30]);
+    for (std::size_t slot = 0; slot < live.size(); ++slot) sys.step_slot(slot);
+    std::map<ProcessId, Observed> last;
+    for (const ProcessId pid : live) last[pid] = observe(sys, pid);
+    ASSERT_EQ(last[live[7]].exit,
+              static_cast<std::uint8_t>(ExitReason::kCompleted));
+    ASSERT_EQ(last[live[30]].exit,
+              static_cast<std::uint8_t>(ExitReason::kCompleted));
+    // The deferred kill marks its slot at the boundary: the oracle expects
+    // the slot values it ran the epoch with, retired as killed.
+    last[live[12]].exit = static_cast<std::uint8_t>(ExitReason::kKilled);
+    sys.end_epoch();
+
+    const snapshot::SystemImage after = sys.snapshot_state();
+    EXPECT_FALSE(after.retire_pending) << label;
+    EXPECT_EQ(after.slots.size(), kOracleProcs - 3) << label;
+    expect_pass_matches_oracle(last, after, label);
+    for (const ProcessId pid : live) {
+      expect_observed_eq(last.at(pid), observe(sys, pid),
+                         label + " observers, pid " + std::to_string(pid));
+    }
+    expect_next_epoch_consistent(sys, label);
+  }
 }
 
 TEST(Platform, ProfilesDiffer) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -267,6 +268,96 @@ TEST(SnapshotRoundtrip, RestoredRunIsBitIdenticalForEveryWorkerCount) {
             << label << " pid " << pid;
       }
     }
+  }
+}
+
+/// Detach/re-attach churn keyed on the epoch and on system and engine state
+/// only, so a world and a fork restored from it make the same calls. Every
+/// epoch detaches the largest attached live pid and re-attaches the
+/// smallest unattached one, which may be the pid just detached; every third
+/// epoch the smallest attached pid is detached and re-attached at once,
+/// while its tombstone is still in the table. Up to two tombstones an epoch
+/// against a ~20-entry table cross the engine's prune threshold every few
+/// steps.
+void tombstone_churn(sim::SimSystem& sys, ValkyrieEngine& engine) {
+  const std::uint64_t epoch = sys.current_epoch();
+  if (epoch % 9 == 4) scripted_spawn(sys, engine);
+  if (epoch % 13 == 6) kill_oldest_live_benign(sys);
+  const auto find = [&](bool attached, bool largest) {
+    std::optional<sim::ProcessId> found;
+    for (sim::ProcessId pid = 0; pid < sys.total_spawned(); ++pid) {
+      if (!sys.is_live(pid) || engine.is_attached(pid) != attached) continue;
+      found = pid;
+      if (!largest) break;
+    }
+    return found;
+  };
+  if (epoch % 3 == 0) {
+    if (const std::optional<sim::ProcessId> pid = find(true, false)) {
+      engine.detach(*pid);
+      engine.attach(*pid, ValkyrieConfig{}, scripted_actuator(epoch));
+    }
+  }
+  if (const std::optional<sim::ProcessId> pid = find(true, true)) {
+    engine.detach(*pid);
+  }
+  if (const std::optional<sim::ProcessId> pid = find(false, false)) {
+    engine.attach(*pid, ValkyrieConfig{}, scripted_actuator(*pid + epoch));
+  }
+}
+
+TEST(SnapshotRoundtrip, DetachTombstonesNeverReachOutput) {
+  // The engine prunes detach tombstones lazily, so a long-running world
+  // carries some while a world restored from its snapshot starts with none,
+  // and the two prune at different steps. Neither may show in any output:
+  // from every fork point both worlds must capture the same bytes at every
+  // epoch, on one worker and on two.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  const snapshot::RestoreContext ctx{};
+  constexpr std::uint64_t kEpochs = 60;
+  constexpr std::uint64_t kForkEvery = 10;
+  constexpr std::uint64_t kForkEpochs = 20;
+  for (const std::size_t threads : {1u, 2u}) {
+    World world;
+    world.engine = std::make_unique<ValkyrieEngine>(world.sys, detector,
+                                                    threads);
+    for (std::size_t i = 0; i < 16; ++i) {
+      scripted_spawn(world.sys, *world.engine);
+    }
+    struct Fork {
+      std::unique_ptr<World> world;
+      std::uint64_t forked_at = 0;
+    };
+    std::vector<Fork> forks;
+    for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+      tombstone_churn(world.sys, *world.engine);
+      world.engine->step();
+      const std::vector<std::uint8_t> bytes =
+          snapshot::encode(snapshot::capture(*world.engine));
+      for (const Fork& fork : forks) {
+        tombstone_churn(fork.world->sys, *fork.world->engine);
+        fork.world->engine->step();
+        expect_bytes_equal(
+            bytes, snapshot::encode(snapshot::capture(*fork.world->engine)),
+            std::to_string(threads) + "w fork at " +
+                std::to_string(fork.forked_at) + ", epoch " +
+                std::to_string(e));
+      }
+      std::erase_if(forks, [e](const Fork& fork) {
+        return e == fork.forked_at + kForkEpochs;
+      });
+      if (e % kForkEvery == 0 && e + kForkEpochs <= kEpochs) {
+        Fork fork{std::make_unique<World>(), e};
+        fork.world->engine = std::make_unique<ValkyrieEngine>(
+            fork.world->sys, detector, threads);
+        snapshot::restore(snapshot::parse(bytes), *fork.world->engine, ctx);
+        expect_bytes_equal(
+            bytes, snapshot::encode(snapshot::capture(*fork.world->engine)),
+            std::to_string(threads) + "w re-capture at " + std::to_string(e));
+        forks.push_back(std::move(fork));
+      }
+    }
+    EXPECT_TRUE(forks.empty());
   }
 }
 
