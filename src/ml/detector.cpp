@@ -60,8 +60,6 @@ WindowSummary SummaryMatrixView::gather(std::size_t c) const noexcept {
     if (mean != nullptr) out.mean[f] = mean[f * stride + c];
     if (stddev != nullptr) out.stddev[f] = stddev[f * stride + c];
   }
-  if (windows != nullptr) out.window = windows[c];
-  if (windows_wrap != nullptr) out.window_wrap = windows_wrap[c];
   return out;
 }
 

@@ -75,23 +75,16 @@ struct FeatureMatrixView {
 /// Feature-major view over a batch of window summaries: per-feature rows of
 /// the newest measurement's features, the running window mean and the
 /// running window standard deviation (each hpc::kFeatureDim rows x stride),
-/// plus per-column measurement counts and (optionally) the raw accumulated
-/// windows. Any row group a producer does not carry is null (SimSystem's
-/// plane carries only its armed sections and never the windows). Column c
-/// is exactly the WindowSummary of batch item c; gather(c) materialises it.
+/// plus per-column measurement counts. Any row group a producer does not
+/// carry is null (SimSystem's plane carries only its armed sections). The
+/// view carries no raw windows: column c is the WindowSummary of batch item
+/// c with an empty window, exactly as WindowAccumulator::summary() with no
+/// window argument builds it, and gather(c) materialises it.
 struct SummaryMatrixView {
   const double* newest = nullptr;  ///< features of the newest measurement
   const double* mean = nullptr;    ///< running window mean
   const double* stddev = nullptr;  ///< running window stddev
   const std::size_t* counts = nullptr;  ///< measurements accumulated
-  /// Raw accumulated windows, oldest first; null when callers only stream
-  /// (the default adapter then hands detectors an empty window, exactly as
-  /// WindowAccumulator::summary() with no window argument does).
-  const std::span<const hpc::HpcSample>* windows = nullptr;
-  /// Wrapped ring tails matching `windows` column for column (see
-  /// WindowSummary::window_wrap); null when the producer's histories are
-  /// whole-window (every wrap is then empty).
-  const std::span<const hpc::HpcSample>* windows_wrap = nullptr;
   std::size_t count = 0;   ///< batch items (columns)
   std::size_t stride = 0;  ///< doubles between feature rows
 
@@ -111,8 +104,8 @@ struct SummaryMatrixView {
     const auto at = [begin](const auto* p) {
       return p != nullptr ? p + begin : nullptr;
     };
-    return {at(newest),  at(mean),         at(stddev),  at(counts),
-            at(windows), at(windows_wrap), end - begin, stride};
+    return {at(newest), at(mean), at(stddev), at(counts), end - begin,
+            stride};
   }
 };
 
@@ -207,8 +200,8 @@ class Detector {
   /// samples no detector reads are never stored, appended or snapshotted.
   /// The default is kWholeWindow for a kFull detector and 0 for one with a
   /// batch kernel: the batch route never hands a kernel raw windows
-  /// (SummaryMatrixView::windows is always null) and both routes must
-  /// produce the same bits, so such a detector cannot depend on them.
+  /// (SummaryMatrixView carries none) and both routes must produce the
+  /// same bits, so such a detector cannot depend on them.
   [[nodiscard]] virtual std::size_t raw_window() const {
     return plane_sections() == PlaneSections::kFull ? kWholeWindow : 0;
   }

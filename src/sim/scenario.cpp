@@ -76,6 +76,21 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
     throw SerialError(SerialError::Code::kMalformed,
                       "driver restore: campaign progress count mismatch");
   }
+  // The heap array verbatim, no make_heap. step() pops it with
+  // std::pop_heap and reads each due pid's liveness, so it must be a heap
+  // of pids the restored system has spawned.
+  departures_.reserve(image.departures.size());
+  for (const auto& [epoch, pid] : image.departures) {
+    if (pid >= sys_.total_spawned()) {
+      throw SerialError(SerialError::Code::kMalformed,
+                        "driver restore: departure for an unspawned pid");
+    }
+    departures_.push_back({epoch, pid});
+  }
+  if (!std::is_heap(departures_.begin(), departures_.end(), departs_later)) {
+    throw SerialError(SerialError::Code::kMalformed,
+                      "driver restore: departures are not a heap");
+  }
   if (script_.recycle_histories) sys_.enable_history_recycling();
   // No admissions: the standing population is already live in the restored
   // system. Everything below resumes the recorded progress verbatim.
@@ -89,11 +104,6 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
   stats_.peak_live = static_cast<std::size_t>(image.peak_live);
   stats_.epochs = image.epochs;
   stats_.live_epoch_sum = image.live_epoch_sum;
-  departures_.clear();
-  departures_.reserve(image.departures.size());
-  for (const auto& [epoch, pid] : image.departures) {
-    departures_.push_back({epoch, pid});  // heap array verbatim, no make_heap
-  }
   campaign_progress_.clear();
   campaign_progress_.reserve(image.campaign_progress.size());
   for (const std::uint64_t progress : image.campaign_progress) {

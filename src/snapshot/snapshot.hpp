@@ -83,7 +83,8 @@ struct RestoreContext {
 /// default-constructed element encodes to, every string, payload and
 /// history empty (a row grows by kSampleBytes per history sample). parse()
 /// checks every count against its element's minimum before allocating for
-/// it, and encode() sizes its one up-front reservation from them.
+/// it; snapshot.cpp checks each constant against its field list at compile
+/// time.
 inline constexpr std::size_t kSampleBytes = hpc::kNumEvents * sizeof(double);
 inline constexpr std::size_t kMinSlotBytes = 665;
 inline constexpr std::size_t kMinRowBytes = 605;

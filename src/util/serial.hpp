@@ -10,9 +10,10 @@
 // Bytes move a word at a time. Each fixed-width field costs one capacity
 // check (writer) or one bounds check (reader) plus one little-endian load
 // or store, written as a shift expression the compiler folds into a single
-// mov. Runs of doubles — samples, feature vectors, whole histories — go
-// through the block calls (f64_block, f64_rows): one check for the whole
-// run, then a tight loop. crc32 folds runs of 64+ bytes with carry-less
+// mov. Runs of doubles — samples, feature vectors — go through f64_block:
+// one check for the whole run, then a tight loop; a caller that knows a
+// group's total width grows the buffer once for it (ByteWriter::run) and
+// stores through a ByteCursor. crc32 folds runs of 64+ bytes with carry-less
 // multiplication (PCLMULQDQ) on x86-64 CPUs that have it — snapshot
 // sections are megabytes, and the table walk was a third of encode — and
 // is slicing-by-16 over constexpr tables otherwise and for the tail.
@@ -232,9 +233,6 @@ class ByteWriter {
   ByteWriter() = default;
   explicit ByteWriter(std::vector<std::uint8_t>& sink) : out_(&sink) {}
 
-  [[nodiscard]] std::vector<std::uint8_t>& buffer() noexcept { return *out_; }
-  [[nodiscard]] std::size_t size() const noexcept { return out_->size(); }
-
   void u8(std::uint8_t v) { *extend(1) = v; }
 
   void u32(std::uint32_t v) { detail::store_le32(extend(4), v); }
@@ -268,28 +266,9 @@ class ByteWriter {
     detail::store_f64s(extend(values.size() * sizeof(double)), values);
   }
 
-  /// The fixed-size double array `row.*field` of every row, back to back
-  /// with no per-row framing: one growth for all rows, and every store
-  /// stays inside one row's array.
-  template <class Row, std::size_t N>
-  void f64_rows(std::span<const Row> rows,
-                std::array<double, N> Row::*field) {
-    std::uint8_t* p = extend(rows.size() * N * sizeof(double));
-    for (const Row& row : rows) p = detail::store_f64s(p, row.*field);
-  }
-
   void f64_span(std::span<const double> values) {
     u64(values.size());
     f64_block(values);
-  }
-
-  void u64_span(std::span<const std::uint64_t> values) {
-    u64(values.size());
-    std::uint8_t* p = extend(values.size() * sizeof(std::uint64_t));
-    for (const std::uint64_t v : values) {
-      detail::store_le64(p, v);
-      p += sizeof(std::uint64_t);
-    }
   }
 
   /// Patches a previously written u64 at `offset` (section length fixup
@@ -360,27 +339,9 @@ class ByteReader {
     detail::load_f64s(take(values.size() * sizeof(double)), values);
   }
 
-  /// Fills `row.*field` of every row from a run written by
-  /// ByteWriter::f64_rows; one bounds check covers all rows.
-  template <class Row, std::size_t N>
-  void f64_rows(std::span<Row> rows, std::array<double, N> Row::*field) {
-    const std::uint8_t* p = take(rows.size() * N * sizeof(double));
-    for (Row& row : rows) p = detail::load_f64s(p, row.*field);
-  }
-
   std::vector<double> f64_vec() {
     std::vector<double> out(length(sizeof(double)));
     f64_block(out);
-    return out;
-  }
-
-  std::vector<std::uint64_t> u64_vec() {
-    std::vector<std::uint64_t> out(length(sizeof(std::uint64_t)));
-    const std::uint8_t* p = take(out.size() * sizeof(std::uint64_t));
-    for (std::uint64_t& v : out) {
-      v = detail::load_le64(p);
-      p += sizeof(std::uint64_t);
-    }
     return out;
   }
 

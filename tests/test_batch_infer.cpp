@@ -6,9 +6,8 @@
 //      points (measurement_votes / infer_batch) over a feature-major plane
 //      produce exactly the bits the scalar paths produce column by column —
 //      including randomized window lengths, episode resets, empty windows,
-//      and arbitrary shard slices of the plane. Detectors without a batch
-//      kernel (the LSTM) must get the same guarantee through the default
-//      adapters.
+//      and arbitrary shard slices of the plane. The plane carries no raw
+//      windows, so the scalar reference is the window-free summary.
 //
 //   2. Engine level: engine runs on the batch route — across vote-based
 //      (SVM, accumulated-view statistical), summary-capable (MLP) and
@@ -93,14 +92,13 @@ std::vector<Example> per_measurement_examples() {
 /// third column suffering a mid-run episode reset — so counts, means and
 /// stddevs cover short, long, restarted and empty windows. Column c's
 /// scalar reference summary is assembled by the exact streaming machinery
-/// the engine uses (WindowAccumulator::summary).
+/// the engine uses (WindowAccumulator::summary), without a raw window, as
+/// the batch route hands it.
 struct PlaneFixture {
   std::size_t n = 0;
   std::size_t stride = 0;
   std::vector<double> plane;  // 3 * kFeatureDim rows x stride
   std::vector<std::size_t> counts;
-  std::vector<std::vector<hpc::HpcSample>> histories;
-  std::vector<std::span<const hpc::HpcSample>> windows;
   std::vector<WindowSummary> scalar;
 
   [[nodiscard]] SummaryMatrixView view() const {
@@ -109,7 +107,6 @@ struct PlaneFixture {
     v.mean = plane.data() + hpc::kFeatureDim * stride;
     v.stddev = plane.data() + 2 * hpc::kFeatureDim * stride;
     v.counts = counts.data();
-    v.windows = windows.data();
     v.count = n;
     v.stride = stride;
     return v;
@@ -123,8 +120,6 @@ PlaneFixture make_fixture(std::size_t n, std::uint64_t seed) {
   fx.stride = (n + 7) / 8 * 8;
   fx.plane.assign(3 * hpc::kFeatureDim * fx.stride, 0.0);
   fx.counts.assign(n, 0);
-  fx.histories.resize(n);
-  fx.windows.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
     const hpc::HpcSignature sig =
         c % 4 == 1 ? attack_signature() : benign_signature();
@@ -132,16 +127,12 @@ PlaneFixture make_fixture(std::size_t n, std::uint64_t seed) {
     WindowAccumulator acc;
     for (std::size_t i = 0; i < len; ++i) {
       if (c % 3 == 0 && i == len / 2 && i > 0) {
-        // Episode reset mid-run: statistics restart, history keeps only
-        // the new episode (mirroring a restarted process).
+        // Episode reset mid-run: statistics restart (mirroring a
+        // restarted process).
         acc.reset();
-        fx.histories[c].clear();
       }
-      const hpc::HpcSample s = sig.sample(rng);
-      fx.histories[c].push_back(s);
-      acc.add(s);
+      acc.add(sig.sample(rng));
     }
-    fx.windows[c] = {fx.histories[c].data(), fx.histories[c].size()};
     if (acc.count() > 0) {
       double* col = fx.plane.data() + c;
       acc.store_plane_column(col, col + hpc::kFeatureDim * fx.stride,
@@ -149,7 +140,7 @@ PlaneFixture make_fixture(std::size_t n, std::uint64_t seed) {
                              fx.stride);
     }
     fx.counts[c] = acc.count();
-    fx.scalar.push_back(acc.summary(fx.windows[c]));
+    fx.scalar.push_back(acc.summary());
   }
   return fx;
 }
@@ -242,8 +233,8 @@ TEST(BatchInfer, StatDetectorMatchesScalar) {
   newest_only.fit(per_measurement_examples());
   expect_batch_matches_scalar(newest_only, make_fixture(150, 10));
 
-  // Whole-window accumulated view: vote-based (measurement_votes kernel);
-  // infer_batch takes the raw-window default adapter.
+  // Whole-window accumulated view: vote-based, so the engine folds its
+  // measurement_votes kernel and never calls infer_batch on it.
   const StatisticalDetector accumulated = newest_only.accumulated_view();
   expect_batch_matches_scalar(accumulated, make_fixture(150, 11));
 
@@ -255,13 +246,6 @@ TEST(BatchInfer, StatDetectorMatchesScalar) {
   StatisticalDetector anomaly;
   anomaly.fit(benign);
   expect_batch_matches_scalar(anomaly, make_fixture(150, 12));
-}
-
-TEST(BatchInfer, LstmThroughDefaultAdapterMatchesScalar) {
-  // Untrained is fine: predict() runs the recurrence either way, and the
-  // point here is the default adapters, not model quality.
-  const LstmDetector detector{Lstm{}};
-  expect_batch_matches_scalar(detector, make_fixture(23, 13));
 }
 
 }  // namespace
@@ -526,7 +510,6 @@ TEST(BatchedEngine, NewestOnlyPlaneCarriesOnlyNewestRows) {
   EXPECT_NE(plane.newest, nullptr);
   EXPECT_EQ(plane.mean, nullptr);
   EXPECT_EQ(plane.stddev, nullptr);
-  EXPECT_EQ(plane.windows, nullptr);
 }
 
 TEST(BatchedEngine, WideningTheArmedSectionsRegrowsThePlane) {

@@ -138,8 +138,8 @@ struct PoisonedBatch {
     return {newest.data(), kCount, kCount};
   }
   [[nodiscard]] SummaryMatrixView summaries() const {
-    return {newest.data(), mean.data(), stddev.data(), counts.data(),
-            nullptr,       nullptr,     kCount,        kCount};
+    return {newest.data(), mean.data(), stddev.data(), counts.data(), kCount,
+            kCount};
   }
 };
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -182,45 +181,6 @@ TEST(ByteCodec, BlockRoundTripsEveryBitPattern) {
   }
 }
 
-struct Row {
-  std::uint32_t tag = 0;
-  std::array<double, 5> values{};
-};
-
-TEST(ByteCodec, RowsRoundTripAsConsecutiveBlocks) {
-  const std::vector<double> awkward = awkward_doubles();
-  std::vector<Row> rows(7);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    rows[r].tag = static_cast<std::uint32_t>(r);
-    for (std::size_t v = 0; v < rows[r].values.size(); ++v) {
-      rows[r].values[v] = awkward[(r * 5 + v) % awkward.size()];
-    }
-  }
-  std::vector<std::uint8_t> bytes;
-  ByteWriter out(bytes);
-  out.f64_rows(std::span<const Row>(rows), &Row::values);
-  const std::vector<std::uint64_t> words = {0, 1, ~0ULL, 0x8000000000000000ULL};
-  out.u64_span(words);
-
-  std::vector<std::uint8_t> rowwise;
-  ByteWriter row_out(rowwise);
-  for (const Row& row : rows) row_out.f64_block(row.values);
-  ASSERT_EQ(rowwise.size(), rows.size() * 5 * sizeof(double));
-  EXPECT_TRUE(std::equal(rowwise.begin(), rowwise.end(), bytes.begin()));
-
-  ByteReader in(bytes);
-  std::vector<Row> back(rows.size());
-  in.f64_rows(std::span<Row>(back), &Row::values);
-  EXPECT_EQ(in.u64_vec(), words);
-  EXPECT_TRUE(in.done());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(back[r].tag, 0u);  // only the named member is filled
-    for (std::size_t v = 0; v < rows[r].values.size(); ++v) {
-      EXPECT_EQ(bits(back[r].values[v]), bits(rows[r].values[v]));
-    }
-  }
-}
-
 SerialError::Code failure_code(const std::function<void()>& read) {
   try {
     read();
@@ -241,12 +201,6 @@ TEST(ByteCodec, BlockReadPastTheEndThrowsTruncated) {
             SerialError::Code::kTruncated);
   EXPECT_EQ(in.position(), 0u);  // nothing consumed by the failed read
 
-  std::vector<Row> two_rows(2);  // 80 bytes wanted, 59 present
-  EXPECT_EQ(failure_code([&] {
-              in.f64_rows(std::span<Row>(two_rows), &Row::values);
-            }),
-            SerialError::Code::kTruncated);
-
   std::vector<double> seven(7);
   in.f64_block(seven);
   EXPECT_EQ(in.remaining(), 3u);
@@ -262,9 +216,6 @@ TEST(ByteCodec, BlockReadPastTheEndThrowsTruncated) {
   out.f64(2.0);
   ByteReader short_vec(prefixed);
   EXPECT_EQ(failure_code([&] { (void)short_vec.f64_vec(); }),
-            SerialError::Code::kTruncated);
-  ByteReader short_words(prefixed);
-  EXPECT_EQ(failure_code([&] { (void)short_words.u64_vec(); }),
             SerialError::Code::kTruncated);
 }
 

@@ -277,6 +277,31 @@ TEST(SnapshotCorruption, FailedRestoreLeavesTheTargetUntouched) {
   }
 }
 
+// A pending retry reads its pid's liveness at the first step, so restore
+// refuses one naming a pid the image's system does not track — typed, and
+// before the system commit, so the target stays as it was.
+TEST(SnapshotCorruption, RetryForAnUntrackedPidIsRefused) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture source(detector);
+  SnapshotImage image = capture(source.engine);
+  const sim::ProcessId untracked = image.system.procs.back().pid + 1;
+  image.engine.retries.push_back({untracked, 1, 0.5, 1, 99});
+
+  Fixture target(detector);
+  const std::vector<std::uint8_t> before = encode(capture(target.engine));
+  try {
+    restore(image, target.engine, RestoreContext{});
+    FAIL() << "restore accepted a retry for an untracked pid";
+  } catch (const SerialError& e) {
+    EXPECT_EQ(e.code(), SerialError::Code::kMalformed);
+  }
+  EXPECT_EQ(before, encode(capture(target.engine)));
+
+  // The same entry for a tracked pid restores.
+  image.engine.retries.back().pid = image.system.procs.back().pid;
+  EXPECT_NO_THROW(restore(image, target.engine, RestoreContext{}));
+}
+
 TEST(SnapshotCorruption, CaptureAndRestoreRefuseAnOpenEpoch) {
   const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
   Fixture fx(detector);

@@ -8,6 +8,7 @@
 // carries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -545,6 +546,84 @@ TEST(SnapshotFormat, V6BytesArePinned) {
   EXPECT_TRUE(snapshot::diff(snapshot::parse(bytes), image).empty());
   // encode() reserved exactly the bytes it wrote, once.
   EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
+// parse() and diff() walk the same field lists, so no encoded byte can
+// change without diff() reporting it: flip each payload byte's low bit,
+// re-seal its section's CRC, and whenever parse still accepts the bytes,
+// the decoded image must differ from the original somewhere.
+TEST(SnapshotFormat, DiffSeesEveryEncodedByte) {
+  const snapshot::SnapshotImage image = pinned_image();
+  const std::vector<std::uint8_t> bytes = snapshot::encode(image);
+  std::size_t parsed = 0;
+  // After the 12-byte header, each section is a fourcc, a u64 payload
+  // length, the payload and its u32 CRC.
+  for (std::size_t at = 12; at < bytes.size();) {
+    const std::size_t payload_at = at + 4 + 8;
+    const std::size_t length =
+        util::ByteReader({bytes.data() + at + 4, 8}).u64();
+    for (std::size_t i = payload_at; i < payload_at + length; ++i) {
+      std::vector<std::uint8_t> mutated = bytes;
+      mutated[i] ^= 1;
+      std::vector<std::uint8_t> crc;
+      util::ByteWriter(crc).u32(
+          util::crc32({mutated.data() + payload_at, length}));
+      std::copy(crc.begin(), crc.end(),
+                mutated.begin() + static_cast<long>(payload_at + length));
+      snapshot::SnapshotImage decoded;
+      try {
+        decoded = snapshot::parse(mutated);
+      } catch (const util::SerialError&) {
+        continue;  // refused, typed
+      }
+      ++parsed;
+      EXPECT_FALSE(snapshot::diff(decoded, image).empty())
+          << "a flip at byte " << i << " escapes diff()";
+    }
+    at = payload_at + length + 4;
+  }
+  EXPECT_GT(parsed, 0u);
+}
+
+// The paths diff() reports, which snapshot_diff prints.
+TEST(SnapshotFormat, DiffNamesEachFieldByItsPath) {
+  const snapshot::SnapshotImage image = pinned_image();
+  const auto diffs_after = [&image](auto edit) {
+    snapshot::SnapshotImage edited = image;
+    edit(edited);
+    std::vector<std::string> found;
+    for (const snapshot::FieldDiff& d : snapshot::diff(image, edited)) {
+      found.push_back(d.path + ": " + d.lhs + " -> " + d.rhs);
+    }
+    return found;
+  };
+  using Paths = std::vector<std::string>;
+  EXPECT_EQ(diffs_after([](snapshot::SnapshotImage& i) {
+              ++i.system.slots[1].accum.fcount[3];
+            }),
+            Paths{"system.slots[1].accum.fcount[3]: 11 -> 12"});
+  EXPECT_EQ(diffs_after([](snapshot::SnapshotImage& i) {
+              i.driver.departures[1].second = 5;
+            }),
+            Paths{"driver.departures[1].pid: 3 -> 5"});
+  EXPECT_EQ(diffs_after([](snapshot::SnapshotImage& i) {
+              i.system.procs[2].history[3].counts[5] = 2.5;
+              i.system.procs[1].history.emplace_back();
+            }),
+            (Paths{"system.procs[1].history.size: 1 -> 2",
+                   "system.procs[2].history[3][5]: "
+                   "1.4377310293980274e-321 -> 2.5"}));
+  EXPECT_EQ(diffs_after([](snapshot::SnapshotImage& i) {
+              i.system.scheduler.default_level = 3;
+              i.engine.attachments[0].monitor.actuator.payload[0] = 0;
+            }),
+            (Paths{"system.scheduler.default_level: 18446744073709551613 -> 3",
+                   "engine.attachments[0].monitor.actuator.payload: 2 bytes "
+                   "-> 2 bytes (contents differ)"}));
+  EXPECT_EQ(diffs_after([](snapshot::SnapshotImage& i) {
+              i.has_driver = false;
+            }),
+            Paths{"has_driver: 1 -> 0"});
 }
 
 // A v5 header is refused typed: its attachments lack the skip counters, so

@@ -199,6 +199,43 @@ TEST(SnapshotScenario, DriverRestoreGuardsScriptAndProgress) {
             snapshot::encode(snapshot::capture(restored)));
 }
 
+// The departure array is restored verbatim, so the constructor checks the
+// two things step() relies on: it is a heap under the driver's ordering
+// (std::pop_heap's precondition), and each pid exists in the restored
+// system (a due departure reads its liveness).
+TEST(SnapshotScenario, DriverRestoreRefusesAMalformedDepartureHeap) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  SimSystem sys;
+  ValkyrieEngine engine(sys, detector, 1);
+  ScenarioDriver driver(engine, churn_script());
+  for (int i = 0; i < 60; ++i) driver.step();
+  const snapshot::SnapshotImage image = snapshot::capture(driver);
+  ASSERT_GE(image.driver.departures.size(), 2u);
+
+  SimSystem sys2;
+  ValkyrieEngine engine2(sys2, detector, 1);
+  snapshot::restore(image, engine2, snapshot::RestoreContext{});
+  const auto refused = [&engine2](const snapshot::DriverImage& bad) {
+    try {
+      ScenarioDriver restored(engine2, churn_script(), bad);
+    } catch (const SerialError& e) {
+      return e.code() == SerialError::Code::kMalformed;
+    }
+    return false;
+  };
+
+  snapshot::DriverImage not_a_heap = image.driver;
+  not_a_heap.departures[0].first = not_a_heap.departures[1].first + 1;
+  EXPECT_TRUE(refused(not_a_heap)) << "a root due after its child";
+
+  snapshot::DriverImage unspawned = image.driver;
+  unspawned.departures[0].second =
+      static_cast<ProcessId>(sys2.total_spawned());
+  EXPECT_TRUE(refused(unspawned)) << "a departure for an unspawned pid";
+
+  EXPECT_FALSE(refused(image.driver));
+}
+
 TEST(SnapshotScenario, SnapshotterEncodesOffThreadInRequestOrder) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   SimSystem sys;
