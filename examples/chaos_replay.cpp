@@ -6,12 +6,14 @@
 // injected crashes, one of which finds its latest checkpoint corrupted
 // and must fall back to the previous generation. Every schedule in the
 // run is a pure hash of its seeds, so the final snapshot bytes are a
-// deterministic function of this file: run the binary twice and
-// byte-compare the outputs to prove it (CI does exactly that).
+// deterministic function of this file, whatever the engine's worker count:
+// run the binary twice, or at two worker counts, and byte-compare the
+// outputs to prove it (CI does both).
 //
-//   ./build/chaos_replay out.snap
+//   ./build/chaos_replay out.snap [workers]   # workers defaults to 2
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +78,11 @@ sim::ScenarioScript churn_script() {
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "chaos_final.snap";
+  const long workers = argc > 2 ? std::strtol(argv[2], nullptr, 10) : 2;
+  if (workers < 1 || workers > 64) {
+    std::fprintf(stderr, "workers must be in [1, 64]\n");
+    return 1;
+  }
 
   const ml::SvmDetector inner = ml::SvmDetector::make(training_corpus(), 3);
 
@@ -95,12 +102,12 @@ int main(int argc, char** argv) {
   const fault::FaultyDetector detector(inner, plane);
 
   const auto factory =
-      [&detector, &plane](const snapshot::SnapshotImage* image)
+      [&detector, &plane, workers](const snapshot::SnapshotImage* image)
       -> core::SupervisedWorld {
     core::SupervisedWorld world;
     world.system = std::make_unique<sim::SimSystem>();
     world.engine = std::make_unique<core::ValkyrieEngine>(
-        *world.system, detector, /*worker_threads=*/2);
+        *world.system, detector, static_cast<std::size_t>(workers));
     world.engine->arm_faults(&plane);
     if (image == nullptr) {
       world.driver = std::make_unique<sim::ScenarioDriver>(*world.engine,

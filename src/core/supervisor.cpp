@@ -158,36 +158,36 @@ void SupervisedEngine::recover() {
   } catch (...) {
     ++health_.checkpoint_failures;
   }
-  std::vector<std::uint8_t> bytes;
+  // Parse the retained generation in place, under the lock and without
+  // copying its bytes, into one of the Snapshotter's kept images, which
+  // goes back for the next checkpoint once the world is rebuilt.
+  snapshot::SnapshotImage image = snapshotter_.lend_image();
   std::uint64_t restored_steps = 0;
   bool fallback = false;
   {
     std::lock_guard<std::mutex> lock(latest_mutex_);
-    bytes = latest_;
-    restored_steps = latest_steps_;
-  }
-  snapshot::SnapshotImage image;
-  try {
-    image = snapshot::parse(bytes);
-  } catch (const util::SerialError&) {
-    // The latest checkpoint is torn or corrupted. That is exactly what
-    // the previous generation is kept for: restore it and pay the longer
-    // replay instead of losing the run.
-    std::lock_guard<std::mutex> lock(latest_mutex_);
-    if (prev_.empty()) {
-      throw;  // nothing older to fall back to — the loss is real
+    try {
+      snapshot::parse(latest_, image);
+      restored_steps = latest_steps_;
+    } catch (const util::SerialError&) {
+      // The latest checkpoint is torn or corrupted. That is exactly what
+      // the previous generation is kept for: restore it and pay the longer
+      // replay instead of losing the run.
+      if (prev_.empty()) {
+        throw;  // nothing older to fall back to — the loss is real
+      }
+      snapshot::parse(prev_, image);
+      restored_steps = prev_steps_;
+      fallback = true;
+      ++health_.fallback_recoveries;
     }
-    bytes = prev_;
-    restored_steps = prev_steps_;
-    image = snapshot::parse(bytes);
-    fallback = true;
-    ++health_.fallback_recoveries;
   }
 
   // Tear the dead world down before building its replacement: the driver
   // holds references into the engine, the engine into the system.
   world_ = SupervisedWorld{};
   world_ = factory_(&image);
+  snapshotter_.return_image(std::move(image));
   if (world_.system == nullptr || world_.engine == nullptr) {
     throw std::invalid_argument(
         "SupervisedEngine: factory returned an incomplete world");

@@ -205,7 +205,7 @@ void ValkyrieEngine::infer_attachment(Attached& a, std::size_t slot,
   const ml::WindowSummary summary = sys_.window_summary(a.pid);
   const ml::Inference inference = fault_plane_ == nullptr
                                       ? a.stream.infer(detector_, summary)
-                                      : guarded_infer(a, summary);
+                                      : guarded_infer(a, slot, summary);
   finish_attachment(a, slot, &summary, inference, commands);
 }
 
@@ -219,9 +219,9 @@ ml::Inference ValkyrieEngine::sanitize(ml::Inference inference) noexcept {
   return inference;
 }
 
-ml::Inference ValkyrieEngine::guarded_infer(Attached& a,
+ml::Inference ValkyrieEngine::guarded_infer(Attached& a, std::size_t slot,
                                             const ml::WindowSummary& summary) {
-  const std::uint64_t streak = sys_.invalid_streak(a.pid);
+  const std::uint64_t streak = sys_.slot_invalid_streak(slot);
   if (streak > fault_cfg_.staleness_budget) {
     // Telemetry has been invalid past the staleness budget: the engine
     // goes blind on this slot — no detector call (the summary is stale
@@ -550,7 +550,7 @@ std::optional<ml::Inference> ValkyrieEngine::batch_verdict(
     const std::optional<double>& fraction) {
   std::uint64_t streak = 0;
   if (fault_plane_ != nullptr) {
-    streak = sys_.invalid_streak(a.pid);
+    streak = sys_.slot_invalid_streak(slot);
     // Past the staleness budget the slot goes blind; the per-slot path
     // owns that accounting (the batch result was computed over stale bits
     // and is discarded).
@@ -700,19 +700,17 @@ ValkyrieMonitor::Action ValkyrieEngine::last_action(sim::ProcessId pid) const {
 
 // --- Snapshot/restore --------------------------------------------------------
 
-snapshot::MonitorImage ValkyrieMonitor::snapshot_state() const {
-  snapshot::MonitorImage image;
+void ValkyrieMonitor::snapshot_state(snapshot::MonitorImage& image) const {
   image.required_measurements = config_.required_measurements;
   image.episode_scoped = config_.episode_scoped_measurements;
   image.reset_metrics_on_normal = config_.threat.reset_metrics_on_normal;
-  image.actuator = snapshot::poly_image(*actuator_);
+  snapshot::poly_image(*actuator_, image.actuator);
   image.threat = threat_.threat();
   image.penalty = threat_.penalty();
   image.compensation = threat_.compensation();
   image.threat_state = static_cast<std::uint8_t>(threat_.state());
   image.measurements = measurements_;
   image.state = static_cast<std::uint8_t>(state_);
-  return image;
 }
 
 ValkyrieMonitor ValkyrieMonitor::restore_from(
@@ -731,67 +729,83 @@ ValkyrieMonitor ValkyrieMonitor::restore_from(
   return monitor;
 }
 
-snapshot::EngineImage ValkyrieEngine::snapshot_state() const {
-  snapshot::EngineImage image;
+void ValkyrieEngine::snapshot_system(snapshot::SystemImage& image) const {
+  const std::uint64_t before = pool_ != nullptr ? pool_->dispatch_count() : 0;
+  sys_.snapshot_state(image, pool_.get());
+  if (pool_ != nullptr) capture_dispatches_ += pool_->dispatch_count() - before;
+}
+
+void ValkyrieEngine::snapshot_state(snapshot::EngineImage& image) const {
   image.detector_hash = detector_.state_hash();
   image.step_tag = step_tag_;
-  image.attachments.reserve(attached_.size() - detached_count_);
-  for (const Attached& a : attached_) {
-    // Tombstones are skipped: no output reads them, so the live entries in
-    // attach order are exactly what a restored engine's first step must
-    // start from, whenever the uninterrupted run happens to prune.
-    if (a.detached) continue;
-    snapshot::AttachmentImage att;
-    att.pid = a.pid;
-    att.monitor = a.monitor.snapshot_state();
-    att.has_terminal = a.terminal_detector != nullptr;
-    att.terminal_hash =
-        att.has_terminal ? a.terminal_detector->state_hash() : 0;
-    att.stream_malicious = a.stream.malicious_count();
-    att.stream_counted = a.stream.counted();
-    att.stream_skipped = a.stream.skipped();
-    att.terminal_malicious = a.terminal_stream.malicious_count();
-    att.terminal_counted = a.terminal_stream.counted();
-    att.terminal_skipped = a.terminal_stream.skipped();
-    // Canonicalize to the observable view (see AttachmentImage): the raw
-    // pair also records idle kNone visits, which last_action() cannot tell
-    // from no visit, so only a real action from THIS step survives into
-    // the snapshot.
-    const bool acted = a.last_action_step == step_tag_ &&
-                       a.last_action != ValkyrieMonitor::Action::kNone;
-    att.last_action = static_cast<std::uint8_t>(
-        acted ? a.last_action : ValkyrieMonitor::Action::kNone);
-    att.last_action_step = acted ? a.last_action_step : 0;
-    image.attachments.push_back(std::move(att));
+  // Tombstones are skipped: no output reads them, so the live entries in
+  // attach order are exactly what a restored engine's first step must
+  // start from, whenever the uninterrupted run happens to prune. Every
+  // actuator is checked serially before any is filled.
+  std::vector<std::uint32_t> live;
+  live.reserve(attached_.size() - detached_count_);
+  for (std::size_t i = 0; i < attached_.size(); ++i) {
+    if (attached_[i].detached) continue;
+    snapshot::require_snapshot_type(*attached_[i].monitor.actuator());
+    live.push_back(static_cast<std::uint32_t>(i));
+  }
+  image.attachments.resize(live.size());
+  const auto fill = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const Attached& a = attached_[live[i]];
+      snapshot::AttachmentImage& att = image.attachments[i];
+      att.pid = a.pid;
+      a.monitor.snapshot_state(att.monitor);
+      att.has_terminal = a.terminal_detector != nullptr;
+      att.terminal_hash =
+          att.has_terminal ? a.terminal_detector->state_hash() : 0;
+      att.stream_malicious = a.stream.malicious_count();
+      att.stream_counted = a.stream.counted();
+      att.stream_skipped = a.stream.skipped();
+      att.terminal_malicious = a.terminal_stream.malicious_count();
+      att.terminal_counted = a.terminal_stream.counted();
+      att.terminal_skipped = a.terminal_stream.skipped();
+      // Canonicalize to the observable view (see AttachmentImage): the raw
+      // pair also records idle kNone visits, which last_action() cannot
+      // tell from no visit, so only a real action from THIS step survives
+      // into the snapshot.
+      const bool acted = a.last_action_step == step_tag_ &&
+                         a.last_action != ValkyrieMonitor::Action::kNone;
+      att.last_action = static_cast<std::uint8_t>(
+          acted ? a.last_action : ValkyrieMonitor::Action::kNone);
+      att.last_action_step = acted ? a.last_action_step : 0;
+    }
+  };
+  if (pool_ != nullptr && live.size() > 1) {
+    pool_->parallel_for(live.size(), fill);
+    ++capture_dispatches_;
+  } else {
+    fill(0, live.size());
   }
   // The retry table is real state — a restored run must resume the same
   // backoff schedule. Already pid-sorted (an invariant commit maintains
   // precisely so snapshots are byte-identical across worker counts).
-  image.retries.reserve(retry_.size());
-  for (const PendingRetry& r : retry_) {
-    snapshot::RetryImage ri;
-    ri.pid = r.pid;
-    ri.kind = static_cast<std::uint8_t>(r.kind);
-    ri.delta = r.delta;
-    ri.failures = r.failures;
-    ri.next_epoch = r.next_epoch;
-    image.retries.push_back(ri);
+  image.retries.resize(retry_.size());
+  for (std::size_t i = 0; i < retry_.size(); ++i) {
+    const PendingRetry& r = retry_[i];
+    image.retries[i] = {r.pid, static_cast<std::uint8_t>(r.kind), r.delta,
+                        r.failures, r.next_epoch};
   }
-  return image;
 }
 
-void ValkyrieEngine::restore_from(const snapshot::EngineImage& image,
-                                  const snapshot::RestoreContext& ctx) {
+ValkyrieEngine::StagedRestore ValkyrieEngine::stage_restore(
+    const snapshot::EngineImage& image,
+    const snapshot::RestoreContext& ctx) const {
   using util::SerialError;
   if (image.detector_hash != detector_.state_hash()) {
     throw SerialError(SerialError::Code::kIncompatible,
                       "restore: detector fingerprint mismatch");
   }
 
-  // Stage the whole attachment table (monitor reconstruction loads
-  // actuators and can throw) before committing anything.
-  std::vector<Attached> staged;
-  staged.reserve(image.attachments.size());
+  StagedRestore staged;
+  staged.step_tag_ = image.step_tag;
+  staged.attached_.reserve(image.attachments.size());
+  staged.index_.reserve(image.attachments.size());
   for (const snapshot::AttachmentImage& att : image.attachments) {
     if (att.monitor.state >
             static_cast<std::uint8_t>(ProcessState::kTerminated) ||
@@ -812,6 +826,11 @@ void ValkyrieEngine::restore_from(const snapshot::EngineImage& image,
       }
       terminal = ctx.terminal_detector;
     }
+    const auto index = static_cast<std::uint32_t>(staged.attached_.size());
+    if (!staged.index_.insert(att.pid, index).second) {
+      throw SerialError(SerialError::Code::kMalformed,
+                        "restore: duplicate attachment pid");
+    }
     Attached a{att.pid,
                ValkyrieMonitor::restore_from(att.monitor, ctx.base_config,
                                              ctx.actuators),
@@ -827,41 +846,30 @@ void ValkyrieEngine::restore_from(const snapshot::EngineImage& image,
         static_cast<std::size_t>(att.terminal_malicious),
         static_cast<std::size_t>(att.terminal_counted),
         static_cast<std::size_t>(att.terminal_skipped));
-    staged.push_back(std::move(a));
-  }
-  util::PidMap<std::uint32_t> index;
-  index.reserve(staged.size());
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (!index.insert(staged[i].pid, static_cast<std::uint32_t>(i)).second) {
-      throw SerialError(SerialError::Code::kMalformed,
-                        "restore: duplicate attachment pid");
-    }
+    staged.attached_.push_back(std::move(a));
   }
 
-  std::vector<PendingRetry> staged_retries;
-  staged_retries.reserve(image.retries.size());
+  staged.retries_.reserve(image.retries.size());
   for (const snapshot::RetryImage& r : image.retries) {
     if (r.kind == static_cast<std::uint8_t>(ActuatorCommand::Kind::kNone) ||
         r.kind > static_cast<std::uint8_t>(ActuatorCommand::Kind::kKill) ||
         r.failures == 0 ||
-        (!staged_retries.empty() && r.pid <= staged_retries.back().pid)) {
+        (!staged.retries_.empty() && r.pid <= staged.retries_.back().pid)) {
       throw SerialError(SerialError::Code::kMalformed,
                         "restore: retry table entry out of range or unsorted");
     }
-    PendingRetry entry;
-    entry.pid = r.pid;
-    entry.kind = static_cast<ActuatorCommand::Kind>(r.kind);
-    entry.delta = r.delta;
-    entry.failures = r.failures;
-    entry.next_epoch = r.next_epoch;
-    staged_retries.push_back(entry);
+    staged.retries_.push_back({r.pid,
+                               static_cast<ActuatorCommand::Kind>(r.kind),
+                               r.delta, r.failures, r.next_epoch});
   }
+  return staged;
+}
 
-  // Commit.
-  attached_ = std::move(staged);
-  attached_index_ = std::move(index);
-  retry_ = std::move(staged_retries);
-  step_tag_ = image.step_tag;
+void ValkyrieEngine::commit_restore(StagedRestore staged) {
+  attached_ = std::move(staged.attached_);
+  attached_index_ = std::move(staged.index_);
+  retry_ = std::move(staged.retries_);
+  step_tag_ = staged.step_tag_;
   detached_count_ = 0;
   reserve_shard_buffers(shard_quota(attached_.size()));
 }

@@ -20,6 +20,7 @@
 namespace valkyrie::snapshot {
 struct MonitorImage;
 struct EngineImage;
+struct SystemImage;
 class ActuatorRegistry;
 struct RestoreContext;
 }  // namespace valkyrie::snapshot
@@ -104,12 +105,16 @@ class ValkyrieMonitor {
   /// pointers in its retry table — a restored engine's table then re-binds
   /// to the restored actuators for free.
   [[nodiscard]] Actuator* actuator() noexcept { return actuator_.get(); }
+  [[nodiscard]] const Actuator* actuator() const noexcept {
+    return actuator_.get();
+  }
 
   /// Captures the monitor's full response state (threat index metrics,
-  /// measurement budget, lifecycle state, the actuator object) for an
-  /// engine snapshot. The AssessmentFns in the config are code and are
-  /// fingerprinted upstream, not serialized.
-  [[nodiscard]] snapshot::MonitorImage snapshot_state() const;
+  /// measurement budget, lifecycle state, the actuator object) into an
+  /// engine snapshot's monitor image, overwriting every field and reusing
+  /// the actuator payload's capacity. The AssessmentFns in the config are
+  /// code and are fingerprinted upstream, not serialized.
+  void snapshot_state(snapshot::MonitorImage& image) const;
 
   /// Rebuilds a monitor from its image: the scalar config fields come from
   /// the image, the code-level pieces (assessment functions) from `base`,
@@ -311,20 +316,43 @@ class ValkyrieEngine {
   }
 
   /// Captures the engine's response state (attachment table, streaming
-  /// inference counts, step tag) plus the detector's compatibility
-  /// fingerprint. Detach tombstones are skipped — the captured table is the
-  /// live attachments in attach order, which is all a tombstone-free
-  /// restored engine needs to continue bit-identically.
-  [[nodiscard]] snapshot::EngineImage snapshot_state() const;
+  /// inference counts, step tag, retry table) plus the detector's
+  /// compatibility fingerprint into `image`, overwriting every field and
+  /// reusing its capacity. Detach tombstones are skipped — the captured
+  /// table is the live attachments in attach order, which is all a
+  /// tombstone-free restored engine needs to continue bit-identically. The
+  /// attachments are filled on the engine's pool after a serial pass that
+  /// finds any actuator without snapshot support
+  /// (SerialError(kUnsupportedWorkload); the image is then partly
+  /// overwritten), so neither the bytes nor the error depend on the
+  /// worker count.
+  void snapshot_state(snapshot::EngineImage& image) const;
 
-  /// Rebuilds the attachment table from an image. Validates the detector
-  /// fingerprint (and, per attachment, the terminal detector's) against
-  /// this engine before committing — a mismatch throws
-  /// SerialError(kIncompatible) and leaves the engine untouched. The
-  /// engine's own worker count is kept: bit-identity holds across worker
-  /// counts, so it is run-configuration, not state.
-  void restore_from(const snapshot::EngineImage& image,
-                    const snapshot::RestoreContext& ctx);
+  /// SimSystem::snapshot_state of the driven system at this engine's
+  /// width: its slots and rows are filled on the engine's pool.
+  void snapshot_system(snapshot::SystemImage& image) const;
+
+  /// An engine section that passed every check of stage_restore and has
+  /// its actuators loaded, ready for commit_restore.
+  class StagedRestore;
+
+  /// Restore, first half: validates an engine section against this engine
+  /// — the detector fingerprint, per attachment its fields, terminal
+  /// fingerprint and a unique pid, the retry table's order and ranges —
+  /// and loads every actuator through the context's registry, mutating
+  /// nothing. Throws SerialError (kIncompatible, kMalformed,
+  /// kUnsupportedWorkload) on the first violation. snapshot::restore
+  /// stages before it commits the system, so an image only the engine
+  /// refuses leaves the target untouched.
+  [[nodiscard]] StagedRestore stage_restore(
+      const snapshot::EngineImage& image,
+      const snapshot::RestoreContext& ctx) const;
+
+  /// Restore, second half: adopts a staged section by moves (then sizes
+  /// the shard command buffers for it). The engine's own worker count is
+  /// kept: bit-identity holds across worker counts, so it is
+  /// run-configuration, not state.
+  void commit_restore(StagedRestore staged);
 
   /// Shards a step runs in: worker threads + the caller (1 = sequential).
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -332,9 +360,10 @@ class ValkyrieEngine {
   }
 
   /// Shard dispatches issued to the pool so far (0 when sequential): one
-  /// per epoch.
+  /// per epoch. Captures' dispatches are not counted.
   [[nodiscard]] std::uint64_t pool_dispatch_count() const noexcept {
-    return pool_ != nullptr ? pool_->dispatch_count() : 0;
+    return pool_ != nullptr ? pool_->dispatch_count() - capture_dispatches_
+                            : 0;
   }
 
   /// Schedule phases actually executed: pool dispatches + pool-inline runs
@@ -344,9 +373,8 @@ class ValkyrieEngine {
   /// epoch, independent of worker count.
   [[nodiscard]] std::uint64_t schedule_run_count() const noexcept {
     const std::uint64_t pool_runs =
-        pool_ != nullptr
-            ? pool_->dispatch_count() + pool_->inline_run_count()
-            : 0;
+        pool_ != nullptr ? pool_dispatch_count() + pool_->inline_run_count()
+                         : 0;
     return pool_runs + inline_runs_;
   }
 
@@ -419,7 +447,7 @@ class ValkyrieEngine {
   /// the staleness budget, goes blind (kInvalid) beyond it, contains any
   /// detector exception into kInvalid, and sanitizes out-of-range enum
   /// bits.
-  [[nodiscard]] ml::Inference guarded_infer(Attached& a,
+  [[nodiscard]] ml::Inference guarded_infer(Attached& a, std::size_t slot,
                                             const ml::WindowSummary& summary);
 
   /// Maps anything outside {kBenign, kMalicious, kInvalid} to kInvalid,
@@ -528,6 +556,18 @@ class ValkyrieEngine {
   // Sequential-phase executions when no pool exists (see
   // schedule_run_count); pool-inline runs are counted by the pool itself.
   std::uint64_t inline_runs_ = 0;
+  // Pool dispatches made by captures (snapshot_state, snapshot_system),
+  // kept out of the per-epoch schedule statistics. Captures dispatch only
+  // for two or more items, so the pool never counts them as inline runs.
+  mutable std::uint64_t capture_dispatches_ = 0;
+};
+
+class ValkyrieEngine::StagedRestore {
+  friend class ValkyrieEngine;
+  std::vector<Attached> attached_;
+  util::PidMap<std::uint32_t> index_;
+  std::vector<PendingRetry> retries_;
+  std::uint64_t step_tag_ = 0;
 };
 
 }  // namespace valkyrie::core

@@ -114,8 +114,7 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
   live_ = static_cast<std::size_t>(image.live);
 }
 
-snapshot::DriverImage ScenarioDriver::snapshot_state() const {
-  snapshot::DriverImage image;
+void ScenarioDriver::snapshot_state(snapshot::DriverImage& image) const {
   image.script_fingerprint = snapshot::script_fingerprint(script_);
   image.rng = rng_.state();
   image.spawned = stats_.spawned;
@@ -127,16 +126,15 @@ snapshot::DriverImage ScenarioDriver::snapshot_state() const {
   image.peak_live = stats_.peak_live;
   image.epochs = stats_.epochs;
   image.live_epoch_sum = stats_.live_epoch_sum;
-  image.departures.reserve(departures_.size());
-  for (const Departure& d : departures_) {
-    image.departures.emplace_back(d.epoch, d.pid);
+  image.departures.resize(departures_.size());
+  for (std::size_t i = 0; i < departures_.size(); ++i) {
+    image.departures[i] = {departures_[i].epoch, departures_[i].pid};
   }
   image.campaign_progress.assign(campaign_progress_.begin(),
                                  campaign_progress_.end());
   image.benign_palette_cursor = benign_palette_cursor_;
   image.prev_live = prev_live_;
   image.live = live_;
-  return image;
 }
 
 std::size_t ScenarioDriver::expected_processes(std::size_t epochs,

@@ -154,9 +154,9 @@ class ScenarioDriver {
                  BenignFactory benign = nullptr);
 
   /// Captures the driver's full progress state (RNG, stats, scheduled
-  /// departures, campaign progress, palette cursor) for the snapshot's
-  /// driver section.
-  [[nodiscard]] snapshot::DriverImage snapshot_state() const;
+  /// departures, campaign progress, palette cursor) into the snapshot's
+  /// driver section, overwriting every field and reusing its capacity.
+  void snapshot_state(snapshot::DriverImage& image) const;
 
   /// One epoch: boundary departures, then boundary arrivals (admitted so
   /// they first run in this epoch... see the header timing note), then

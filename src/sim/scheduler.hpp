@@ -147,9 +147,11 @@ class CfsScheduler {
     return config_;
   }
 
-  /// The factor table as keyed entries sorted by ascending pid — the
-  /// canonical snapshot form (hash-layout-independent, so capture bytes
-  /// are identical across capacity histories). Sign encoding preserved.
+  /// The factor table as keyed entries sorted by ascending pid
+  /// (hash-layout-independent, so sums over it are identical across
+  /// capacity histories). Sign encoding preserved. A snapshot capture,
+  /// which already holds the tracked pids in order, gathers them with
+  /// gather_factors instead of sorting the table again.
   [[nodiscard]] std::vector<SchedFactorEntry> factor_entries() const;
 
   /// Replaces the whole factor table from snapshot entries. The encoding

@@ -42,6 +42,7 @@ ProcessId SimSystem::spawn(std::unique_ptr<Workload> workload) {
 
   const std::uint32_t row = alloc_row();
   ColdProc& cold = cold_[row];
+  cold.pid = pid;
   cold.workload = std::move(workload);
   if (!history_pool_.empty()) {
     // Retirement pool: inherit a retired process's history buffer,
@@ -623,6 +624,7 @@ void SimSystem::release_row(std::uint32_t row) {
   ColdProc& cold = cold_[row];
   reclaim_cold(cold);
   cold.retired = RetiredState{};
+  cold.pid = kFreeRow;
   free_rows_.push_back(row);
 }
 
@@ -880,6 +882,13 @@ std::span<const ProcessId> SimSystem::live_processes() const {
 }
 
 snapshot::SystemImage SimSystem::snapshot_state() const {
+  snapshot::SystemImage image;
+  snapshot_state(image);
+  return image;
+}
+
+void SimSystem::snapshot_state(snapshot::SystemImage& image,
+                               util::ThreadPool* pool) const {
   if (epoch_open_) {
     throw std::logic_error("SimSystem::snapshot_state: epoch in progress");
   }
@@ -890,7 +899,37 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
         "SimSystem::snapshot_state: lifecycle queues not drained");
   }
 
-  snapshot::SystemImage image;
+  // The tracked rows in ascending-pid order, canonical whatever the pid
+  // map's bucket layout. Rows are allocated in spawn order and a restore
+  // packs them in pid order, so row order already is pid order unless
+  // retention has handed a reclaimed row to a later spawn.
+  std::vector<ProcessId> pids;
+  std::vector<std::uint32_t> rows;
+  pids.reserve(pid_map_.size());
+  rows.reserve(pid_map_.size());
+  bool ordered = true;
+  for (std::uint32_t row = 0; row < cold_.size(); ++row) {
+    const ProcessId pid = cold_[row].pid;
+    if (pid == kFreeRow) continue;
+    ordered = ordered && (pids.empty() || pids.back() < pid);
+    pids.push_back(pid);
+    rows.push_back(row);
+  }
+  if (!ordered) {
+    std::sort(rows.begin(), rows.end(), [this](std::uint32_t a,
+                                               std::uint32_t b) {
+      return cold_[a].pid < cold_[b].pid;
+    });
+    for (std::size_t i = 0; i < rows.size(); ++i) pids[i] = cold_[rows[i]].pid;
+  }
+  // Serially, before anything is filled: the first row in pid order
+  // without snapshot support throws, whatever the worker count.
+  for (const std::uint32_t row : rows) {
+    if (cold_[row].workload != nullptr) {
+      snapshot::require_snapshot_type(*cold_[row].workload);
+    }
+  }
+
   image.epoch_ms = platform_.epoch_ms;
   image.hpc_noise = platform_.hpc_noise;
   image.scheduler = scheduler_.config();
@@ -903,71 +942,84 @@ snapshot::SystemImage SimSystem::snapshot_state() const {
   image.total_spawned = next_pid_;
   image.retention_enabled = retention_enabled_;
   image.retention_epochs = retention_epochs_;
-  image.retire_queue.reserve(retire_queue_.size() - retire_head_);
+  image.retire_queue.resize(retire_queue_.size() - retire_head_);
   for (std::size_t i = retire_head_; i < retire_queue_.size(); ++i) {
-    image.retire_queue.emplace_back(retire_queue_[i].pid,
-                                    retire_queue_[i].epoch);
+    image.retire_queue[i - retire_head_] = {retire_queue_[i].pid,
+                                            retire_queue_[i].epoch};
   }
 
-  image.slots.reserve(slot_pid_.size());
-  for (std::size_t s = 0; s < slot_pid_.size(); ++s) {
-    snapshot::SlotImage& slot = image.slots.emplace_back();
-    slot.pid = slot_pid_[s];
-    slot.rng = rng_s_[s].state();
-    slot.cgroup = cgroup_s_[s];
-    slot.effective = effective_s_[s];
-    slot.last_sample = last_sample_s_[s];
-    slot.accum = accum_s_[s].state();
-    slot.last_progress = last_progress_s_[s];
-    slot.epochs_run = epochs_run_s_[s];
-    slot.exit = static_cast<std::uint8_t>(exit_s_[s]);
-    slot.invalid_streak = invalid_streak_s_[s];
-    slot.feature_streak = feature_streak_s_[s];
+  // Weights and cold rows are created and reclaimed together, so the
+  // scheduler's entries are keyed by exactly the tracked pids.
+  const std::size_t tracked = pids.size();
+  std::vector<double> factors(tracked);
+  scheduler_.gather_factors(pids, factors);
+  image.sched_entries.resize(tracked);
+  for (std::size_t i = 0; i < tracked; ++i) {
+    image.sched_entries[i] = {pids[i], factors[i]};
   }
 
-  // Keyed cold rows, canonicalized to ascending-pid order: the pid map's
-  // bucket order depends on its capacity history (which a restore does not
-  // reproduce), and capture bytes must not.
-  std::vector<std::pair<ProcessId, PidRec>> tracked;
-  tracked.reserve(pid_map_.size());
-  pid_map_.for_each([&](ProcessId pid, const PidRec& rec) {
-    tracked.emplace_back(pid, rec);
-  });
-  std::sort(tracked.begin(), tracked.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Rows are most of an image: fill them in place.
-  image.procs.reserve(tracked.size());
-  for (const auto& [pid, rec] : tracked) {
-    const ColdProc& cold = cold_[rec.row];
-    snapshot::ProcImage& proc = image.procs.emplace_back();
-    proc.pid = pid;
-    proc.slot = rec.slot;
-    if (cold.workload != nullptr) {
-      proc.workload = snapshot::poly_image(*cold.workload);
+  // Slots [0, live), then rows: each item overwrites its own element.
+  const std::size_t live = slot_pid_.size();
+  image.slots.resize(live);
+  image.procs.resize(tracked);
+  const auto fill = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < std::min(end, live); ++s) {
+      snapshot::SlotImage& slot = image.slots[s];
+      slot.pid = slot_pid_[s];
+      slot.rng = rng_s_[s].state();
+      slot.cgroup = cgroup_s_[s];
+      slot.effective = effective_s_[s];
+      slot.last_sample = last_sample_s_[s];
+      slot.accum = accum_s_[s].state();
+      slot.last_progress = last_progress_s_[s];
+      slot.epochs_run = epochs_run_s_[s];
+      slot.exit = static_cast<std::uint8_t>(exit_s_[s]);
+      slot.invalid_streak = invalid_streak_s_[s];
+      slot.feature_streak = feature_streak_s_[s];
     }
-    // Linearize a wrapped ring oldest-first, so the image is layout-
-    // independent and a restored ring restarts with head 0 pointing at
-    // its (then-oldest) first element.
-    std::span<const hpc::HpcSample> older;
-    std::span<const hpc::HpcSample> wrap;
-    history_spans(cold, older, wrap);
-    proc.history.reserve(cold.history.size());
-    proc.history.insert(proc.history.end(), older.begin(), older.end());
-    proc.history.insert(proc.history.end(), wrap.begin(), wrap.end());
-    proc.retired_cgroup = cold.retired.cgroup;
-    proc.retired_effective = cold.retired.effective;
-    proc.retired_last_sample = cold.retired.last_sample;
-    proc.retired_accum = cold.retired.accumulator.state();
-    proc.retired_last_progress = cold.retired.last_progress;
-    proc.retired_epochs_run = cold.retired.epochs_run;
-    proc.retired_exit = static_cast<std::uint8_t>(cold.retired.exit);
+    if (end <= live) return;
+    const std::size_t first = std::max(begin, live) - live;
+    // Slots are ascending-pid too, so a row's slot is found by one merge
+    // walk from the chunk's first pid instead of a pid-map probe per row.
+    std::size_t s = static_cast<std::size_t>(
+        std::lower_bound(slot_pid_.begin(), slot_pid_.end(), pids[first]) -
+        slot_pid_.begin());
+    for (std::size_t i = first; i < end - live; ++i) {
+      while (s < live && slot_pid_[s] < pids[i]) ++s;
+      const ColdProc& cold = cold_[rows[i]];
+      snapshot::ProcImage& proc = image.procs[i];
+      proc.pid = pids[i];
+      proc.slot = s < live && slot_pid_[s] == pids[i]
+                      ? static_cast<std::uint32_t>(s)
+                      : kNoSlot;
+      if (cold.workload != nullptr) {
+        snapshot::poly_image(*cold.workload, proc.workload);
+      } else {
+        proc.workload.type.clear();
+        proc.workload.payload.clear();
+      }
+      // Linearize a wrapped ring oldest-first, so the image is layout-
+      // independent and a restored ring restarts with head 0 pointing at
+      // its (then-oldest) first element.
+      std::span<const hpc::HpcSample> older;
+      std::span<const hpc::HpcSample> wrap;
+      history_spans(cold, older, wrap);
+      proc.history.assign(older.begin(), older.end());
+      proc.history.insert(proc.history.end(), wrap.begin(), wrap.end());
+      proc.retired_cgroup = cold.retired.cgroup;
+      proc.retired_effective = cold.retired.effective;
+      proc.retired_last_sample = cold.retired.last_sample;
+      proc.retired_accum = cold.retired.accumulator.state();
+      proc.retired_last_progress = cold.retired.last_progress;
+      proc.retired_epochs_run = cold.retired.epochs_run;
+      proc.retired_exit = static_cast<std::uint8_t>(cold.retired.exit);
+    }
+  };
+  if (pool != nullptr && live + tracked > 1) {
+    pool->parallel_for(live + tracked, fill);
+  } else {
+    fill(0, live + tracked);
   }
-
-  // Already ascending-pid (factor_entries canonicalizes), and exactly the
-  // tracked pid set: weights and cold rows are created/reclaimed together.
-  image.sched_entries = scheduler_.factor_entries();
-  return image;
 }
 
 void SimSystem::restore_from(const snapshot::SystemImage& image,
@@ -1149,6 +1201,7 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   for (std::size_t i = 0; i < procs; ++i) {
     const snapshot::ProcImage& proc = image.procs[i];
     ColdProc& cold = cold_[i];
+    cold.pid = proc.pid;
     cold.workload = std::move(staged[i]);
     cold.history = proc.history;
     // Image histories are linearized oldest-first, so a full ring resumes

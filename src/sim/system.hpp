@@ -254,6 +254,13 @@ class SimSystem {
     return accum_s_[slot];
   }
 
+  /// A live slot's quarantine streak: invalid_streak() for drivers that
+  /// already hold the slot index, without the pid-map probe.
+  [[nodiscard]] std::uint64_t slot_invalid_streak(
+      std::size_t slot) const noexcept {
+    return invalid_streak_s_[slot];
+  }
+
   // --- Counter-based per-slot RNG -------------------------------------------
 
   /// Switches the master RNG and every per-slot stream to counter mode
@@ -470,19 +477,30 @@ class SimSystem {
 
   // --- Snapshot/restore ------------------------------------------------------
 
-  /// Captures the full simulator state at a closed epoch boundary: the SoA
-  /// hot arrays exactly as they stand (including slots marked dead but not
-  /// yet compacted), the tracked cold rows keyed by pid (sparse — reclaimed
-  /// pids simply have no row) with workloads serialized through their
-  /// snapshot hooks, the master RNG, the scheduler's keyed factor entries,
-  /// and the retention state. Everything keyed is emitted in ascending-pid
-  /// order, so capture bytes are independent of hash-table layout. Reads
-  /// raw members — never live_processes(), whose
-  /// logically-const compaction would change the state being captured.
-  /// Throws std::logic_error while an epoch is open (snapshots are
-  /// epoch-consistent by construction) and
-  /// SerialError(kUnsupportedWorkload) if a live workload lacks snapshot
-  /// support.
+  /// Captures the full simulator state at a closed epoch boundary into
+  /// `image`, overwriting every field and reusing the capacity of its
+  /// tables and payloads: the SoA hot arrays exactly as they stand
+  /// (including slots marked dead but not yet compacted), the tracked cold
+  /// rows keyed by pid (sparse — reclaimed pids simply have no row) with
+  /// workloads serialized through their snapshot hooks, the master RNG,
+  /// the scheduler's keyed factor entries, and the retention state.
+  /// Everything keyed is emitted in ascending-pid order, so capture bytes
+  /// are independent of hash-table layout: the cold rows are walked in row
+  /// order, which is pid order unless retention handed a reclaimed row to
+  /// a later spawn (only then are they sorted). Slots and rows are filled
+  /// on `pool` when one is given (it then runs one dispatch, and only for
+  /// two or more items), after a serial pass that finds any workload
+  /// without snapshot support — so the bytes, and which error is thrown,
+  /// do not depend on the worker count. Reads raw members — never
+  /// live_processes(), whose logically-const compaction would change the
+  /// state being captured. Throws std::logic_error while an epoch is open
+  /// (snapshots are epoch-consistent by construction) and
+  /// SerialError(kUnsupportedWorkload) if a tracked workload lacks
+  /// snapshot support; the image is then partly overwritten.
+  void snapshot_state(snapshot::SystemImage& image,
+                      util::ThreadPool* pool = nullptr) const;
+
+  /// As above, into a fresh image.
   [[nodiscard]] snapshot::SystemImage snapshot_state() const;
 
   /// Rebuilds this system from a captured image, bit-identically: a run
@@ -530,10 +548,16 @@ class SimSystem {
     ExitReason exit = ExitReason::kRunning;
   };
 
+  /// ColdProc::pid of a row in the free pool.
+  static constexpr ProcessId kFreeRow = 0xffffffffu;
+
   /// Per-pid cold table: pointer-chased or growing state the hot stride
   /// must not carry, plus the retirement snapshot. Never moves once
   /// created, so history spans stay valid across compactions.
   struct ColdProc {
+    /// The tracked pid this row belongs to (kFreeRow once reclaimed), so a
+    /// capture can walk the rows without the pid map.
+    ProcessId pid = kFreeRow;
     std::unique_ptr<Workload> workload;
     std::vector<hpc::HpcSample> history;
     /// Ring write position under a finite history window: once the buffer
@@ -663,7 +687,8 @@ class SimSystem {
 
   // pid -> {slot, row} for every tracked process. O(tracked), not
   // O(total-pids-ever); iteration order is hash-layout-dependent and is
-  // never allowed to reach observable output (snapshot capture sorts).
+  // never allowed to reach observable output (snapshot capture walks the
+  // cold rows instead).
   util::PidMap<PidRec> pid_map_;
   std::vector<ColdProc> cold_;            // row pool (indexed by PidRec::row)
   std::vector<std::uint32_t> free_rows_;  // reclaimed rows awaiting reuse

@@ -236,6 +236,8 @@ struct SnapshotImage {
   SystemImage system;
   EngineImage engine;
   bool has_driver = false;
+  /// Meaningful only while has_driver is set: a capture or parse without a
+  /// driver section into a reused image leaves it as it was.
   DriverImage driver;
 };
 

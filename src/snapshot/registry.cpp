@@ -22,25 +22,46 @@ using util::SerialError;
                         std::string(name) + "' has no snapshot support");
 }
 
+template <class T>
+void fill_poly_image(const T& object, PolyImage& out) {
+  require_snapshot_type(object);
+  out.type.assign(object.snapshot_type());
+  out.payload.clear();
+  util::ByteWriter writer(out.payload);
+  object.snapshot_save(writer);
+}
+
 }  // namespace
 
+void require_snapshot_type(const sim::Workload& workload) {
+  if (workload.snapshot_type().empty()) {
+    throw_unsupported("workload", workload.name());
+  }
+}
+
+void require_snapshot_type(const core::Actuator& actuator) {
+  if (actuator.snapshot_type().empty()) {
+    throw_unsupported("actuator", "composite/custom");
+  }
+}
+
+void poly_image(const sim::Workload& workload, PolyImage& out) {
+  fill_poly_image(workload, out);
+}
+
+void poly_image(const core::Actuator& actuator, PolyImage& out) {
+  fill_poly_image(actuator, out);
+}
+
 PolyImage poly_image(const sim::Workload& workload) {
-  const std::string_view type = workload.snapshot_type();
-  if (type.empty()) throw_unsupported("workload", workload.name());
   PolyImage out;
-  out.type = std::string(type);
-  util::ByteWriter writer(out.payload);
-  workload.snapshot_save(writer);
+  poly_image(workload, out);
   return out;
 }
 
 PolyImage poly_image(const core::Actuator& actuator) {
-  const std::string_view type = actuator.snapshot_type();
-  if (type.empty()) throw_unsupported("actuator", "composite/custom");
   PolyImage out;
-  out.type = std::string(type);
-  util::ByteWriter writer(out.payload);
-  actuator.snapshot_save(writer);
+  poly_image(actuator, out);
   return out;
 }
 

@@ -411,8 +411,10 @@ void get_scalar(ByteReader& in, T& x) {
   }
 }
 
-// Reads in place, each field through one bounds check. A table's count is
-// checked against its element's minimum width before anything is allocated.
+// Reads in place, each field through one bounds check, reusing the
+// capacity of the tables, strings and payloads it overwrites. A table's
+// count is checked against its element's minimum width before anything is
+// allocated.
 struct Get {
   ByteReader& in;
 
@@ -427,7 +429,8 @@ struct Get {
       x.resize(in.length(element.n));
       for (auto& e : x) (*this)({}, e);
     } else if constexpr (std::same_as<T, std::string>) {
-      x = in.str();
+      const std::span<const std::uint8_t> chars = in.bytes(in.length());
+      x.assign(reinterpret_cast<const char*>(chars.data()), chars.size());
     } else if constexpr (std::same_as<T, Bytes>) {
       const std::span<const std::uint8_t> bytes = in.bytes(in.length());
       x.assign(bytes.begin(), bytes.end());
@@ -528,17 +531,28 @@ void for_each_section(const SnapshotImage& image, Fn fn) {
 
 }  // namespace
 
+void capture(const core::ValkyrieEngine& engine, SnapshotImage& image) {
+  image.version = kVersion;
+  engine.snapshot_system(image.system);
+  engine.snapshot_state(image.engine);
+  image.has_driver = false;
+}
+
+void capture(const sim::ScenarioDriver& driver, SnapshotImage& image) {
+  capture(driver.engine(), image);
+  driver.snapshot_state(image.driver);
+  image.has_driver = true;
+}
+
 SnapshotImage capture(const core::ValkyrieEngine& engine) {
   SnapshotImage image;
-  image.system = engine.system().snapshot_state();
-  image.engine = engine.snapshot_state();
+  capture(engine, image);
   return image;
 }
 
 SnapshotImage capture(const sim::ScenarioDriver& driver) {
-  SnapshotImage image = capture(driver.engine());
-  image.has_driver = true;
-  image.driver = driver.snapshot_state();
+  SnapshotImage image;
+  capture(driver, image);
   return image;
 }
 
@@ -569,6 +583,12 @@ std::vector<std::uint8_t> encode(const SnapshotImage& image) {
 }
 
 SnapshotImage parse(std::span<const std::uint8_t> bytes) {
+  SnapshotImage image;
+  parse(bytes, image);
+  return image;
+}
+
+void parse(std::span<const std::uint8_t> bytes, SnapshotImage& image) {
   ByteReader in(bytes);
   const std::span<const std::uint8_t> magic = in.bytes(kMagic.size());
   if (!std::equal(magic.begin(), magic.end(), kMagic.begin())) {
@@ -582,8 +602,8 @@ SnapshotImage parse(std::span<const std::uint8_t> bytes) {
                           std::to_string(version));
   }
 
-  SnapshotImage image;
   image.version = version;
+  image.has_driver = false;
   bool have_sys = false;
   bool have_eng = false;
   while (!in.done()) {
@@ -628,47 +648,23 @@ SnapshotImage parse(std::span<const std::uint8_t> bytes) {
     throw SerialError(SerialError::Code::kBadSection,
                       "snapshot: missing system or engine section");
   }
-  return image;
 }
 
 void restore(const SnapshotImage& image, core::ValkyrieEngine& engine,
              const RestoreContext& ctx) {
-  // Phase 1: engine-level compatibility checks that mutate nothing, so a
-  // doomed restore fails before the system commit below. (The system's own
-  // restore_from validates everything it needs internally, also before
-  // mutating.) Byte-level corruption never reaches here — parse() already
-  // rejected it — so the residual risk is handcrafted in-memory images.
-  if (image.engine.detector_hash != engine.detector().state_hash()) {
-    throw SerialError(SerialError::Code::kIncompatible,
-                      "restore: detector fingerprint mismatch");
-  }
-  for (const AttachmentImage& att : image.engine.attachments) {
-    if (att.monitor.required_measurements == 0 ||
-        att.monitor.state >
-            static_cast<std::uint8_t>(core::ProcessState::kTerminated) ||
-        att.monitor.threat_state >
-            static_cast<std::uint8_t>(core::ProcessState::kTerminated) ||
-        att.last_action > static_cast<std::uint8_t>(
-                              core::ValkyrieMonitor::Action::kTerminated)) {
-      throw SerialError(SerialError::Code::kMalformed,
-                        "restore: attachment fields out of range");
-    }
-    if (!att.monitor.actuator.present() ||
-        !ctx.actuators.contains(att.monitor.actuator.type)) {
-      throw SerialError(SerialError::Code::kUnsupportedWorkload,
-                        "restore: unknown actuator type '" +
-                            att.monitor.actuator.type + "'");
-    }
-    if (att.has_terminal &&
-        (ctx.terminal_detector == nullptr ||
-         ctx.terminal_detector->state_hash() != att.terminal_hash)) {
-      throw SerialError(SerialError::Code::kIncompatible,
-                        "restore: terminal detector fingerprint mismatch");
-    }
-  }
+  // Stage the engine section first — detector and terminal fingerprints,
+  // attachment fields and pids, the retry table, every actuator loaded —
+  // so an image only the engine refuses throws before the system commit.
+  // (The system's restore_from validates and loads everything it needs
+  // before mutating, too.) Byte-level corruption never reaches here —
+  // parse() already rejected it — so the residual risk is handcrafted
+  // in-memory images.
+  core::ValkyrieEngine::StagedRestore staged =
+      engine.stage_restore(image.engine, ctx);
   // A pending retry reads its pid's liveness at the first step, so it must
-  // name a pid the system tracks. Both tables are ascending-pid (the system
-  // and engine restores refuse them otherwise), so one merge walk checks all.
+  // name a pid the system tracks. Both tables are ascending-pid (the
+  // engine stage and the system restore refuse them otherwise), so one
+  // merge walk checks all.
   const std::vector<ProcImage>& rows = image.system.procs;
   std::size_t row = 0;
   for (const RetryImage& retry : image.engine.retries) {
@@ -680,7 +676,7 @@ void restore(const SnapshotImage& image, core::ValkyrieEngine& engine,
   }
 
   engine.system().restore_from(image.system, ctx.workloads);
-  engine.restore_from(image.engine, ctx);
+  engine.commit_restore(std::move(staged));
 }
 
 std::vector<FieldDiff> diff(const SnapshotImage& a, const SnapshotImage& b) {

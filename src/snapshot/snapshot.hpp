@@ -3,11 +3,16 @@
 //
 // Lifecycle:
 //
-//   capture(engine | driver)  -> SnapshotImage   (structured, in-memory)
+//   capture(engine | driver, image)              (structured, in-memory)
 //   encode(image)             -> bytes           (versioned + CRC framing)
-//   parse(bytes)              -> SnapshotImage   (validates framing + CRC;
+//   parse(bytes, image)                          (validates framing + CRC;
 //                                                 registry-free)
 //   restore(image, engine, ctx)                  (rebuilds live objects)
+//
+// capture and parse overwrite an existing image and reuse the capacity of
+// its tables and payloads, so a loop that keeps its images (the
+// Snapshotter, a supervisor's recovery) allocates little after the first;
+// the overloads that return a fresh image wrap them.
 //
 // The restore determinism contract: an engine restored from a snapshot
 // taken at epoch E and run to epoch E+k produces BIT-IDENTICAL histories,
@@ -23,7 +28,7 @@
 // a failed restore leaves the engine untouched.
 //
 // Byte encoding lives ONLY in snapshot.cpp; the classes themselves expose
-// structured snapshot_state()/restore_from() members over the image types.
+// structured snapshot_state() and restore members over the image types.
 #pragma once
 
 #include <cstddef>
@@ -64,15 +69,28 @@ struct RestoreContext {
   ActuatorRegistry actuators = ActuatorRegistry::bundled();
 };
 
-/// Captures engine + system state at a closed epoch boundary. Throws
-/// std::logic_error while an epoch is open and SnapshotError
-/// (kUnsupportedWorkload) if a live workload/actuator lacks snapshot
-/// support. The capture itself is a structured copy — cheap enough for the
+/// Captures engine + system state at a closed epoch boundary into `image`.
+/// Every field is assigned (has_driver = false; the driver section is then
+/// left as it was and means nothing) and the capacity of every table and
+/// payload is reused, so capturing into a kept image allocates only where
+/// the world outgrew it. The system's cold rows are walked in row order,
+/// which is already ascending pid (they are sorted only after retention
+/// has recycled a row), and the slots, rows and attachments are filled on
+/// the engine's own pool, after serial checks that every tracked workload
+/// and every actuator has a snapshot type — so the bytes, and the error,
+/// do not depend on the worker count. Throws std::logic_error while an
+/// epoch is open and SnapshotError(kUnsupportedWorkload) if a
+/// workload/actuator lacks snapshot support; the image is then partly
+/// overwritten. The capture is a structured copy, cheap enough for the
 /// engine thread; encoding/CRC belong on a Snapshotter worker.
-[[nodiscard]] SnapshotImage capture(const core::ValkyrieEngine& engine);
+void capture(const core::ValkyrieEngine& engine, SnapshotImage& image);
 
 /// As above, plus the scenario driver's section (RNG, stats, scheduled
 /// departures, campaign progress) so a churn campaign can resume mid-run.
+void capture(const sim::ScenarioDriver& driver, SnapshotImage& image);
+
+/// The captures above, into a fresh image.
+[[nodiscard]] SnapshotImage capture(const core::ValkyrieEngine& engine);
 [[nodiscard]] SnapshotImage capture(const sim::ScenarioDriver& driver);
 
 /// Serializes an image: magic "VLKYSNP1", format version, then one
@@ -91,18 +109,27 @@ inline constexpr std::size_t kMinRowBytes = 605;
 inline constexpr std::size_t kMinAttachmentBytes = 130;
 inline constexpr std::size_t kMinRetryBytes = 25;
 
-/// Decodes and validates a snapshot byte stream. Registry-free: workloads
-/// and actuators stay {type, payload}. Throws typed SnapshotError on any
-/// framing/CRC/structure violation; never invokes undefined behaviour on
-/// arbitrary input bytes.
+/// Decodes and validates a snapshot byte stream into `image`, overwriting
+/// every section the bytes carry (has_driver says whether they carried a
+/// driver) and reusing the image's capacity. Registry-free: workloads and
+/// actuators stay {type, payload}. Throws typed SnapshotError on any
+/// framing/CRC/structure violation, leaving the image partly overwritten
+/// (a later parse into it is still exact); never invokes undefined
+/// behaviour on arbitrary input bytes.
+void parse(std::span<const std::uint8_t> bytes, SnapshotImage& image);
+
+/// As above, into a fresh image.
 [[nodiscard]] SnapshotImage parse(std::span<const std::uint8_t> bytes);
 
-/// Rebuilds the engine (and its system) from an image. Compatibility is
-/// validated first — detector fingerprint, terminal fingerprints, platform
-/// numbers, structural invariants — so an incompatible or malformed image
-/// throws before the target is mutated. The driver section is NOT applied
-/// here: construct a ScenarioDriver with its restore constructor after
-/// this call.
+/// Rebuilds the engine (and its system) from an image, in two phases. The
+/// engine section is staged first (ValkyrieEngine::stage_restore: detector
+/// and terminal fingerprints, attachment fields and pids, the retry table,
+/// every actuator loaded), then the system restores (platform numbers,
+/// structural invariants, every workload loaded before it mutates), then
+/// the staged engine section is committed by moves — so an incompatible
+/// or malformed image, whichever section refuses it, throws before the
+/// target is mutated. The driver section is NOT applied here: construct a
+/// ScenarioDriver with its restore constructor after this call.
 void restore(const SnapshotImage& image, core::ValkyrieEngine& engine,
              const RestoreContext& ctx);
 

@@ -26,6 +26,7 @@ Snapshotter::Snapshotter(TaggedSink sink) : sink_(std::move(sink)) {
   if (sink_ == nullptr) {
     throw std::invalid_argument("Snapshotter: null sink");
   }
+  spare_.reserve(kMaxInFlight);
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -40,12 +41,37 @@ Snapshotter::~Snapshotter() {
 
 void Snapshotter::request(const core::ValkyrieEngine& engine,
                           std::uint64_t tag) {
-  enqueue(capture(engine), tag);
+  capture_and_enqueue(engine, tag);
 }
 
 void Snapshotter::request(const sim::ScenarioDriver& driver,
                           std::uint64_t tag) {
-  enqueue(capture(driver), tag);
+  capture_and_enqueue(driver, tag);
+}
+
+template <class World>
+void Snapshotter::capture_and_enqueue(const World& world, std::uint64_t tag) {
+  SnapshotImage image = lend_image();
+  try {
+    capture(world, image);
+  } catch (...) {
+    return_image(std::move(image));
+    throw;
+  }
+  enqueue(std::move(image), tag);
+}
+
+SnapshotImage Snapshotter::lend_image() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (spare_.empty()) return {};
+  SnapshotImage image = std::move(spare_.back());
+  spare_.pop_back();
+  return image;
+}
+
+void Snapshotter::return_image(SnapshotImage image) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (spare_.size() < kMaxInFlight) spare_.push_back(std::move(image));
 }
 
 void Snapshotter::enqueue(SnapshotImage image, std::uint64_t tag) {
@@ -113,6 +139,11 @@ void Snapshotter::worker_loop() {
         error_ = std::move(failure);
       } else {
         ++completed_;
+      }
+      // Kept for the next capture; an image beyond the bound is freed at
+      // the end of this iteration, outside the lock.
+      if (spare_.size() < kMaxInFlight) {
+        spare_.push_back(std::move(pending.image));
       }
     }
     space_cv_.notify_all();

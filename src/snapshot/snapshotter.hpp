@@ -10,6 +10,14 @@
 // delivers the bytes to the sink. A bounded two-image queue keeps memory
 // flat; request() blocks only when BOTH buffers are still in flight, i.e.
 // snapshots are being requested faster than they encode.
+//
+// Encoded images are kept, up to kMaxInFlight of them, and the next
+// request() captures into one, so a steady checkpoint cadence reuses the
+// same tables and payloads instead of allocating and first-touching a
+// fresh image each time. lend_image()/return_image() share the kept
+// images with other users of a structured image, such as a supervisor
+// parsing a checkpoint for recovery. Only images are kept, never byte
+// buffers: the sink owns those.
 #pragma once
 
 #include <condition_variable>
@@ -68,6 +76,15 @@ class Snapshotter {
   /// Snapshots delivered to the sink so far.
   [[nodiscard]] std::uint64_t completed() const;
 
+  /// Hands out a kept image to fill (capture, parse), or a fresh one when
+  /// none is free; pass it back with return_image() so the next request()
+  /// reuses it.
+  [[nodiscard]] SnapshotImage lend_image();
+
+  /// Takes an image back into the kept set (dropped once kMaxInFlight are
+  /// kept). Its contents do not matter: every fill overwrites all of it.
+  void return_image(SnapshotImage image);
+
   /// Non-blocking poll: returns (and clears) any parked encode/sink
   /// failure without waiting for the queue to drain. Lets a supervisor
   /// surface checkpoint failures at its next step instead of only at the
@@ -80,6 +97,8 @@ class Snapshotter {
     std::uint64_t tag = 0;
   };
 
+  template <class World>
+  void capture_and_enqueue(const World& world, std::uint64_t tag);
   void enqueue(SnapshotImage image, std::uint64_t tag);
   void worker_loop();
 
@@ -88,6 +107,7 @@ class Snapshotter {
   std::condition_variable work_cv_;   // signals the worker: queue non-empty
   std::condition_variable space_cv_;  // signals producers: slot free / idle
   std::deque<Pending> queue_;         // bounded at kMaxInFlight
+  std::vector<SnapshotImage> spare_;  // encoded images kept for reuse
   std::exception_ptr error_;          // sink/encode failure awaiting rethrow
   std::uint64_t completed_ = 0;
   bool encoding_ = false;  // worker is between pop and sink delivery

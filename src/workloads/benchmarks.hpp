@@ -57,6 +57,9 @@ struct BenchmarkSpec {
 /// Materialises the HPC signature for a spec (deterministic in the name).
 [[nodiscard]] hpc::HpcSignature make_signature(const BenchmarkSpec& spec);
 
+/// A program's signature and its I/O-phase variant (benchmarks.cpp).
+struct SignaturePair;
+
 /// A benign program executing under the simulator.
 class BenchmarkWorkload final : public sim::Workload {
  public:
@@ -85,8 +88,11 @@ class BenchmarkWorkload final : public sim::Workload {
 
  private:
   BenchmarkSpec spec_;
-  hpc::HpcSignature signature_;
-  hpc::HpcSignature io_signature_;
+  // One immutable pair per palette program (all_single_threaded and
+  // spec2017_multithreaded), shared by every instance whose signature
+  // fields match its palette entry; any other spec owns its pair. The
+  // pair is a pure function of those fields, so sharing changes no bit.
+  std::shared_ptr<const SignaturePair> signatures_;
   double progress_ = 0.0;
 };
 

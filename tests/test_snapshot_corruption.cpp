@@ -277,6 +277,55 @@ TEST(SnapshotCorruption, FailedRestoreLeavesTheTargetUntouched) {
   }
 }
 
+// Images only the engine section refuses. The engine section stages (its
+// checks run and its actuators load) before the system commits, so each
+// refusal leaves the target as it was rather than at the image's epoch
+// under its own old attachments.
+TEST(SnapshotCorruption, EngineOnlyRefusalsLeaveTheTargetUntouched) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture source(detector);
+  const SnapshotImage image = capture(source.engine);
+  ASSERT_GE(image.engine.attachments.size(), 2u);
+  ASSERT_GE(image.system.procs.size(), 2u);
+
+  Fixture target(detector);
+  for (int e = 0; e < 7; ++e) target.engine.step();
+  const std::vector<std::uint8_t> before = encode(capture(target.engine));
+  const auto expect_refused = [&](const SnapshotImage& bad,
+                                  const std::string& what) {
+    try {
+      restore(bad, target.engine, RestoreContext{});
+      ADD_FAILURE() << "restore accepted " << what;
+    } catch (const SerialError& e) {
+      EXPECT_EQ(e.code(), SerialError::Code::kMalformed) << what;
+    }
+    EXPECT_EQ(before, encode(capture(target.engine))) << what;
+  };
+
+  {
+    SnapshotImage bad = image;
+    bad.engine.attachments[1].pid = bad.engine.attachments[0].pid;
+    expect_refused(bad, "a duplicated attachment pid");
+  }
+  {
+    // Both pids are tracked, in descending order.
+    SnapshotImage bad = image;
+    bad.engine.retries = {{image.system.procs[1].pid, 1, 0.5, 1, 99},
+                          {image.system.procs[0].pid, 1, 0.5, 1, 99}};
+    expect_refused(bad, "an unsorted retry table");
+  }
+  {
+    // The scheduler-weight actuator saves nothing; a stray byte is left
+    // over after its loader ran.
+    SnapshotImage bad = image;
+    bad.engine.attachments.back().monitor.actuator.payload.push_back(0);
+    expect_refused(bad, "an actuator payload its registry refuses");
+  }
+  // The untouched image still restores.
+  EXPECT_NO_THROW(restore(image, target.engine, RestoreContext{}));
+  EXPECT_EQ(encode(image), encode(capture(target.engine)));
+}
+
 // A pending retry reads its pid's liveness at the first step, so restore
 // refuses one naming a pid the image's system does not track — typed, and
 // before the system commit, so the target stays as it was.

@@ -22,6 +22,7 @@
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "ml/svm.hpp"
+#include "sim/scenario.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
@@ -383,6 +384,135 @@ TEST(SnapshotRoundtrip, CleanBoundarySnapshotRoundTripsExactly) {
   EXPECT_EQ(bytes, snapshot::encode(snapshot::capture(engine2)));
   EXPECT_EQ(sys.current_epoch(), sys2.current_epoch());
   EXPECT_EQ(sys.total_spawned(), sys2.total_spawned());
+}
+
+/// A churn world larger than run_to_snapshot's in every table — more
+/// slots, rows, attachments and departures, rows that retain raw samples,
+/// and a driver section — to leave a used image behind.
+struct DriverWorld {
+  sim::SimSystem sys;
+  std::unique_ptr<ValkyrieEngine> engine;
+  std::unique_ptr<sim::ScenarioDriver> driver;
+};
+
+std::unique_ptr<DriverWorld> larger_driver_world(
+    const ml::SvmDetector& detector, std::size_t threads) {
+  auto world = std::make_unique<DriverWorld>();
+  world->engine =
+      std::make_unique<ValkyrieEngine>(world->sys, detector, threads);
+  world->sys.set_history_window(16);  // the engine only ever widens it
+  sim::ScenarioScript script;
+  script.seed = 0xb16;
+  script.initial_processes = 48;
+  script.arrival_rate = 1.5;
+  script.attack_fraction = 0.2;
+  script.mean_lifetime = 30.0;
+  script.kill_exit_fraction = 0.5;
+  world->driver =
+      std::make_unique<sim::ScenarioDriver>(*world->engine, script);
+  for (int e = 0; e < 60; ++e) world->driver->step();
+  return world;
+}
+
+TEST(SnapshotRoundtrip, CaptureIntoAUsedImageMatchesAFreshCapture) {
+  // capture() overwrites an image whatever it held before: an image last
+  // filled from a larger driver world (longer tables, retained histories,
+  // a driver section) and one last filled from a smaller engine-only world
+  // must both encode to exactly the bytes of a fresh capture, at every
+  // worker count.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  std::optional<std::vector<std::uint8_t>> first;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const std::string label = std::to_string(threads) + "w";
+    const std::unique_ptr<World> world = run_to_snapshot(detector, threads);
+    const snapshot::SnapshotImage fresh_image =
+        snapshot::capture(*world->engine);
+    const std::vector<std::uint8_t> fresh = snapshot::encode(fresh_image);
+
+    const std::unique_ptr<DriverWorld> larger =
+        larger_driver_world(detector, threads);
+    snapshot::SnapshotImage from_larger;
+    snapshot::capture(*larger->driver, from_larger);
+    ASSERT_TRUE(from_larger.has_driver);
+    ASSERT_GT(from_larger.system.slots.size(),
+              fresh_image.system.slots.size());
+    ASSERT_GT(from_larger.system.procs.size(),
+              fresh_image.system.procs.size());
+    snapshot::capture(*world->engine, from_larger);
+    EXPECT_FALSE(from_larger.has_driver);
+    expect_bytes_equal(fresh, snapshot::encode(from_larger),
+                       label + " over a larger driver world");
+
+    World smaller;
+    smaller.engine =
+        std::make_unique<ValkyrieEngine>(smaller.sys, detector, threads);
+    for (std::size_t i = 0; i < 3; ++i) {
+      scripted_spawn(smaller.sys, *smaller.engine);
+    }
+    smaller.engine->run(5);
+    snapshot::SnapshotImage from_smaller;
+    snapshot::capture(*smaller.engine, from_smaller);
+    snapshot::capture(*world->engine, from_smaller);
+    expect_bytes_equal(fresh, snapshot::encode(from_smaller),
+                       label + " over a smaller engine world");
+
+    if (!first) first = fresh;
+    expect_bytes_equal(*first, fresh, label + " against 1w");
+  }
+}
+
+TEST(SnapshotRoundtrip, RecycledRowsCaptureInPidOrder) {
+  // Under retention a reclaimed cold row goes to a later spawn, so row
+  // order stops being pid order and capture must sort. The bytes must
+  // still be one ascending-pid image at every worker count, and must
+  // restore into a world that re-captures them exactly.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  std::optional<std::vector<std::uint8_t>> first;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const std::string label = std::to_string(threads) + "w";
+    World world;
+    world.engine =
+        std::make_unique<ValkyrieEngine>(world.sys, detector, threads);
+    world.sys.enable_retirement_retention(3);
+    for (std::size_t i = 0; i < 16; ++i) {
+      scripted_spawn(world.sys, *world.engine);
+    }
+    // drive_epochs probes every pid ever spawned, which retention makes
+    // unknown; this churn reads the live list only.
+    for (std::uint64_t e = 0; e < kSnapshotEpoch; ++e) {
+      if (e % 7 == 3) {
+        for (const sim::ProcessId pid : world.sys.live_processes()) {
+          if (!world.sys.workload(pid).is_attack()) {
+            world.sys.kill(pid);
+            break;
+          }
+        }
+      }
+      if (e % 5 == 1) scripted_spawn(world.sys, *world.engine);
+      world.engine->step();
+    }
+    ASSERT_LT(world.sys.cold_rows_allocated(), world.sys.total_spawned())
+        << label << ": no row was recycled";
+
+    snapshot::SnapshotImage image;
+    snapshot::capture(*world.engine, image);
+    for (std::size_t i = 1; i < image.system.procs.size(); ++i) {
+      ASSERT_LT(image.system.procs[i - 1].pid, image.system.procs[i].pid)
+          << label << " row " << i;
+    }
+    const std::vector<std::uint8_t> bytes = snapshot::encode(image);
+    if (!first) first = bytes;
+    expect_bytes_equal(*first, bytes, label + " against 1w");
+
+    World restored;
+    restored.engine =
+        std::make_unique<ValkyrieEngine>(restored.sys, detector, threads);
+    snapshot::restore(snapshot::parse(bytes), *restored.engine,
+                      snapshot::RestoreContext{});
+    expect_bytes_equal(bytes,
+                       snapshot::encode(snapshot::capture(*restored.engine)),
+                       label + " re-capture of the restored world");
+  }
 }
 
 /// A varied double for field `k`: ordinary values plus the bit patterns a

@@ -318,6 +318,39 @@ TEST(Supervisor, CorruptedLatestCheckpointFallsBackToThePreviousGeneration) {
   EXPECT_TRUE(supervisor.recovery_log()[0].fallback);
 }
 
+TEST(Supervisor, FallbackThroughThePooledImageKeepsLaterRecoveriesExact) {
+  // Recovery parses into one of the Snapshotter's kept images. The torn
+  // step-96 checkpoint fails its parse after the system and engine
+  // sections were already decoded into that image, the fallback parse
+  // overwrites it, and the image then goes back to be captured into: the
+  // step-144 checkpoint is taken through it, and the crash at 150 restores
+  // from that. Both recoveries must still land on the golden bytes.
+  const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
+  const std::vector<std::uint8_t> golden = golden_run(detector);
+  for (const std::size_t threads : {1u, 2u}) {
+    SupervisedEngine::Config config;
+    config.checkpoint_interval = 16;
+    config.crash_epochs = {100, 150};
+    config.corrupt_checkpoint_epochs = {96};
+    SupervisedEngine supervisor(scenario_factory(detector, threads), config);
+    supervisor.run(kEpochs);
+
+    EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())),
+              golden)
+        << threads << " workers";
+    EXPECT_FALSE(supervisor.latest_checkpoint().empty());  // also flushes
+    const SupervisedEngine::Health health = supervisor.health();
+    EXPECT_EQ(health.recoveries, 2u);
+    EXPECT_EQ(health.fallback_recoveries, 1u);
+    // 100 falls back past step 96 to step 80 (20 replayed); 150 restores
+    // step 144 (6 replayed).
+    EXPECT_EQ(health.epochs_replayed, 26u);
+    ASSERT_EQ(supervisor.recovery_log().size(), 2u);
+    EXPECT_TRUE(supervisor.recovery_log()[0].fallback);
+    EXPECT_FALSE(supervisor.recovery_log()[1].fallback);
+  }
+}
+
 TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(detector);
