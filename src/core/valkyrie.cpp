@@ -740,47 +740,32 @@ void ValkyrieEngine::snapshot_state(snapshot::EngineImage& image) const {
   image.step_tag = step_tag_;
   // Tombstones are skipped: no output reads them, so the live entries in
   // attach order are exactly what a restored engine's first step must
-  // start from, whenever the uninterrupted run happens to prune. Every
-  // actuator is checked serially before any is filled.
-  std::vector<std::uint32_t> live;
-  live.reserve(attached_.size() - detached_count_);
-  for (std::size_t i = 0; i < attached_.size(); ++i) {
-    if (attached_[i].detached) continue;
-    snapshot::require_snapshot_type(*attached_[i].monitor.actuator());
-    live.push_back(static_cast<std::uint32_t>(i));
-  }
-  image.attachments.resize(live.size());
-  const auto fill = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Attached& a = attached_[live[i]];
-      snapshot::AttachmentImage& att = image.attachments[i];
-      att.pid = a.pid;
-      a.monitor.snapshot_state(att.monitor);
-      att.has_terminal = a.terminal_detector != nullptr;
-      att.terminal_hash =
-          att.has_terminal ? a.terminal_detector->state_hash() : 0;
-      att.stream_malicious = a.stream.malicious_count();
-      att.stream_counted = a.stream.counted();
-      att.stream_skipped = a.stream.skipped();
-      att.terminal_malicious = a.terminal_stream.malicious_count();
-      att.terminal_counted = a.terminal_stream.counted();
-      att.terminal_skipped = a.terminal_stream.skipped();
-      // Canonicalize to the observable view (see AttachmentImage): the raw
-      // pair also records idle kNone visits, which last_action() cannot
-      // tell from no visit, so only a real action from THIS step survives
-      // into the snapshot.
-      const bool acted = a.last_action_step == step_tag_ &&
-                         a.last_action != ValkyrieMonitor::Action::kNone;
-      att.last_action = static_cast<std::uint8_t>(
-          acted ? a.last_action : ValkyrieMonitor::Action::kNone);
-      att.last_action_step = acted ? a.last_action_step : 0;
-    }
-  };
-  if (pool_ != nullptr && live.size() > 1) {
-    pool_->parallel_for(live.size(), fill);
-    ++capture_dispatches_;
-  } else {
-    fill(0, live.size());
+  // start from, whenever the uninterrupted run happens to prune.
+  image.attachments.resize(attached_.size() - detached_count_);
+  std::size_t next = 0;
+  for (const Attached& a : attached_) {
+    if (a.detached) continue;
+    snapshot::AttachmentImage& att = image.attachments[next++];
+    att.pid = a.pid;
+    a.monitor.snapshot_state(att.monitor);
+    att.has_terminal = a.terminal_detector != nullptr;
+    att.terminal_hash =
+        att.has_terminal ? a.terminal_detector->state_hash() : 0;
+    att.stream_malicious = a.stream.malicious_count();
+    att.stream_counted = a.stream.counted();
+    att.stream_skipped = a.stream.skipped();
+    att.terminal_malicious = a.terminal_stream.malicious_count();
+    att.terminal_counted = a.terminal_stream.counted();
+    att.terminal_skipped = a.terminal_stream.skipped();
+    // Canonicalize to the observable view (see AttachmentImage): the raw
+    // pair also records idle kNone visits, which last_action() cannot tell
+    // from no visit, so only a real action from THIS step survives into
+    // the snapshot.
+    const bool acted = a.last_action_step == step_tag_ &&
+                       a.last_action != ValkyrieMonitor::Action::kNone;
+    att.last_action = static_cast<std::uint8_t>(
+        acted ? a.last_action : ValkyrieMonitor::Action::kNone);
+    att.last_action_step = acted ? a.last_action_step : 0;
   }
   // The retry table is real state — a restored run must resume the same
   // backoff schedule. Already pid-sorted (an invariant commit maintains

@@ -105,9 +105,6 @@ class ValkyrieMonitor {
   /// pointers in its retry table — a restored engine's table then re-binds
   /// to the restored actuators for free.
   [[nodiscard]] Actuator* actuator() noexcept { return actuator_.get(); }
-  [[nodiscard]] const Actuator* actuator() const noexcept {
-    return actuator_.get();
-  }
 
   /// Captures the monitor's full response state (threat index metrics,
   /// measurement budget, lifecycle state, the actuator object) into an
@@ -320,12 +317,10 @@ class ValkyrieEngine {
   /// compatibility fingerprint into `image`, overwriting every field and
   /// reusing its capacity. Detach tombstones are skipped — the captured
   /// table is the live attachments in attach order, which is all a
-  /// tombstone-free restored engine needs to continue bit-identically. The
-  /// attachments are filled on the engine's pool after a serial pass that
-  /// finds any actuator without snapshot support
-  /// (SerialError(kUnsupportedWorkload); the image is then partly
-  /// overwritten), so neither the bytes nor the error depend on the
-  /// worker count.
+  /// tombstone-free restored engine needs to continue bit-identically. An
+  /// actuator without snapshot support throws
+  /// SerialError(kUnsupportedWorkload) and leaves the image partly
+  /// overwritten.
   void snapshot_state(snapshot::EngineImage& image) const;
 
   /// SimSystem::snapshot_state of the driven system at this engine's
@@ -556,9 +551,9 @@ class ValkyrieEngine {
   // Sequential-phase executions when no pool exists (see
   // schedule_run_count); pool-inline runs are counted by the pool itself.
   std::uint64_t inline_runs_ = 0;
-  // Pool dispatches made by captures (snapshot_state, snapshot_system),
-  // kept out of the per-epoch schedule statistics. Captures dispatch only
-  // for two or more items, so the pool never counts them as inline runs.
+  // Pool dispatches made by snapshot_system, kept out of the per-epoch
+  // schedule statistics. A capture dispatches only for two or more items,
+  // so the pool never counts it as an inline run.
   mutable std::uint64_t capture_dispatches_ = 0;
 };
 

@@ -38,6 +38,9 @@ ProcessId SimSystem::spawn(std::unique_ptr<Workload> workload) {
   if (workload == nullptr) {
     throw std::invalid_argument("SimSystem::spawn: null workload");
   }
+  if (next_pid_ >= kFreeRow) {
+    throw std::length_error("SimSystem::spawn: pid space exhausted");
+  }
   const auto pid = static_cast<ProcessId>(next_pid_++);
 
   const std::uint32_t row = alloc_row();
@@ -1044,9 +1047,14 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
                       "restore: platform/scheduler configuration mismatch");
   }
 
-  // Structural validation — everything throws before any mutation. The v5
-  // keyed form: cold rows and scheduler entries are sparse, ascending-pid,
-  // and must key exactly the same pid set.
+  // Structural validation — everything throws before any mutation. Pids
+  // stay below kFreeRow, the free-row mark capture skips, as spawn keeps
+  // them. The v5 keyed form: cold rows and scheduler entries are sparse,
+  // ascending-pid, and must key exactly the same pid set.
+  if (image.total_spawned > kFreeRow) {
+    throw SerialError(SerialError::Code::kMalformed,
+                      "restore: total_spawned beyond the pid space");
+  }
   const std::size_t procs = image.procs.size();
   ProcessId prev_row_pid = 0;
   for (std::size_t i = 0; i < procs; ++i) {

@@ -97,7 +97,8 @@ class SimSystem {
   /// open epoch's frozen slot layout is never disturbed. Either way the
   /// process first executes in the epoch after the one it was admitted
   /// into (Eq. 3 next-epoch timing). Not thread-safe: call from the serial
-  /// phases only, never from inside a shard.
+  /// phases only, never from inside a shard. Throws std::length_error once
+  /// every pid below kFreeRow has been allocated.
   ProcessId spawn(std::unique_ptr<Workload> workload);
 
   /// Pre-grows every per-process table — the SoA hot arrays, the cold-row
@@ -548,7 +549,8 @@ class SimSystem {
     ExitReason exit = ExitReason::kRunning;
   };
 
-  /// ColdProc::pid of a row in the free pool.
+  /// ColdProc::pid of a row in the free pool. Never a tracked pid: spawn
+  /// refuses to allocate it and restore refuses an image that reaches it.
   static constexpr ProcessId kFreeRow = 0xffffffffu;
 
   /// Per-pid cold table: pointer-chased or growing state the hot stride

@@ -22,9 +22,10 @@ using util::SerialError;
                         std::string(name) + "' has no snapshot support");
 }
 
+// The type tag and payload, written over `out`'s capacity; the caller has
+// checked the type.
 template <class T>
 void fill_poly_image(const T& object, PolyImage& out) {
-  require_snapshot_type(object);
   out.type.assign(object.snapshot_type());
   out.payload.clear();
   util::ByteWriter writer(out.payload);
@@ -39,29 +40,21 @@ void require_snapshot_type(const sim::Workload& workload) {
   }
 }
 
-void require_snapshot_type(const core::Actuator& actuator) {
-  if (actuator.snapshot_type().empty()) {
-    throw_unsupported("actuator", "composite/custom");
-  }
-}
-
 void poly_image(const sim::Workload& workload, PolyImage& out) {
+  require_snapshot_type(workload);
   fill_poly_image(workload, out);
 }
 
 void poly_image(const core::Actuator& actuator, PolyImage& out) {
+  if (actuator.snapshot_type().empty()) {
+    throw_unsupported("actuator", "composite/custom");
+  }
   fill_poly_image(actuator, out);
 }
 
 PolyImage poly_image(const sim::Workload& workload) {
   PolyImage out;
   poly_image(workload, out);
-  return out;
-}
-
-PolyImage poly_image(const core::Actuator& actuator) {
-  PolyImage out;
-  poly_image(actuator, out);
   return out;
 }
 

@@ -22,21 +22,20 @@
 
 namespace valkyrie::snapshot {
 
-/// Throws SerialError(kUnsupportedWorkload) when the object does not
-/// advertise a snapshot type — the check poly_image makes, for captures
-/// that check every object before filling any.
+/// Throws SerialError(kUnsupportedWorkload) when the workload does not
+/// advertise a snapshot type — the check poly_image makes, for a capture
+/// that checks every workload before filling any.
 void require_snapshot_type(const sim::Workload& workload);
-void require_snapshot_type(const core::Actuator& actuator);
 
 /// Serializes a workload/actuator into `out` (the capture-side counterpart
-/// of the registries), reusing its string and payload capacity. Throws as
-/// require_snapshot_type does.
+/// of the registries), reusing its string and payload capacity. Throws
+/// SerialError(kUnsupportedWorkload) when the object does not advertise a
+/// snapshot type.
 void poly_image(const sim::Workload& workload, PolyImage& out);
 void poly_image(const core::Actuator& actuator, PolyImage& out);
 
 /// As above, into a fresh PolyImage.
 [[nodiscard]] PolyImage poly_image(const sim::Workload& workload);
-[[nodiscard]] PolyImage poly_image(const core::Actuator& actuator);
 
 class WorkloadRegistry {
  public:

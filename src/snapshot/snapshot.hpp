@@ -75,10 +75,11 @@ struct RestoreContext {
 /// payload is reused, so capturing into a kept image allocates only where
 /// the world outgrew it. The system's cold rows are walked in row order,
 /// which is already ascending pid (they are sorted only after retention
-/// has recycled a row), and the slots, rows and attachments are filled on
-/// the engine's own pool, after serial checks that every tracked workload
-/// and every actuator has a snapshot type — so the bytes, and the error,
-/// do not depend on the worker count. Throws std::logic_error while an
+/// has recycled a row), and the slots and rows are filled on the engine's
+/// own pool, after a serial check that every tracked workload has a
+/// snapshot type — so the bytes, and the error, do not depend on the
+/// worker count. The attachments are filled serially: a thousand take
+/// less time than waking a pool worker. Throws std::logic_error while an
 /// epoch is open and SnapshotError(kUnsupportedWorkload) if a
 /// workload/actuator lacks snapshot support; the image is then partly
 /// overwritten. The capture is a structured copy, cheap enough for the

@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -307,12 +308,20 @@ TEST(SnapshotCorruption, EngineOnlyRefusalsLeaveTheTargetUntouched) {
     bad.engine.attachments[1].pid = bad.engine.attachments[0].pid;
     expect_refused(bad, "a duplicated attachment pid");
   }
+  // The retry entries below name tracked pids in an order the retry-vs-
+  // rows merge walk accepts, so only the staged engine checks refuse them.
   {
-    // Both pids are tracked, in descending order.
+    // A pid twice: not strictly ascending.
     SnapshotImage bad = image;
-    bad.engine.retries = {{image.system.procs[1].pid, 1, 0.5, 1, 99},
+    bad.engine.retries = {{image.system.procs[0].pid, 1, 0.5, 1, 99},
                           {image.system.procs[0].pid, 1, 0.5, 1, 99}};
     expect_refused(bad, "an unsorted retry table");
+  }
+  {
+    // A pending retry has failed at least once.
+    SnapshotImage bad = image;
+    bad.engine.retries = {{image.system.procs[0].pid, 1, 0.5, 0, 99}};
+    expect_refused(bad, "a retry entry that never failed");
   }
   {
     // The scheduler-weight actuator saves nothing; a stray byte is left
@@ -324,6 +333,49 @@ TEST(SnapshotCorruption, EngineOnlyRefusalsLeaveTheTargetUntouched) {
   // The untouched image still restores.
   EXPECT_NO_THROW(restore(image, target.engine, RestoreContext{}));
   EXPECT_EQ(encode(image), encode(capture(target.engine)));
+}
+
+// Capture skips cold rows whose pid is the free-row mark, the largest
+// u32, so a tracked pid never reaches it: restore refuses an image whose
+// pid space does, and spawn stops one short of it.
+TEST(SnapshotCorruption, PidAtTheFreeRowMarkIsRefused) {
+  constexpr sim::ProcessId kMark = std::numeric_limits<sim::ProcessId>::max();
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture source(detector);
+  const SnapshotImage image = capture(source.engine);
+
+  Fixture target(detector);
+  const std::vector<std::uint8_t> before = encode(capture(target.engine));
+  {
+    // The last (live) process renamed to the mark everywhere it appears,
+    // so every other check holds.
+    SnapshotImage bad = image;
+    const sim::ProcessId old_pid = bad.system.procs.back().pid;
+    bad.system.total_spawned = std::uint64_t{kMark} + 1;
+    bad.system.procs.back().pid = kMark;
+    bad.system.sched_entries.back().pid = kMark;
+    ASSERT_EQ(bad.system.slots.back().pid, old_pid);
+    bad.system.slots.back().pid = kMark;
+    for (AttachmentImage& att : bad.engine.attachments) {
+      if (att.pid == old_pid) att.pid = kMark;
+    }
+    try {
+      restore(bad, target.engine, RestoreContext{});
+      FAIL() << "restore accepted a process at the free-row mark";
+    } catch (const SerialError& e) {
+      EXPECT_EQ(e.code(), SerialError::Code::kMalformed);
+    }
+    EXPECT_EQ(before, encode(capture(target.engine)));
+  }
+
+  // The last pid below the mark already allocated: restores, then the next
+  // spawn is refused and changes nothing.
+  SnapshotImage full = image;
+  full.system.total_spawned = kMark;
+  ASSERT_NO_THROW(restore(full, target.engine, RestoreContext{}));
+  EXPECT_THROW(target.sys.spawn(std::make_unique<OpaqueWorkload>()),
+               std::length_error);
+  EXPECT_EQ(encode(full), encode(capture(target.engine)));
 }
 
 // A pending retry reads its pid's liveness at the first step, so restore
