@@ -43,6 +43,27 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+// One cryptominer nonce: a copy of the header's absorbed first block, the
+// nonce block through the first hash, then the second hash.
+void BM_MinerNonceHash(benchmark::State& state) {
+  std::uint8_t header[80] = {};
+  crypto::Sha256 midstate;
+  midstate.update({header, 64});
+  std::uint64_t nonce = 0;
+  for (auto _ : state) {
+    ++nonce;
+    for (int b = 0; b < 8; ++b) {
+      header[72 + b] = static_cast<std::uint8_t>(nonce >> (8 * b));
+    }
+    crypto::Sha256 first = midstate;
+    first.update({header + 64, 16});
+    const crypto::Sha256Digest inner = first.finish();
+    benchmark::DoNotOptimize(
+        crypto::Sha256::hash({inner.data(), inner.size()}));
+  }
+}
+BENCHMARK(BM_MinerNonceHash);
+
 void BM_AesEncryptBlock(benchmark::State& state) {
   crypto::Aes128 aes(crypto::AesKey{1, 2, 3, 4, 5, 6, 7, 8});
   crypto::AesBlock block{};
@@ -63,6 +84,23 @@ void BM_DramActivate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DramActivate);
+
+// One 1 ms rowhammer slice at full share: 20,000 double-sided activations
+// with every disturbed row past the threshold, so each takes two draws. The
+// refresh window is long enough that no slice leaves it.
+void BM_DramHammerSlice(benchmark::State& state) {
+  dram::DramConfig config;
+  config.refresh_interval_ms = 1e9;
+  dram::Dram dram(config);
+  dram.hammer(0, 4095, 4097, 2 * config.disturbance_threshold + 2);
+  for (auto _ : state) {
+    dram.hammer(0, 4095, 4097, 20'000);
+    benchmark::DoNotOptimize(dram.total_bit_flips());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          20'000);
+}
+BENCHMARK(BM_DramHammerSlice);
 
 void BM_ThreatIndexUpdate(benchmark::State& state) {
   core::ThreatIndex threat;

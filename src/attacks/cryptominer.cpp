@@ -51,14 +51,23 @@ sim::StepResult CryptominerAttack::run_epoch(const sim::ResourceShares& shares,
   const int real = hashes < config_.real_hashes_per_epoch
                        ? static_cast<int>(std::ceil(hashes))
                        : config_.real_hashes_per_epoch;
+  // The header is zero but for the nonce in bytes 72..79, so its first
+  // 64-byte block is the same for every nonce: it is absorbed once, and each
+  // nonce finishes a copy of that state (two compressions, not three).
   std::uint64_t found_in_slice = 0;
   std::uint8_t header[80] = {};
+  crypto::Sha256 midstate;
+  midstate.update({header, 64});
   for (int i = 0; i < real; ++i) {
     ++nonce_;
     for (int b = 0; b < 8; ++b) {
       header[72 + b] = static_cast<std::uint8_t>(nonce_ >> (8 * b));
     }
-    const crypto::Sha256Digest digest = crypto::Sha256::hash2({header, 80});
+    crypto::Sha256 first = midstate;
+    first.update({header + 64, 16});
+    const crypto::Sha256Digest inner = first.finish();
+    const crypto::Sha256Digest digest =
+        crypto::Sha256::hash({inner.data(), inner.size()});
     if (crypto::leading_zero_bits(digest) >= config_.difficulty_bits) {
       ++found_in_slice;
     }

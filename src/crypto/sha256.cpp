@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define VALKYRIE_SHA_NI 1
+#endif
+
 namespace valkyrie::crypto {
 namespace {
 
@@ -24,6 +29,145 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
 
 }  // namespace
 
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef VALKYRIE_SHA_NI
+
+bool sha256_ni_available() noexcept {
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+           __builtin_cpu_supports("sse4.1");
+  }();
+  return available;
+}
+
+#define VALKYRIE_SHA_TARGET __attribute__((target("sha,ssse3,sse4.1")))
+
+namespace {
+
+VALKYRIE_SHA_TARGET __m128i load(const void* at) {
+  return _mm_loadu_si128(static_cast<const __m128i*>(at));
+}
+
+}  // namespace
+
+// Lanes are named from the highest: the round instruction keeps the state
+// as (a, b, e, f) and (c, d, g, h), and takes two rounds' message words plus
+// constants from the low half of its third operand.
+VALKYRIE_SHA_TARGET void sha256_compress_ni(std::uint32_t* state,
+                                            const std::uint8_t* data,
+                                            std::size_t blocks) noexcept {
+  // Message words are big-endian: reverse the bytes of each lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(load(state), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(load(state + 4), 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g & 3] holds message words 4g..4g+3; each group's four rounds are
+    // followed by the schedule of the group four ahead, into its slot.
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(load(data + 16 * i), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i wk =
+          _mm_add_epi32(w[g & 3], load(kRoundConstants.data() + 4 * g));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+      if (g < 12) {
+        const __m128i w7 = _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4);
+        w[g & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]), w7),
+            w[(g + 3) & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool sha256_ni_available() noexcept { return false; }
+
+void sha256_compress_ni(std::uint32_t*, const std::uint8_t*,
+                        std::size_t) noexcept {
+  // never called: sha256_ni_available() is false
+}
+
+#endif
+
+}  // namespace detail
+
+void Sha256::compress(const std::uint8_t* data, std::size_t blocks) noexcept {
+  if (detail::sha256_ni_available()) {
+    detail::sha256_compress_ni(h_.data(), data, blocks);
+  } else {
+    detail::sha256_compress_portable(h_.data(), data, blocks);
+  }
+}
+
 void Sha256::reset() noexcept {
   h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
@@ -40,13 +184,14 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buf_len_ += take;
     offset += take;
     if (buf_len_ == buf_.size()) {
-      process_block(buf_.data());
+      compress(buf_.data(), 1);
       buf_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buf_.data(), data.data() + offset, data.size() - offset);
@@ -55,17 +200,21 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Sha256Digest Sha256::finish() noexcept {
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit length in the last
+  // eight bytes of a block, which is a block of its own when the message
+  // leaves fewer than nine bytes free.
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buf_len_ < 56) ? (56 - buf_len_) : (120 - buf_len_);
-  update({pad, pad_len});
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    compress(buf_.data(), 1);
+    buf_len_ = 0;
   }
-  update({len_bytes, 8});
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buf_.data(), 1);
 
   Sha256Digest digest{};
   for (int i = 0; i < 8; ++i) {
@@ -76,50 +225,6 @@ Sha256Digest Sha256::finish() noexcept {
   }
   reset();
   return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 Sha256Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {

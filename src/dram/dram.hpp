@@ -14,6 +14,7 @@
 // slowdown in Fig. 6a rather than a proportional one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -72,10 +73,14 @@ class Dram {
   /// are bit-identical to `count` activate() calls — the clock still takes
   /// one `+= t_rc_ns` per activation, the window changes on the same
   /// activation, nothing is drawn below the threshold and every disturbance
-  /// past it draws once — but the disturbed rows' counters are resolved
-  /// once per call, and the per-activation divide becomes one compare
-  /// against the window's first clock value. Throws std::out_of_range,
-  /// before any activation, unless bank and both rows lie in the geometry.
+  /// past it draws once. Inside a window each disturbed counter is a
+  /// closed-form function of the activation index, so the call runs in
+  /// phases over which the set of drawing rows is fixed: an activation adds
+  /// the row cycle, compares the clock against the window's first value and
+  /// takes 0-2 draws from generator words held in locals, and the counters
+  /// are written back at phase ends and before each flip-log append. Throws
+  /// std::out_of_range, before any activation, unless bank and both rows lie
+  /// in the geometry.
   void hammer(std::uint32_t bank, std::uint32_t row_a, std::uint32_t row_b,
               std::uint64_t count);
 
@@ -99,19 +104,25 @@ class Dram {
   [[nodiscard]] const DramConfig& config() const noexcept { return config_; }
 
   /// Serializes the mutable model state (RNG, clock, per-window disturbance
-  /// counters — sparsely, the table is banks x rows — and the flip log);
+  /// counters — sparsely, the table is banks x rows: the nonzero cells in
+  /// index order — and the flip log);
   /// the config is the owner's to persist. snapshot_restore overwrites the
   /// state of a Dram constructed with the same config. It throws
   /// SerialError{kMalformed} unless the clock is finite, non-negative and in
   /// the stored window, the disturbance entries are strictly ascending
-  /// in-table indices with nonzero counts (what snapshot_save writes), and
-  /// every flip lies inside the geometry.
+  /// in-table indices with counts in [1, 2^63) (what snapshot_save writes:
+  /// a window would need 2^63 activations to reach that bound, so a counter
+  /// below it never wraps), and every flip lies inside the geometry.
   void snapshot_save(util::ByteWriter& out) const;
   void snapshot_restore(util::ByteReader& in);
 
  private:
   void advance(double ns) noexcept;
   void disturb(std::uint32_t bank, std::uint32_t row);
+  /// Widens the dirty range to cover table cell `index`.
+  void touch(std::size_t index) noexcept;
+  /// Zeroes the dirty range, which leaves the whole table zero, and empties it.
+  void clear_disturbance() noexcept;
 
   DramConfig config_;
   util::Rng rng_;
@@ -120,6 +131,11 @@ class Dram {
   std::uint64_t activations_ = 0;
   // Disturbance accumulated per row in the *current* window, bank-major.
   std::vector<std::uint64_t> disturbance_;
+  // Every nonzero cell of disturbance_ lies in [dirty_begin_, dirty_end_),
+  // which is empty (begin == end == 0) right after a clear. A rowhammer's
+  // window spans the five cells around its two aggressors.
+  std::size_t dirty_begin_ = 0;
+  std::size_t dirty_end_ = 0;
   std::vector<FlipRecord> flips_;
 };
 

@@ -95,14 +95,23 @@ class Rng {
       z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
       return z ^ (z >> 31);
     }
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    return xoshiro_next(state_);
+  }
+
+  /// One xoshiro256** step on bare state words: returns the draw and
+  /// advances `s`. operator() runs it on the generator's own state; a hot
+  /// loop may run it on a copy of state() held in locals (Dram::hammer) and
+  /// hand the words back through set_state().
+  static constexpr result_type xoshiro_next(
+      std::array<std::uint64_t, 4>& s) noexcept {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
     return result;
   }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -342,6 +343,50 @@ TEST(Cryptominer, FindsSharesAtLowDifficulty) {
   CryptominerAttack attack(cfg);
   run_attack(attack, 5, 1.0);
   EXPECT_GT(attack.shares_found(), 0u);
+}
+
+// At 8 bits about 8 of an epoch's 2,048 real hashes clear the target, so
+// the digests decide the share count: the test recounts each epoch's slice
+// with Sha256::hash2 over the same nonces (a zero header carrying the
+// little-endian nonce at byte 72) and extrapolates it as the model does.
+TEST(Cryptominer, ShareCountFollowsTheDigests) {
+  CryptominerConfig cfg;
+  cfg.difficulty_bits = 8;
+  cfg.real_hashes_per_epoch = 2048;
+  CryptominerAttack attack(cfg);
+  util::Rng rng(1);
+  sim::EpochContext ctx;
+  ctx.rng = &rng;
+  std::uint64_t nonce = 0;
+  std::uint64_t want = 0;
+  int partial_slices = 0;
+  // The 1% share leaves fewer accounted hashes than real ones.
+  for (const double cpu : {1.0, 0.37, 1.0, 0.01, 1.0, 1.0}) {
+    sim::ResourceShares shares;
+    shares.cpu = cpu;
+    const double hashes = attack.run_epoch(shares, ctx).progress;
+    const int real = hashes < cfg.real_hashes_per_epoch
+                         ? static_cast<int>(std::ceil(hashes))
+                         : cfg.real_hashes_per_epoch;
+    std::uint64_t found = 0;
+    for (int i = 0; i < real; ++i) {
+      ++nonce;
+      std::uint8_t header[80] = {};
+      for (int b = 0; b < 8; ++b) {
+        header[72 + b] = static_cast<std::uint8_t>(nonce >> (8 * b));
+      }
+      found += crypto::leading_zero_bits(crypto::Sha256::hash2({header, 80})) >=
+               cfg.difficulty_bits;
+    }
+    ASSERT_GT(real, 0);
+    partial_slices += real < cfg.real_hashes_per_epoch;
+    want += static_cast<std::uint64_t>(std::round(
+        static_cast<double>(found) * hashes / static_cast<double>(real)));
+    ASSERT_EQ(attack.shares_found(), want) << "cpu share " << cpu;
+    ++ctx.epoch;
+  }
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(partial_slices, 1);
 }
 
 TEST(Cryptominer, CorpusVariantsDistinct) {

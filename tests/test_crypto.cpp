@@ -1,18 +1,153 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "crypto/aes128.hpp"
 #include "crypto/modexp.hpp"
 #include "crypto/sha256.hpp"
+#include "util/rng.hpp"
 
 namespace valkyrie::crypto {
 namespace {
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
+}
+
+using Compress = void (*)(std::uint32_t*, const std::uint8_t*,
+                          std::size_t) noexcept;
+
+/// SHA-256 of `message` through one compression function, padded here
+/// rather than by Sha256: the blocks go to `compress` in runs whose lengths
+/// `split` draws, or all in one run without it.
+Sha256Digest hash_with(Compress compress, std::span<const std::uint8_t> message,
+                       util::Rng* split = nullptr) {
+  std::vector<std::uint8_t> padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const std::size_t blocks = padded.size() / 64;
+  for (std::size_t done = 0; done < blocks;) {
+    const std::size_t run =
+        split == nullptr ? blocks - done : 1 + split->below(blocks - done);
+    compress(state, padded.data() + 64 * done, run);
+    done += run;
+  }
+  Sha256Digest digest{};
+  for (int i = 0; i < 32; ++i) {
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, util::Rng& rng) {
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+struct Kat {
+  std::vector<std::uint8_t> message;
+  const char* digest;
+};
+
+/// The FIPS 180-4 examples the Sha256 tests below pin, plus a million 'a's.
+std::vector<Kat> sha256_kats() {
+  return {
+      {{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {bytes_of("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::vector<std::uint8_t>(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256Paths, KatsOnThePortableCompression) {
+  for (const Kat& kat : sha256_kats()) {
+    EXPECT_EQ(to_hex(hash_with(detail::sha256_compress_portable, kat.message)),
+              kat.digest)
+        << kat.message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Paths, KatsOnTheHardwareCompression) {
+  if (!detail::sha256_ni_available()) {
+    GTEST_SKIP() << "no SHA extensions on this CPU";
+  }
+  util::Rng split(0x5a);
+  for (const Kat& kat : sha256_kats()) {
+    EXPECT_EQ(to_hex(hash_with(detail::sha256_compress_ni, kat.message)),
+              kat.digest)
+        << kat.message.size() << " bytes";
+    EXPECT_EQ(
+        to_hex(hash_with(detail::sha256_compress_ni, kat.message, &split)),
+        kat.digest)
+        << kat.message.size() << " bytes, split";
+  }
+}
+
+// Every length from 0 to 300 bytes covers both sides of the one-block
+// (55/56) and two-block (119/120) padding edges. Sha256 takes whichever
+// compression this CPU has, so its digests, fed whole and in random pieces
+// (some spanning several blocks), must equal the portable reference.
+TEST(Sha256Paths, IncrementalFeedsMatchThePortableReference) {
+  util::Rng rng(0x256);
+  for (std::size_t length = 0; length <= 300; ++length) {
+    const std::vector<std::uint8_t> message = random_bytes(length, rng);
+    const Sha256Digest want =
+        hash_with(detail::sha256_compress_portable, message);
+    ASSERT_EQ(Sha256::hash(message), want) << length << " bytes";
+    for (int trial = 0; trial < 4; ++trial) {
+      Sha256 ctx;
+      for (std::size_t at = 0; at < length;) {
+        const std::size_t piece = std::min<std::size_t>(
+            length - at, rng.below(trial < 2 ? 70 : 200));
+        ctx.update({message.data() + at, piece});
+        at += piece;
+      }
+      ASSERT_EQ(ctx.finish(), want) << length << " bytes, trial " << trial;
+    }
+  }
+}
+
+TEST(Sha256Paths, HardwareCompressionMatchesPortable) {
+  if (!detail::sha256_ni_available()) {
+    GTEST_SKIP() << "no SHA extensions on this CPU";
+  }
+  util::Rng rng(0x257);
+  for (std::size_t length = 0; length <= 300; ++length) {
+    const std::vector<std::uint8_t> message = random_bytes(length, rng);
+    const Sha256Digest want =
+        hash_with(detail::sha256_compress_portable, message);
+    ASSERT_EQ(hash_with(detail::sha256_compress_ni, message), want)
+        << length << " bytes";
+    ASSERT_EQ(hash_with(detail::sha256_compress_ni, message, &rng), want)
+        << length << " bytes, split";
+  }
+  // From arbitrary running states, over runs of up to eight blocks.
+  for (int trial = 0; trial < 64; ++trial) {
+    std::uint32_t portable[8];
+    for (std::uint32_t& word : portable) word = static_cast<std::uint32_t>(rng());
+    std::uint32_t hardware[8];
+    std::memcpy(hardware, portable, sizeof portable);
+    const std::size_t blocks = 1 + rng.below(8);
+    const std::vector<std::uint8_t> data = random_bytes(64 * blocks, rng);
+    detail::sha256_compress_portable(portable, data.data(), blocks);
+    detail::sha256_compress_ni(hardware, data.data(), blocks);
+    ASSERT_EQ(std::memcmp(portable, hardware, sizeof portable), 0)
+        << "trial " << trial;
+  }
 }
 
 TEST(Sha256, EmptyStringKat) {

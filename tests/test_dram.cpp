@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "dram/dram.hpp"
@@ -303,6 +304,18 @@ TEST(DramHammer, MatchesActivateWithANonIntegerRowCycle) {
   expect_matches_and_covers(cfg, 0x33, 300, 25'000);
 }
 
+// A threshold past 2^63 (a payload may carry any u64): an outer row would
+// need twice that many activations to draw, which the phase plan must not
+// wrap into a small count.
+TEST(DramHammer, MatchesActivateWithAThresholdOutOfReach) {
+  DramConfig cfg = small_config();
+  cfg.disturbance_threshold = (std::uint64_t{1} << 63) + 7;
+  HammerCoverage coverage;
+  expect_hammer_matches_activate(cfg, 0x44, 100, 30'000, coverage);
+  EXPECT_EQ(coverage.calls_with_flips, 0);
+  EXPECT_GT(coverage.calls_crossing_a_window, 0);
+}
+
 // The flip log's append is the one step that can throw. When it does, the
 // model must stand where activate() leaves it: this activation counted, its
 // draw taken, the disturbed row counted and the other neighbour not yet.
@@ -346,6 +359,165 @@ TEST(DramHammer, RowsOutsideTheGeometryAreRefusedBeforeAnyActivation) {
   EXPECT_THROW(dram.hammer(0, 64, 11, 1), std::out_of_range);
   EXPECT_THROW(dram.hammer(0, 9, 0xffffffffu, 1), std::out_of_range);
   EXPECT_EQ(saved(dram), before);
+}
+
+// --- Snapshot restore -----------------------------------------------------------
+
+/// The (index, count) disturbance entries a snapshot carries, after the RNG
+/// words, clock, window and activation count.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> saved_counters(
+    const Dram& dram) {
+  const std::vector<std::uint8_t> bytes = saved(dram);
+  util::ByteReader in(bytes);
+  for (int word = 0; word < 7; ++word) (void)in.u64();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(in.u64());
+  for (auto& [index, count] : entries) {
+    index = in.u64();
+    count = in.u64();
+  }
+  return entries;
+}
+
+/// Drives `a` and `b` through the same random hammer(), activate() and
+/// idle_ns() calls, requiring equal snapshot bytes after every call, and
+/// returns how many refresh windows the calls crossed. A crossed window
+/// must leave no counter behind.
+std::uint64_t expect_twins_stay_equal(Dram& a, Dram& b, util::Rng& pick,
+                                      int calls) {
+  const DramConfig& cfg = a.config();
+  const std::uint64_t window_before = a.refresh_windows_elapsed();
+  for (int call = 0; call < calls; ++call) {
+    const auto bank = static_cast<std::uint32_t>(pick.below(cfg.banks));
+    const auto row = static_cast<std::uint32_t>(pick.below(cfg.rows_per_bank));
+    const std::uint64_t window = a.refresh_windows_elapsed();
+    switch (pick.below(3)) {
+      case 0: {
+        const auto other =
+            static_cast<std::uint32_t>(pick.below(cfg.rows_per_bank));
+        const std::uint64_t count = pick.below(12'000);
+        a.hammer(bank, row, other, count);
+        b.hammer(bank, row, other, count);
+        break;
+      }
+      case 1:
+        a.activate(bank, row);
+        b.activate(bank, row);
+        break;
+      default: {
+        const double idle = pick.uniform(0.0, 0.6 * cfg.refresh_interval_ms * 1e6);
+        a.idle_ns(idle);
+        b.idle_ns(idle);
+        if (a.refresh_windows_elapsed() != window) {
+          EXPECT_TRUE(saved_counters(a).empty()) << "call " << call;
+        }
+        break;
+      }
+    }
+    EXPECT_EQ(saved(a), saved(b)) << "call " << call;
+    if (::testing::Test::HasFailure()) return 0;
+  }
+  return a.refresh_windows_elapsed() - window_before;
+}
+
+/// Restores `original`'s snapshot into a fresh Dram (seeded differently, so
+/// nothing but the snapshot can make them agree) and drives both.
+void expect_restored_twin_matches(Dram& original, util::Rng& pick) {
+  const std::vector<std::uint8_t> bytes = saved(original);
+  Dram restored(original.config(), 0xbad);
+  util::ByteReader in(bytes);
+  restored.snapshot_restore(in);
+  ASSERT_TRUE(in.done());
+  ASSERT_EQ(saved(restored), bytes);
+  EXPECT_GE(expect_twins_stay_equal(original, restored, pick, 300), 2u);
+}
+
+TEST(DramRestore, ARestoredDramContinuesBitIdentically) {
+  const DramConfig cfg = small_config();
+  Dram original(cfg, 0x7e);
+  util::Rng pick(0x7e);
+  // Mid-window, past the threshold: nonzero counters and a flip log.
+  original.hammer(0, 9, 11, 12'000);
+  original.activate(1, 30);
+  ASSERT_FALSE(saved_counters(original).empty());
+  ASSERT_GT(original.total_bit_flips(), 0u);
+  expect_restored_twin_matches(original, pick);
+}
+
+// Every row of bank 1 activated inside one window, after a hammer in bank 0,
+// spreads the dirty range over all but eight cells of the table: the next
+// window change must zero every counter, a copy must clear the same cells,
+// and a snapshot taken before it restores them all.
+TEST(DramRestore, AWindowChangeAfterEveryRowClearsTheWholeTable) {
+  const DramConfig cfg = small_config();
+  Dram original(cfg, 0x7f);
+  util::Rng pick(0x7f);
+  original.hammer(0, 9, 11, 6'000);
+  for (std::uint32_t row = 0; row < cfg.rows_per_bank; ++row) {
+    original.activate(1, row);
+  }
+  ASSERT_EQ(original.refresh_windows_elapsed(), 0u);
+  ASSERT_EQ(saved_counters(original).size(), 3 + cfg.rows_per_bank);
+
+  Dram cleared = original;
+  cleared.idle_ns(cfg.refresh_interval_ms * 1e6);
+  EXPECT_TRUE(saved_counters(cleared).empty());
+  // Counted from zero again: 5,000 activations around row 21 of bank 1.
+  cleared.hammer(1, 20, 22, 5'000);
+  const std::uint64_t bank1 = cfg.rows_per_bank;
+  EXPECT_EQ(saved_counters(cleared),
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {bank1 + 19, 2'500}, {bank1 + 21, 5'000}, {bank1 + 23, 2'500}}));
+
+  expect_restored_twin_matches(original, pick);
+}
+
+/// A payload for small_config(): the RNG words, clock, window and activation
+/// count of a fresh Dram, one disturbance entry (`index`, `count`) and no
+/// flips.
+std::vector<std::uint8_t> one_counter_payload(std::uint64_t index,
+                                              std::uint64_t count) {
+  std::vector<std::uint8_t> bytes = saved(Dram(small_config(), 0x80));
+  bytes.resize(bytes.size() - 16);  // the zero entry and flip counts
+  util::ByteWriter out(bytes);
+  out.u64(1);
+  out.u64(index);
+  out.u64(count);
+  out.u64(0);
+  return bytes;
+}
+
+// A counter at 2^63 or past it (a payload may carry any u64) is refused: one
+// window cannot hold that many activations, and a counter near 2^64 would
+// wrap in activate() where hammer()'s plan has it draw. Just below the bound
+// a counter restores, and hammer() still matches activate() from it.
+TEST(DramRestore, ACounterPastTwoToTheSixtyThreeIsRefused) {
+  const DramConfig cfg = small_config();
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    const std::vector<std::uint8_t> bytes = one_counter_payload(10, count);
+    Dram dram(cfg, 0x81);
+    util::ByteReader in(bytes);
+    try {
+      dram.snapshot_restore(in);
+      ADD_FAILURE() << "count " << count << " restored";
+    } catch (const util::SerialError& e) {
+      EXPECT_EQ(e.code(), util::SerialError::Code::kMalformed) << count;
+    }
+  }
+
+  const std::vector<std::uint8_t> bytes =
+      one_counter_payload(10, (std::uint64_t{1} << 63) - 1);
+  Dram bulk(cfg, 0x82);
+  Dram reference(cfg, 0x82);
+  util::ByteReader bulk_in(bytes);
+  util::ByteReader reference_in(bytes);
+  bulk.snapshot_restore(bulk_in);
+  reference.snapshot_restore(reference_in);
+  ASSERT_EQ(saved(bulk), bytes);
+  bulk.hammer(0, 9, 11, 3'000);
+  for (int i = 0; i < 3'000; ++i) reference.activate(0, (i & 1) == 0 ? 9 : 11);
+  EXPECT_EQ(saved(bulk), saved(reference));
+  EXPECT_GT(bulk.total_bit_flips(), 0u);
 }
 
 }  // namespace
