@@ -1,21 +1,26 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // substrate costs behind every reproduction experiment (cache accesses,
-// crypto, DRAM activations, threat-index updates, detector inference,
-// simulated epochs). Engine steps and detector batch kernels are measured
-// by bench/engine_scaling.cpp, end-to-end runs by perfbench/.
+// crypto, DRAM activations, threat-index updates, detector inference and
+// fitting, simulated epochs). Engine steps and detector batch kernels are
+// measured by bench/engine_scaling.cpp, end-to-end runs by perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "attacks/cryptominer.hpp"
 #include "attacks/pp_aes.hpp"
+#include "attacks/ransomware.hpp"
+#include "attacks/rowhammer.hpp"
 #include "cache/cache.hpp"
 #include "core/threat.hpp"
+#include "core/traces.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/sha256.hpp"
 #include "dram/dram.hpp"
 #include "hpc/hpc.hpp"
+#include "ml/gbt.hpp"
 #include "ml/stat_detector.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
@@ -132,6 +137,54 @@ void BM_StatDetectorInfer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StatDetectorInfer);
+
+// perfbench's training set (its train_detector's traces: every palette
+// program for 20 epochs, 6 miners and 10 ransomware samples for 30, one
+// rowhammer for 16; 2,036 measurements).
+ml::TraceSet perfbench_training_set() {
+  std::vector<core::WorkloadFactory> benign;
+  for (const workloads::BenchmarkSpec& spec :
+       workloads::all_single_threaded()) {
+    benign.push_back(
+        [spec] { return std::make_unique<workloads::BenchmarkWorkload>(spec); });
+  }
+  ml::TraceSet set = core::collect_traces(benign, 20);
+  std::vector<core::WorkloadFactory> attacks;
+  const auto miners = attacks::cryptominer_corpus(0x11);
+  const auto ransomware = attacks::ransomware_corpus(0x22);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const attacks::CryptominerConfig mc = miners[i * 5 % miners.size()];
+    attacks.push_back(
+        [mc] { return std::make_unique<attacks::CryptominerAttack>(mc); });
+  }
+  for (std::size_t i = 0; i < 10; ++i) {
+    const attacks::RansomwareConfig rc =
+        ransomware[i * 7 % ransomware.size()];
+    attacks.push_back(
+        [rc] { return std::make_unique<attacks::RansomwareAttack>(rc); });
+  }
+  for (ml::LabeledTrace& t :
+       core::collect_traces(attacks, 30, {}, 0x99).traces) {
+    set.traces.push_back(std::move(t));
+  }
+  attacks::RowhammerConfig rh;
+  rh.dram_seed = 0x100;
+  set.traces.push_back(core::collect_trace(
+      std::make_unique<attacks::RowhammerAttack>(rh), 16, {}, 0x77));
+  return set;
+}
+
+// The xgboost detector's fit as perfbench's set-up pays it: features from
+// the traces, then 25 depth-2 trees. The traces are collected once, outside
+// the timed loop.
+void BM_GbtFit(benchmark::State& state) {
+  const ml::TraceSet set = perfbench_training_set();
+  for (auto _ : state) {
+    ml::GbtDetector detector = ml::GbtDetector::make(set);
+    benchmark::DoNotOptimize(detector);
+  }
+}
+BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
 
 void BM_SimEpochBenchmarkWorkload(benchmark::State& state) {
   sim::SimSystem sys;

@@ -18,7 +18,7 @@ int main() {
   const auto attack = core::always_malicious_schedule(15);
   const auto fp = core::fp_burst_schedule(5, 15);
 
-  for (const auto [actuator, label] :
+  for (const auto& [actuator, label] :
        {std::pair{core::WorkedActuator::kPercentagePoint,
                   "percentage-point (share -= 0.1*dT)"},
         std::pair{core::WorkedActuator::kMultiplicative,

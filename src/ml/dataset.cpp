@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace valkyrie::ml {
@@ -25,6 +26,43 @@ std::vector<Example> flatten(const TraceSet& set) {
       const hpc::FeatureVec f = hpc::to_features(sample);
       out.push_back({{f.begin(), f.end()}, trace.malicious});
     }
+  }
+  return out;
+}
+
+FeatureColumns flatten_columns(const TraceSet& set) {
+  FeatureColumns out;
+  out.dim = hpc::kFeatureDim;
+  for (const LabeledTrace& trace : set.traces) {
+    out.count += trace.samples.size();
+  }
+  out.values.resize(out.dim * out.count);
+  out.malicious.reserve(out.count);
+  for (const LabeledTrace& trace : set.traces) {
+    for (const hpc::HpcSample& sample : trace.samples) {
+      hpc::to_features(sample, out.values.data() + out.malicious.size(),
+                       out.count);
+      out.malicious.push_back(trace.malicious ? 1 : 0);
+    }
+  }
+  return out;
+}
+
+FeatureColumns to_columns(std::span<const Example> examples) {
+  FeatureColumns out;
+  out.dim = examples.empty() ? 0 : examples.front().features.size();
+  out.count = examples.size();
+  out.values.resize(out.dim * out.count);
+  out.malicious.resize(out.count);
+  for (std::size_t i = 0; i < out.count; ++i) {
+    const Example& ex = examples[i];
+    if (ex.features.size() != out.dim) {
+      throw std::invalid_argument("to_columns: examples differ in dimension");
+    }
+    for (std::size_t f = 0; f < out.dim; ++f) {
+      out.values[f * out.count + i] = ex.features[f];
+    }
+    out.malicious[i] = ex.malicious ? 1 : 0;
   }
   return out;
 }

@@ -1,6 +1,7 @@
 // Labeled HPC traces for training and evaluating detectors.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,6 +35,28 @@ struct Example {
 
 /// Flattens traces into per-measurement examples using hpc::to_features.
 [[nodiscard]] std::vector<Example> flatten(const TraceSet& set);
+
+/// The same examples as one feature-major image: feature f of example i at
+/// values[f * count + i], its label at malicious[i]. One allocation per
+/// image rather than one per example; the GBT fits from it.
+struct FeatureColumns {
+  std::size_t dim = 0;
+  std::size_t count = 0;
+  std::vector<double> values;
+  std::vector<std::uint8_t> malicious;
+
+  [[nodiscard]] const double* column(std::size_t f) const noexcept {
+    return values.data() + f * count;
+  }
+};
+
+/// flatten() as a column image, written through the strided
+/// hpc::to_features: the same feature bits in the same example order.
+[[nodiscard]] FeatureColumns flatten_columns(const TraceSet& set);
+
+/// Copies examples into a column image. Every example must have the first
+/// one's dimension.
+[[nodiscard]] FeatureColumns to_columns(std::span<const Example> examples);
 
 /// Shuffles examples in place (training order).
 void shuffle(std::vector<Example>& examples, util::Rng& rng);

@@ -210,9 +210,9 @@ class Detector {
   /// (typed kIncompatible error) when the hash recorded at capture time
   /// differs from the target engine's detector — a detector swapped or
   /// retrained between capture and restore would silently break the
-  /// bit-replay contract otherwise. The default hashes the name; detectors
-  /// with mutable or trained parameters (e.g. the LSTM) override it to
-  /// fold in their parameter bits.
+  /// bit-replay contract otherwise. The default hashes the name only;
+  /// every shipped detector overrides it to fold in its trained parameters
+  /// (and the statistical detector its threshold and vote settings).
   [[nodiscard]] virtual std::uint64_t state_hash() const;
 
  protected:

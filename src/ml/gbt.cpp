@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/serial.hpp"
 #include "util/simd.hpp"
 
 namespace valkyrie::ml {
@@ -49,16 +50,72 @@ void accumulate_depth2(const Depth2Tree& t, std::size_t bw,
   }
 }
 
+/// A node of the depth being grown: its members indices[begin, end), their
+/// totals, the column walk's running left sums and the best split so far.
+struct Grow {
+  std::size_t node = 0;  // index in the level-ordered tree
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  double g_total = 0.0;
+  double h_total = 0.0;
+  double parent_obj = 0.0;
+  double g_left = 0.0;
+  double h_left = 0.0;
+  std::size_t n_left = 0;
+  double last = 0.0;  // the last walked member's value
+  double best_gain = 0.0;
+  int best_feature = -1;
+  double best_threshold = 0.0;
+};
+
+/// Copies a level-ordered tree into preorder (parent, left subtree, right
+/// subtree), the layout predict walks from index 0 and param_hash reads.
+template <class Tree>
+void append_preorder(const Tree& level_order, int node, Tree& out) {
+  const auto from = static_cast<std::size_t>(node);
+  out.push_back(level_order[from]);
+  if (level_order[from].feature < 0) return;
+  const std::size_t self = out.size() - 1;
+  out[self].left = static_cast<int>(out.size());
+  append_preorder(level_order, level_order[from].left, out);
+  out[self].right = static_cast<int>(out.size());
+  append_preorder(level_order, level_order[from].right, out);
+}
+
 }  // namespace
 
+/// One fit's scratch. Column f's example indices sorted by value, ties in
+/// ascending example order (a stable order, without a stable sort's
+/// temporary buffer), sit at order[f * count, (f + 1) * count); the sort
+/// runs once per fit. `indices` holds the members of each node of the
+/// tree being grown as a contiguous range, partitioned as splits are
+/// chosen, and `open` maps an example to the node of the current depth
+/// whose split is being searched, or -1.
+struct GradientBoostedTrees::Fit {
+  const FeatureColumns& data;
+  std::vector<std::uint32_t> order;
+  std::vector<double> score;
+  std::vector<double> grad;
+  std::vector<double> hess;
+  std::vector<std::uint32_t> indices;
+  std::vector<std::int32_t> open;
+};
+
 void GradientBoostedTrees::train(const std::vector<Example>& examples) {
-  if (examples.empty()) {
+  train(to_columns(examples));
+}
+
+void GradientBoostedTrees::train(const FeatureColumns& data) {
+  const std::size_t n = data.count;
+  if (n == 0) {
     throw std::invalid_argument("GradientBoostedTrees: empty dataset");
   }
-  const std::size_t n = examples.size();
+  if (data.values.size() != data.dim * n || data.malicious.size() != n) {
+    throw std::invalid_argument("GradientBoostedTrees: malformed columns");
+  }
   const auto n_pos = static_cast<double>(
-      std::count_if(examples.begin(), examples.end(),
-                    [](const Example& e) { return e.malicious; }));
+      std::count_if(data.malicious.begin(), data.malicious.end(),
+                    [](std::uint8_t m) { return m != 0; }));
   if (n_pos == 0.0 || n_pos == static_cast<double>(n)) {
     throw std::invalid_argument("GradientBoostedTrees: need both classes");
   }
@@ -66,26 +123,32 @@ void GradientBoostedTrees::train(const std::vector<Example>& examples) {
   base_score_ = std::log(n_pos / (static_cast<double>(n) - n_pos));
   trees_.clear();
 
-  std::vector<double> score(n, base_score_);
-  std::vector<double> grad(n);
-  std::vector<double> hess(n);
-  std::vector<std::uint32_t> indices(n);
+  Fit fit{.data = data,
+          .order = std::vector<std::uint32_t>(data.dim * n),
+          .score = std::vector<double>(n, base_score_),
+          .grad = std::vector<double>(n),
+          .hess = std::vector<double>(n),
+          .indices = std::vector<std::uint32_t>(n),
+          .open = std::vector<std::int32_t>(n)};
+  for (std::size_t f = 0; f < data.dim; ++f) {
+    const double* column = data.column(f);
+    const auto first = fit.order.begin() + static_cast<std::ptrdiff_t>(f * n);
+    const auto last = first + static_cast<std::ptrdiff_t>(n);
+    std::iota(first, last, 0u);
+    std::sort(first, last, [column](std::uint32_t a, std::uint32_t b) {
+      return column[a] < column[b] || (column[a] == column[b] && a < b);
+    });
+  }
 
   for (int round = 0; round < config_.num_trees; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double p = sigmoid(score[i]);
-      const double y = examples[i].malicious ? 1.0 : 0.0;
-      grad[i] = p - y;
-      hess[i] = std::max(p * (1.0 - p), 1e-9);
+      const double p = sigmoid(fit.score[i]);
+      const double y = data.malicious[i] != 0 ? 1.0 : 0.0;
+      fit.grad[i] = p - y;
+      fit.hess[i] = std::max(p * (1.0 - p), 1e-9);
     }
-    std::iota(indices.begin(), indices.end(), 0u);
-    Tree tree;
-    build_node(tree, examples, indices, 0, n, grad, hess, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      score[i] += config_.learning_rate *
-                  tree_output(tree, examples[i].features);
-    }
-    trees_.push_back(std::move(tree));
+    std::iota(fit.indices.begin(), fit.indices.end(), 0u);
+    trees_.push_back(fit_tree(fit));
   }
 
   // Fix the plane-tile eligibility once per model: models trained on
@@ -98,6 +161,22 @@ void GradientBoostedTrees::train(const std::vector<Example>& examples) {
     }
   }
   build_flat();
+
+  param_hash_ = util::fnv1a(std::string_view("xgboost"));
+  const double head[] = {base_score_, config_.learning_rate};
+  param_hash_ = util::fnv1a(head, param_hash_);
+  for (const Tree& tree : trees_) {
+    for (const Node& node : tree) {
+      // Feature and child indices are small integers, exact as doubles. A
+      // tree is a full binary tree in preorder, so the concatenation
+      // delimits itself.
+      const double fields[] = {static_cast<double>(node.feature),
+                               node.threshold, node.leaf_value,
+                               static_cast<double>(node.left),
+                               static_cast<double>(node.right)};
+      param_hash_ = util::fnv1a(fields, param_hash_);
+    }
+  }
 }
 
 void GradientBoostedTrees::build_flat() {
@@ -112,8 +191,9 @@ void GradientBoostedTrees::build_flat() {
     ft.right.resize(n);
     ft.value.resize(n);
     std::vector<int> depth(n, 0);
-    // build_node pushes parents before children, so a reverse walk sees
-    // both children's depths before the parent needs them.
+    // Trees are laid out in preorder, parents before children, so a
+    // reverse walk sees both children's depths before the parent needs
+    // them.
     for (std::size_t i = n; i-- > 0;) {
       const Node& node = tree[i];
       const auto self = static_cast<std::int32_t>(i);
@@ -138,100 +218,121 @@ void GradientBoostedTrees::build_flat() {
   }
 }
 
-int GradientBoostedTrees::build_node(Tree& tree,
-                                     const std::vector<Example>& examples,
-                                     std::vector<std::uint32_t>& indices,
-                                     std::size_t begin, std::size_t end,
-                                     const std::vector<double>& grad,
-                                     const std::vector<double>& hess,
-                                     int depth) {
-  double g_total = 0.0;
-  double h_total = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    g_total += grad[indices[i]];
-    h_total += hess[indices[i]];
-  }
-
-  const auto make_leaf = [&]() {
-    Node leaf;
-    leaf.leaf_value = -g_total / (h_total + config_.lambda);
-    tree.push_back(leaf);
-    return static_cast<int>(tree.size()) - 1;
-  };
-
-  const std::size_t count = end - begin;
-  if (depth >= config_.max_depth || count < 2 * config_.min_leaf) {
-    return make_leaf();
-  }
-
-  const std::size_t dim = examples.front().features.size();
-  const double parent_obj = g_total * g_total / (h_total + config_.lambda);
-
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  double best_gain = config_.min_gain;
-
-  std::vector<std::uint32_t> sorted(indices.begin() + static_cast<long>(begin),
-                                    indices.begin() + static_cast<long>(end));
-  for (std::size_t f = 0; f < dim; ++f) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return examples[a].features[f] < examples[b].features[f];
-              });
-    double g_left = 0.0;
-    double h_left = 0.0;
-    for (std::size_t i = 0; i + 1 < count; ++i) {
-      g_left += grad[sorted[i]];
-      h_left += hess[sorted[i]];
-      const double v = examples[sorted[i]].features[f];
-      const double v_next = examples[sorted[i + 1]].features[f];
-      if (v == v_next) continue;  // cannot split between equal values
-      const std::size_t n_left = i + 1;
-      if (n_left < config_.min_leaf || count - n_left < config_.min_leaf) {
+GradientBoostedTrees::Tree GradientBoostedTrees::fit_tree(Fit& fit) const {
+  const FeatureColumns& data = fit.data;
+  const std::size_t n = data.count;
+  Tree level_order(1);
+  std::vector<Grow> level(1);
+  std::vector<Grow> next;
+  level[0].end = n;
+  for (int depth = 0; !level.empty(); ++depth) {
+    // Totals over each node's members in partition order. A node that may
+    // still split claims its members for the column walk.
+    bool searching = false;
+    std::fill(fit.open.begin(), fit.open.end(), -1);
+    for (std::size_t k = 0; k < level.size(); ++k) {
+      Grow& g = level[k];
+      for (std::size_t i = g.begin; i < g.end; ++i) {
+        g.g_total += fit.grad[fit.indices[i]];
+        g.h_total += fit.hess[fit.indices[i]];
+      }
+      g.best_gain = config_.min_gain;
+      if (depth >= config_.max_depth ||
+          g.end - g.begin < 2 * config_.min_leaf) {
         continue;
       }
-      const double g_right = g_total - g_left;
-      const double h_right = h_total - h_left;
-      const double gain =
-          g_left * g_left / (h_left + config_.lambda) +
-          g_right * g_right / (h_right + config_.lambda) - parent_obj;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (v + v_next);
+      g.parent_obj = g.g_total * g.g_total / (g.h_total + config_.lambda);
+      for (std::size_t i = g.begin; i < g.end; ++i) {
+        fit.open[fit.indices[i]] = static_cast<std::int32_t>(k);
+      }
+      searching = true;
+    }
+    // One walk per sorted column serves every open node: each sees its own
+    // members in ascending value order and scores the split between every
+    // pair of unequal neighbours, feature by feature.
+    for (std::size_t f = 0; searching && f < data.dim; ++f) {
+      const double* column = data.column(f);
+      const std::uint32_t* order = fit.order.data() + f * n;
+      for (Grow& g : level) {
+        g.g_left = 0.0;
+        g.h_left = 0.0;
+        g.n_left = 0;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t i = order[k];
+        const std::int32_t slot = fit.open[i];
+        if (slot < 0) continue;
+        Grow& g = level[static_cast<std::size_t>(slot)];
+        const double v = column[i];
+        if (g.n_left > 0 && v != g.last) {
+          const std::size_t count = g.end - g.begin;
+          if (g.n_left >= config_.min_leaf &&
+              count - g.n_left >= config_.min_leaf) {
+            const double g_right = g.g_total - g.g_left;
+            const double h_right = g.h_total - g.h_left;
+            const double gain =
+                g.g_left * g.g_left / (g.h_left + config_.lambda) +
+                g_right * g_right / (h_right + config_.lambda) - g.parent_obj;
+            if (gain > g.best_gain) {
+              g.best_gain = gain;
+              g.best_feature = static_cast<int>(f);
+              g.best_threshold = 0.5 * (g.last + v);
+            }
+          }
+        }
+        g.g_left += fit.grad[i];
+        g.h_left += fit.hess[i];
+        ++g.n_left;
+        g.last = v;
       }
     }
+    // Close each node as a leaf, or split its range with std::partition and
+    // open its children one depth down.
+    next.clear();
+    for (const Grow& g : level) {
+      if (g.best_feature < 0) {
+        const double value = -g.g_total / (g.h_total + config_.lambda);
+        level_order[g.node].leaf_value = value;
+        for (std::size_t i = g.begin; i < g.end; ++i) {
+          fit.score[fit.indices[i]] += config_.learning_rate * value;
+        }
+        continue;
+      }
+      const double* column =
+          data.column(static_cast<std::size_t>(g.best_feature));
+      const double threshold = g.best_threshold;
+      const auto mid_it = std::partition(
+          fit.indices.begin() + static_cast<std::ptrdiff_t>(g.begin),
+          fit.indices.begin() + static_cast<std::ptrdiff_t>(g.end),
+          [column, threshold](std::uint32_t i) {
+            return column[i] < threshold;
+          });
+      const auto mid = static_cast<std::size_t>(mid_it - fit.indices.begin());
+      const auto left = static_cast<int>(level_order.size());
+      Node& node = level_order[g.node];
+      node.feature = g.best_feature;
+      node.threshold = threshold;
+      node.left = left;
+      node.right = left + 1;
+      level_order.resize(level_order.size() + 2);
+      next.push_back({.node = static_cast<std::size_t>(left),
+                      .begin = g.begin,
+                      .end = mid});
+      next.push_back({.node = static_cast<std::size_t>(left + 1),
+                      .begin = mid,
+                      .end = g.end});
+    }
+    level.swap(next);
   }
-
-  if (best_feature < 0) return make_leaf();
-
-  // Partition indices[begin, end) by the chosen split.
-  const auto mid_it = std::partition(
-      indices.begin() + static_cast<long>(begin),
-      indices.begin() + static_cast<long>(end), [&](std::uint32_t idx) {
-        return examples[idx].features[static_cast<std::size_t>(best_feature)] <
-               best_threshold;
-      });
-  const auto mid = static_cast<std::size_t>(mid_it - indices.begin());
-
-  Node node;
-  node.feature = best_feature;
-  node.threshold = best_threshold;
-  tree.push_back(node);
-  const int self = static_cast<int>(tree.size()) - 1;
-  const int left =
-      build_node(tree, examples, indices, begin, mid, grad, hess, depth + 1);
-  const int right =
-      build_node(tree, examples, indices, mid, end, grad, hess, depth + 1);
-  tree[static_cast<std::size_t>(self)].left = left;
-  tree[static_cast<std::size_t>(self)].right = right;
-  return self;
+  Tree tree;
+  tree.reserve(level_order.size());
+  append_preorder(level_order, 0, tree);
+  return tree;
 }
 
 double GradientBoostedTrees::tree_output(const Tree& tree,
                                          std::span<const double> features) {
-  // Root is the first node pushed for the (sub)tree build at top level;
-  // because build_node pushes parent before children, index 0 is the root.
+  // Trees are laid out in preorder, so index 0 is the root.
   std::size_t node = 0;
   while (tree[node].feature >= 0) {
     const std::size_t f = static_cast<std::size_t>(tree[node].feature);
@@ -360,7 +461,7 @@ Inference GbtDetector::infer(std::span<const hpc::HpcSample> window) const {
 
 GbtDetector GbtDetector::make(const TraceSet& train, GbtConfig config) {
   GradientBoostedTrees model(config);
-  model.train(flatten(train));
+  model.train(flatten_columns(train));
   return GbtDetector(std::move(model));
 }
 

@@ -5,6 +5,20 @@
 // formulation with exact greedy splits (no histogram approximation; the
 // datasets here are small).
 //
+// The split search is XGBoost's exact greedy algorithm over presorted
+// columns (Chen & Guestrin 2016). Each feature column is sorted once per
+// fit, ties in ascending example order. Each depth of a tree then walks every sorted column once: a
+// node being split sees its own members in that order and scores the split
+// between each pair of unequal neighbours. Node totals, and so leaf values,
+// are summed over the node's members in the order std::partition leaves
+// them.
+//
+// Tie rule: a left sum adds a run of equal values in ascending example
+// order. The oracle in tests/test_ml.cpp std::sorts each node's examples
+// per feature and adds them in introsort's order, so the two can round a
+// left sum differently and, where two gains tie to the last bit, split
+// differently; on the sets the tests pin they give the same trees.
+//
 // Like the SVM, the detector adapter classifies each measurement and
 // majority-votes across the accumulated window.
 #pragma once
@@ -35,7 +49,10 @@ class GradientBoostedTrees {
  public:
   explicit GradientBoostedTrees(GbtConfig config = {}) : config_(config) {}
 
+  /// Fits the ensemble. There is one fit: examples are copied into a
+  /// column image first.
   void train(const std::vector<Example>& examples);
+  void train(const FeatureColumns& data);
 
   /// Raw additive score (log-odds); positive = malicious.
   [[nodiscard]] double predict_logit(std::span<const double> features) const;
@@ -60,6 +77,14 @@ class GradientBoostedTrees {
     return trees_.size();
   }
   [[nodiscard]] const GbtConfig& config() const noexcept { return config_; }
+
+  /// Fingerprint of the trained parameters: the base score, the learning
+  /// rate and every node's feature, threshold, leaf value and children, in
+  /// tree order. Computed once by train() (0 before), so
+  /// GbtDetector::state_hash() costs nothing at capture.
+  [[nodiscard]] std::uint64_t param_hash() const noexcept {
+    return param_hash_;
+  }
 
  private:
   /// Flat node storage: a node is a leaf when feature < 0.
@@ -87,10 +112,10 @@ class GradientBoostedTrees {
     int depth = 0;                      // select steps to settle any column
   };
 
-  int build_node(Tree& tree, const std::vector<Example>& examples,
-                 std::vector<std::uint32_t>& indices, std::size_t begin,
-                 std::size_t end, const std::vector<double>& grad,
-                 const std::vector<double>& hess, int depth);
+  /// One fit's presorted columns and per-round gradient state (gbt.cpp).
+  struct Fit;
+  /// Grows one tree depth by depth and adds its leaf values to the scores.
+  [[nodiscard]] Tree fit_tree(Fit& fit) const;
   [[nodiscard]] static double tree_output(const Tree& tree,
                                           std::span<const double> features);
   void build_flat();
@@ -103,6 +128,7 @@ class GradientBoostedTrees {
   /// vector, i.e. predict_logit_plane may use its gather tile. Fixed at
   /// train() time so the hot path never re-scans the ensemble.
   bool plane_tile_ok_ = false;
+  std::uint64_t param_hash_ = 0;
 };
 
 class GbtDetector final : public Detector {
@@ -132,6 +158,12 @@ class GbtDetector final : public Detector {
   /// newest-measurement rows.
   [[nodiscard]] PlaneSections plane_sections() const override {
     return PlaneSections::kNewestOnly;
+  }
+
+  /// The trained trees' fingerprint (GradientBoostedTrees::param_hash),
+  /// so a snapshot refuses to restore against a retrained ensemble.
+  [[nodiscard]] std::uint64_t state_hash() const override {
+    return model_.param_hash();
   }
 
   [[nodiscard]] const GradientBoostedTrees& model() const noexcept {

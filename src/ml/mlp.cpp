@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/serial.hpp"
 #include "util/simd.hpp"
 
 namespace valkyrie::ml {
@@ -306,6 +307,24 @@ void Mlp::train(std::vector<Example> examples, const MlpTrainOptions& options) {
       }
     }
   }
+}
+
+std::uint64_t Mlp::param_hash(std::uint64_t seed) const noexcept {
+  std::uint64_t h = seed;
+  for (const Layer& layer : layers_) {
+    h = util::fnv1a(layer.weights, h);
+    h = util::fnv1a(layer.bias, h);
+  }
+  return h;
+}
+
+MlpDetector::MlpDetector(std::string name, Mlp mlp, FeatureScaler scaler)
+    : name_(std::move(name)),
+      mlp_(std::move(mlp)),
+      scaler_(std::move(scaler)) {
+  hash_ = mlp_.param_hash(util::fnv1a(name_));
+  hash_ = util::fnv1a(scaler_.means(), hash_);
+  hash_ = util::fnv1a(scaler_.inv_stddevs(), hash_);
 }
 
 Inference MlpDetector::infer(std::span<const hpc::HpcSample> window) const {

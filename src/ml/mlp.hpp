@@ -62,6 +62,10 @@ class Mlp {
     return sizes_;
   }
 
+  /// Folds every layer's weights and biases (not the momentum buffers)
+  /// into an FNV-1a hash that starts from `seed`.
+  [[nodiscard]] std::uint64_t param_hash(std::uint64_t seed) const noexcept;
+
  private:
   struct Layer {
     std::size_t in = 0;
@@ -84,10 +88,7 @@ class Mlp {
 /// threshold at 0.5.
 class MlpDetector final : public Detector {
  public:
-  MlpDetector(std::string name, Mlp mlp, FeatureScaler scaler)
-      : name_(std::move(name)),
-        mlp_(std::move(mlp)),
-        scaler_(std::move(scaler)) {}
+  MlpDetector(std::string name, Mlp mlp, FeatureScaler scaler);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] Inference infer(
@@ -115,6 +116,10 @@ class MlpDetector final : public Detector {
   /// geometry, so no raw sample is ever needed.
   [[nodiscard]] std::size_t raw_window() const override { return 0; }
 
+  /// Fingerprint of the name, the layers' weights and biases and the
+  /// scaler, computed at construction.
+  [[nodiscard]] std::uint64_t state_hash() const override { return hash_; }
+
   [[nodiscard]] const Mlp& model() const noexcept { return mlp_; }
 
   /// Builds and trains the paper's small ANN (one hidden layer, 4 nodes)
@@ -129,6 +134,7 @@ class MlpDetector final : public Detector {
   std::string name_;
   Mlp mlp_;
   FeatureScaler scaler_;
+  std::uint64_t hash_ = 0;
 };
 
 /// Builds window-aggregate training examples from traces: for each trace,

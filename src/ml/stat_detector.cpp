@@ -5,12 +5,34 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/serial.hpp"
 #include "util/simd.hpp"
 
 namespace valkyrie::ml {
 
 StatisticalDetector::StatisticalDetector(StatDetectorConfig config)
-    : config_(config) {}
+    : config_(config) {
+  refresh_hash();
+}
+
+void StatisticalDetector::refresh_hash() noexcept {
+  // The counts are exact as doubles; kWholeWindow rounds to 2^64, still
+  // apart from any finite vote window.
+  const double head[] = {config_.threshold, config_.vote_fraction,
+                         static_cast<double>(config_.vote_window),
+                         static_cast<double>(benign_models_.size()),
+                         static_cast<double>(attack_models_.size())};
+  hash_ = util::fnv1a(name());
+  hash_ = util::fnv1a(head, hash_);
+  hash_ = util::fnv1a(mean_, hash_);
+  hash_ = util::fnv1a(stddev_, hash_);
+  for (const auto* models : {&benign_models_, &attack_models_}) {
+    for (const Gaussian& g : *models) {
+      hash_ = util::fnv1a(g.mean, hash_);
+      hash_ = util::fnv1a(g.stddev, hash_);
+    }
+  }
+}
 
 namespace {
 
@@ -131,8 +153,10 @@ void StatisticalDetector::fit(std::span<const Example> examples) {
   benign_models_ = cluster_gaussians(benign_rows, config_.benign_clusters);
 
   attack_models_.clear();
-  if (attack_rows.empty()) return;
-  attack_models_ = cluster_gaussians(attack_rows, config_.attack_clusters);
+  if (!attack_rows.empty()) {
+    attack_models_ = cluster_gaussians(attack_rows, config_.attack_clusters);
+  }
+  refresh_hash();
 }
 
 double StatisticalDetector::score(std::span<const double> features) const {

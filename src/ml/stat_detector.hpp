@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -124,10 +125,19 @@ class StatisticalDetector final : public Detector {
     return config_;
   }
 
-  void set_threshold(double threshold) noexcept { config_.threshold = threshold; }
+  void set_threshold(double threshold) noexcept {
+    config_.threshold = threshold;
+    refresh_hash();
+  }
   void set_vote_window(std::size_t window) noexcept {
     config_.vote_window = window;
+    refresh_hash();
   }
+
+  /// Fingerprint of the models and of what turns scores into verdicts
+  /// (threshold, vote window and fraction). Kept current by every member
+  /// that changes one of them, so a capture reads it for free.
+  [[nodiscard]] std::uint64_t state_hash() const override { return hash_; }
 
   /// A copy of this detector that majority-votes over the *entire*
   /// accumulated window — the high-efficacy view used for the terminable
@@ -136,6 +146,7 @@ class StatisticalDetector final : public Detector {
     StatisticalDetector view = *this;
     view.config_.vote_window = kWholeWindow;
     view.config_.vote_fraction = 0.8;
+    view.refresh_hash();
     return view;
   }
 
@@ -149,11 +160,14 @@ class StatisticalDetector final : public Detector {
   [[nodiscard]] static std::vector<Gaussian> cluster_gaussians(
       const std::vector<const std::vector<double>*>& rows, std::size_t max_k);
 
+  void refresh_hash() noexcept;
+
   StatDetectorConfig config_;
   std::vector<double> mean_;    // pooled benign model (anomaly fallback)
   std::vector<double> stddev_;
   std::vector<Gaussian> benign_models_;
   std::vector<Gaussian> attack_models_;
+  std::uint64_t hash_ = 0;
 };
 
 }  // namespace valkyrie::ml

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "util/simd.hpp"
 
 namespace valkyrie::ml {
@@ -87,6 +88,13 @@ void svm_votes_kernel(const double* w, double bias,
 }
 
 }  // namespace
+
+SvmDetector::SvmDetector(LinearSvm svm) : svm_(std::move(svm)) {
+  const double bias = svm_.bias();
+  hash_ = util::fnv1a(name());
+  hash_ = util::fnv1a(svm_.weights(), hash_);
+  hash_ = util::fnv1a(std::span<const double>(&bias, 1), hash_);
+}
 
 void SvmDetector::measurement_votes(const FeatureMatrixView& batch,
                                     std::span<std::uint8_t> out) const {

@@ -49,7 +49,7 @@ class LinearSvm {
 /// Majority-vote detector over per-measurement SVM decisions.
 class SvmDetector final : public Detector {
  public:
-  explicit SvmDetector(LinearSvm svm) : svm_(std::move(svm)) {}
+  explicit SvmDetector(LinearSvm svm);
 
   [[nodiscard]] std::string_view name() const override { return "svm"; }
   using Detector::infer;  // keep infer(WindowSummary) visible
@@ -77,6 +77,10 @@ class SvmDetector final : public Detector {
     return PlaneSections::kNewestOnly;
   }
 
+  /// Fingerprint of the name, the weights and the bias, computed at
+  /// construction.
+  [[nodiscard]] std::uint64_t state_hash() const override { return hash_; }
+
   [[nodiscard]] const LinearSvm& model() const noexcept { return svm_; }
 
   [[nodiscard]] static SvmDetector make(const TraceSet& train,
@@ -84,6 +88,7 @@ class SvmDetector final : public Detector {
 
  private:
   LinearSvm svm_;
+  std::uint64_t hash_ = 0;
 };
 
 }  // namespace valkyrie::ml

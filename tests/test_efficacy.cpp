@@ -89,7 +89,9 @@ TEST(Efficacy, RequiredMeasurementsForF1Spec) {
   EXPECT_LT(*n, 60u);
   // The returned point indeed satisfies the spec.
   for (const EfficacyPoint& p : curve.points()) {
-    if (p.measurements == *n) EXPECT_GE(p.f1, 0.9);
+    if (p.measurements == *n) {
+      EXPECT_GE(p.f1, 0.9);
+    }
   }
 }
 

@@ -28,6 +28,10 @@
 #include "core/actuator.hpp"
 #include "core/valkyrie.hpp"
 #include "dram/dram.hpp"
+#include "ml/gbt.hpp"
+#include "ml/lstm.hpp"
+#include "ml/mlp.hpp"
+#include "ml/stat_detector.hpp"
 #include "ml/svm.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -73,8 +77,8 @@ using core::ValkyrieConfig;
 using core::ValkyrieEngine;
 using util::SerialError;
 
-ml::TraceSet tiny_corpus() {
-  util::Rng rng(0xfeed);
+ml::TraceSet tiny_corpus(std::uint64_t seed = 0xfeed) {
+  util::Rng rng(seed);
   hpc::HpcSignature benign;
   benign.at(hpc::Event::kInstructions) = 3e8;
   benign.at(hpc::Event::kCycles) = 3.5e8;
@@ -116,7 +120,7 @@ class OpaqueWorkload final : public sim::Workload {
 };
 
 struct Fixture {
-  explicit Fixture(const ml::SvmDetector& detector)
+  explicit Fixture(const ml::Detector& detector)
       : engine(sys, detector, 2) {
     static const std::vector<workloads::BenchmarkSpec> palette =
         workloads::all_single_threaded();
@@ -276,6 +280,76 @@ TEST(SnapshotCorruption, FailedRestoreLeavesTheTargetUntouched) {
     }
     EXPECT_EQ(before, encode(capture(target.engine)));
   }
+}
+
+// A detector's fingerprint folds in its trained parameters, so an image
+// captured over one training run is refused, before anything changes, by
+// an engine whose detector was trained on other data, for every detector
+// type. The same training run, repeated, restores.
+TEST(SnapshotCorruption, RestoreAgainstARetrainedDetectorIsRefused) {
+  const ml::TraceSet corpus = tiny_corpus();
+  const ml::TraceSet other = tiny_corpus(0xbeef);
+  const auto check = [](const ml::Detector& trained,
+                        const ml::Detector& same,
+                        const ml::Detector& retrained) {
+    SCOPED_TRACE(std::string(trained.name()));
+    EXPECT_EQ(trained.state_hash(), same.state_hash());
+    EXPECT_NE(trained.state_hash(), retrained.state_hash());
+    Fixture source(trained);
+    const SnapshotImage image = capture(source.engine);
+    // Targets run on past the image, so a restore that went through would
+    // show in their bytes.
+    Fixture target(retrained);
+    for (int e = 0; e < 7; ++e) target.engine.step();
+    const std::vector<std::uint8_t> before = encode(capture(target.engine));
+    try {
+      restore(image, target.engine, RestoreContext{});
+      ADD_FAILURE() << "restore accepted a retrained detector";
+    } catch (const SerialError& e) {
+      EXPECT_EQ(e.code(), SerialError::Code::kIncompatible);
+    }
+    EXPECT_EQ(before, encode(capture(target.engine)));
+    Fixture twin(same);
+    for (int e = 0; e < 7; ++e) twin.engine.step();
+    restore(image, twin.engine, RestoreContext{});
+    EXPECT_EQ(encode(image), encode(capture(twin.engine)));
+  };
+  check(ml::GbtDetector::make(corpus), ml::GbtDetector::make(corpus),
+        ml::GbtDetector::make(other));
+  check(ml::SvmDetector::make(corpus, 3), ml::SvmDetector::make(corpus, 3),
+        ml::SvmDetector::make(other, 3));
+  check(ml::MlpDetector::make_small_ann(corpus, 3),
+        ml::MlpDetector::make_small_ann(corpus, 3),
+        ml::MlpDetector::make_small_ann(other, 3));
+  const auto stat = [](const ml::TraceSet& set) {
+    ml::StatisticalDetector detector;
+    detector.fit(ml::flatten(set));
+    return detector;
+  };
+  check(stat(corpus), stat(corpus), stat(other));
+  ml::LstmTrainOptions quick;
+  quick.epochs = 2;
+  check(ml::LstmDetector::make(corpus, 3, quick),
+        ml::LstmDetector::make(corpus, 3, quick),
+        ml::LstmDetector::make(other, 3, quick));
+}
+
+// The statistical detector's fingerprint also covers what turns its score
+// into a verdict, and stays current when that changes after training.
+TEST(SnapshotCorruption, StatFingerprintFollowsThresholdAndVotes) {
+  ml::StatisticalDetector detector;
+  detector.fit(ml::flatten(tiny_corpus()));
+  const std::uint64_t trained = detector.state_hash();
+  EXPECT_NE(trained, ml::StatisticalDetector{}.state_hash());
+  EXPECT_NE(detector.accumulated_view().state_hash(), trained);
+  detector.set_threshold(detector.config().threshold + 0.5);
+  const std::uint64_t raised = detector.state_hash();
+  EXPECT_NE(raised, trained);
+  detector.set_vote_window(3);
+  EXPECT_NE(detector.state_hash(), raised);
+  detector.set_vote_window(1);
+  detector.set_threshold(detector.config().threshold - 0.5);
+  EXPECT_EQ(detector.state_hash(), trained);
 }
 
 // Images only the engine section refuses. The engine section stages (its
