@@ -1,42 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "alloc_hooks.hpp"
 #include "dram/dram.hpp"
 #include "util/rng.hpp"
 #include "util/serial.hpp"
-
-namespace {
-
-// While set, every operator new throws: the flip log's next append fails.
-std::atomic<bool> g_fail_allocations{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_fail_allocations.load(std::memory_order_relaxed)) {
-    throw std::bad_alloc();
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// Out of line, so GCC never sees an inlined free() beside a call to the
-// operator new above and reports a false -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace valkyrie::dram {
 namespace {

@@ -4,18 +4,19 @@
 // or per-slot inference, monitor decisions, batched actuator commit — must
 // perform zero heap allocations, sequentially AND across a worker pool, on
 // BOTH routes the step can take: the batch route (a detector declaring
-// plane sections) and the per-slot route (a kFull detector). Extends the
-// operator-new guard pattern from test_window_accumulator.cpp to the whole
-// step.
+// plane sections) and the per-slot route (a kFull detector). The count
+// comes from the replaced operator new in alloc_hooks.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <optional>
 #include <string_view>
+#include <vector>
 
+#include "alloc_hooks.hpp"
 #include "attacks/cryptominer.hpp"
 #include "attacks/ransomware.hpp"
 #include "core/actuator.hpp"
@@ -25,26 +26,6 @@
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
 #include "workloads/benchmarks.hpp"
-
-namespace {
-
-/// Global allocation counter for the zero-allocation hot-path guard.
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace valkyrie::core {
 namespace {
@@ -552,6 +533,29 @@ TEST(ParallelNoAlloc, AttackModelEpochsAreAllocationFree) {
       expect_attack_epochs_do_not_allocate(workers, route);
     }
   }
+}
+
+// The guards above see every allocation form, the nothrow ones included:
+// std::stable_sort takes its buffer from std::get_temporary_buffer, which
+// calls operator new(size, std::nothrow). Left to the runtime, that form
+// is a sanitizer's own allocator, which the count never sees and whose
+// blocks the replaced delete would hand to free().
+TEST(ParallelNoAlloc, NothrowAllocationsAreCountedAndFreedInKind) {
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  int* boxed = new (std::nothrow) int(7);
+  ASSERT_NE(boxed, nullptr);
+  EXPECT_EQ(*boxed, 7);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before + 1);
+  delete boxed;
+
+  std::vector<int> keys(4096);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<int>(i * 2654435761u % 1024u);
+  }
+  before = g_allocations.load(std::memory_order_relaxed);
+  std::stable_sort(keys.begin(), keys.end());
+  EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
 }
 
 }  // namespace

@@ -13,15 +13,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <limits>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "alloc_hooks.hpp"
 #include "attacks/cryptominer.hpp"
 #include "attacks/ransomware.hpp"
 #include "attacks/rowhammer.hpp"
@@ -37,38 +36,6 @@
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 #include "workloads/benchmarks.hpp"
-
-namespace {
-
-// While g_tracking is set, operator new records its largest single request.
-std::atomic<bool> g_tracking{false};
-std::atomic<std::size_t> g_largest_allocation{0};
-
-void note_allocation(std::size_t size) noexcept {
-  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
-  while (size > seen && !g_largest_allocation.compare_exchange_weak(
-                            seen, size, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_tracking.load(std::memory_order_relaxed)) note_allocation(size);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// Out of line, so GCC never sees an inlined free() beside a call to the
-// operator new above and reports a false -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace valkyrie::snapshot {
 namespace {

@@ -4,10 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_hooks.hpp"
 #include "hpc/hpc.hpp"
 #include "ml/dataset.hpp"
 #include "ml/detector.hpp"
@@ -16,26 +15,6 @@
 #include "ml/svm.hpp"
 #include "ml/window_accumulator.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-/// Global allocation counter for the zero-allocation hot-path guard.
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace valkyrie::ml {
 namespace {
