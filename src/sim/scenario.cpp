@@ -26,16 +26,8 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
       benign_palette_(benign_factory_ == nullptr
                           ? workloads::all_single_threaded()
                           : std::vector<workloads::BenchmarkSpec>{}) {
-  if (script_.arrival_rate < 0.0 || script_.mean_lifetime < 0.0 ||
-      script_.attack_fraction < 0.0 || script_.attack_fraction > 1.0 ||
-      script_.kill_exit_fraction < 0.0 || script_.kill_exit_fraction > 1.0) {
-    throw std::invalid_argument("ScenarioDriver: malformed script");
-  }
-  if (script_.attack_families.empty()) {
-    script_.attack_families = {AttackFamily::kCryptominer};
-  }
+  adopt_script();
   campaign_progress_.assign(script_.campaigns.size(), 0);
-  if (script_.recycle_histories) sys_.enable_history_recycling();
   live_ = sys_.live_processes().size();
   // The standing population: admitted before the first driven epoch, so
   // it first runs there like any boundary admission runs in the next
@@ -60,14 +52,7 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
                           ? workloads::all_single_threaded()
                           : std::vector<workloads::BenchmarkSpec>{}) {
   using util::SerialError;
-  if (script_.arrival_rate < 0.0 || script_.mean_lifetime < 0.0 ||
-      script_.attack_fraction < 0.0 || script_.attack_fraction > 1.0 ||
-      script_.kill_exit_fraction < 0.0 || script_.kill_exit_fraction > 1.0) {
-    throw std::invalid_argument("ScenarioDriver: malformed script");
-  }
-  if (script_.attack_families.empty()) {
-    script_.attack_families = {AttackFamily::kCryptominer};
-  }
+  adopt_script();
   if (snapshot::script_fingerprint(script_) != image.script_fingerprint) {
     throw SerialError(SerialError::Code::kIncompatible,
                       "driver restore: script fingerprint mismatch");
@@ -91,7 +76,6 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
     throw SerialError(SerialError::Code::kMalformed,
                       "driver restore: departures are not a heap");
   }
-  if (script_.recycle_histories) sys_.enable_history_recycling();
   // No admissions: the standing population is already live in the restored
   // system. Everything below resumes the recorded progress verbatim.
   rng_.set_state(image.rng);
@@ -112,6 +96,18 @@ ScenarioDriver::ScenarioDriver(core::ValkyrieEngine& engine,
   benign_palette_cursor_ = static_cast<std::size_t>(image.benign_palette_cursor);
   prev_live_ = image.prev_live;
   live_ = static_cast<std::size_t>(image.live);
+}
+
+void ScenarioDriver::adopt_script() {
+  if (script_.arrival_rate < 0.0 || script_.mean_lifetime < 0.0 ||
+      script_.attack_fraction < 0.0 || script_.attack_fraction > 1.0 ||
+      script_.kill_exit_fraction < 0.0 || script_.kill_exit_fraction > 1.0) {
+    throw std::invalid_argument("ScenarioDriver: malformed script");
+  }
+  if (script_.attack_families.empty()) {
+    script_.attack_families = {AttackFamily::kCryptominer};
+  }
+  if (script_.recycle_histories) sys_.enable_history_recycling();
 }
 
 void ScenarioDriver::snapshot_state(snapshot::DriverImage& image) const {

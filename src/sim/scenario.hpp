@@ -208,6 +208,13 @@ class ScenarioDriver {
     return a.epoch > b.epoch;
   }
 
+  /// The script half both constructors share: throws std::invalid_argument
+  /// on a negative rate or lifetime or a fraction outside [0, 1], defaults
+  /// an empty attack-family list to the cryptominer (before the restore
+  /// constructor fingerprints the script), and arms history recycling on
+  /// the system when the script asks for it.
+  void adopt_script();
+
   /// Admits one arrival (workload chosen from the mix or forced to
   /// `forced_family`), attaches it, and schedules its departure.
   void admit(std::uint64_t now, const AttackFamily* forced_family);

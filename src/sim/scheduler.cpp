@@ -1,190 +1,30 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <stdexcept>
 
 namespace valkyrie::sim {
 
-CfsScheduler::CfsScheduler(const SchedulerConfig& config) : config_(config) {
-  assert(config_.gamma > 0.0 && config_.gamma < 1.0);
-  assert(config_.background_weight_units >= 0.0);
-  // Thrown, not asserted: release builds compile asserts out, and a zero
-  // floor would stall a process entirely — the paper's s_MIN is strictly
-  // positive. (It also backs the sign encoding: a clamped live factor can
-  // never be 0 or negative, so parked negatives are unambiguous.)
-  if (config_.min_share_fraction <= 0.0) {
-    throw std::invalid_argument(
-        "CfsScheduler: min_share_fraction must be positive");
-  }
+double threat_step_factor(double factor, double delta_threat,
+                          const SchedulerConfig& config) {
+  // s_i = s_{i-1} -/+ gamma * s_{i-1} * |dT| for rising/falling threat. A
+  // drop of gamma per unit of threat change, multiplicative.
+  const double s = factor * (1.0 - config.gamma * delta_threat);
+  return std::clamp(s, config.min_share_fraction, 1.0);
 }
 
-void CfsScheduler::reserve(std::size_t max_pids) { factor_.reserve(max_pids); }
-
-void CfsScheduler::add_process(ProcessId pid) {
-  add_processes({&pid, 1});
-}
-
-void CfsScheduler::remove_process(ProcessId pid) {
-  remove_processes({&pid, 1});
-}
-
-void CfsScheduler::add_processes(std::span<const ProcessId> pids) {
-  // Emplace semantics for a pid that is already runnable (no overwrite of
-  // an actuator-demoted weight); a parked pid re-enters at default weight.
-  for (const ProcessId pid : pids) {
-    if (double* factor = factor_.find(pid)) {
-      if (*factor <= 0.0) *factor = 1.0;
-    } else {
-      factor_.insert(pid, 1.0);
-    }
-  }
-}
-
-void CfsScheduler::remove_processes(std::span<const ProcessId> pids) {
-  // Park rather than erase: the magnitude stays readable as the last
-  // weight the process held, the sign takes it out of every total. The
-  // entry itself leaves the table only when forget_process reclaims it
-  // (retention window closing) — parked weights no longer leak forever.
-  for (const ProcessId pid : pids) {
-    double* factor = factor_.find(pid);
-    if (factor != nullptr && *factor > 0.0) *factor = -*factor;
-  }
-}
-
-void CfsScheduler::forget_process(ProcessId pid) {
-  const double* factor = factor_.find(pid);
-  if (factor == nullptr) return;  // already reclaimed (idempotent)
-  if (*factor > 0.0) {
-    throw std::logic_error(
-        "CfsScheduler: forget_process on a runnable pid (remove it first)");
-  }
-  factor_.erase(pid);
-}
-
-bool CfsScheduler::has_process(ProcessId pid) const {
-  const double* factor = factor_.find(pid);
-  return factor != nullptr && *factor > 0.0;
-}
-
-double CfsScheduler::weight_factor(ProcessId pid) const {
-  const double* factor = factor_.find(pid);
-  if (factor == nullptr) {
-    throw std::out_of_range("CfsScheduler: unknown process id");
-  }
-  // std::abs: a parked (removed) pid answers with its final weight.
-  return std::abs(*factor);
-}
-
-void CfsScheduler::apply_threat_delta(ProcessId pid, double delta_threat) {
-  double* factor = factor_.find(pid);
-  if (factor == nullptr) {
-    throw std::out_of_range("CfsScheduler: unknown process id");
-  }
-  if (*factor < 0.0) return;  // parked: never resurrect a dead weight
-  // Eq. 8: s_i = s_{i-1} -/+ gamma * s_{i-1} * |dT| for rising/falling
-  // threat. A drop of gamma per unit of threat change, multiplicative.
-  const double s = *factor * (1.0 - config_.gamma * delta_threat);
-  *factor = std::clamp(s, config_.min_share_fraction, 1.0);
-}
-
-void CfsScheduler::reset_weight(ProcessId pid) {
-  double* factor = factor_.find(pid);
-  if (factor == nullptr) {
-    throw std::out_of_range("CfsScheduler: unknown process id");
-  }
-  if (*factor < 0.0) return;  // parked: see apply_threat_delta
-  *factor = 1.0;
-}
-
-double CfsScheduler::total_weight() const {
-  // Ascending-pid accumulation: FP addition is order-sensitive, and hash
-  // bucket order depends on the table's capacity history (which differs
-  // across restore), so the sum MUST be canonicalised to stay bit-stable.
-  // Skipping absent pids is exact — the dense-era pass added literal 0.0
-  // for them, and x + 0.0 == x for every non-negative partial sum here.
-  double total = config_.background_weight_units;
-  for (const SchedFactorEntry& entry : factor_entries()) {
-    total += std::max(entry.factor, 0.0);
-  }
-  return total;
-}
-
-double CfsScheduler::total_weight(std::span<const ProcessId> live) const {
-  double total = config_.background_weight_units;
-  // Same max(f, 0) guard as the whole-table pass: a live factor is always
-  // positive (identity under max), and a pid a caller removed behind the
-  // system's back contributes 0 rather than silently shrinking the total
-  // with its parked negative. Absent pids likewise contribute 0.
-  factor_.find_many(live, [&](std::size_t, const double* factor) {
-    if (factor != nullptr) total += std::max(*factor, 0.0);
-  });
-  return total;
-}
-
-void CfsScheduler::gather_factors(std::span<const ProcessId> pids,
-                                  std::span<double> out) const {
-  assert(out.size() >= pids.size());
-  factor_.find_many(pids, [&](std::size_t i, const double* factor) {
-    out[i] = factor != nullptr ? *factor : 0.0;
-  });
-}
-
-double CfsScheduler::absolute_share(ProcessId pid) const {
-  const double w = weight_factor(pid);
-  const double total = total_weight();
-  return total > 0.0 ? w / total : 0.0;
-}
-
-double CfsScheduler::normalized_share(ProcessId pid) const {
-  return normalized_share(pid, total_weight());
-}
-
-double CfsScheduler::normalized_share(ProcessId pid, double total) const {
-  return share_from_factor(weight_factor(pid), total);
-}
-
-double CfsScheduler::share_from_factor(double raw_factor, double total) {
-  const double w = std::abs(raw_factor);
+double share_from_factor(double factor, double total) {
   // Untouched process: share_now and share_default are the same 1/total,
   // so the ratio is exactly 1.0. The total - 1 + 1 == total guard proves
   // the slow path would compute identical bits (it fails only at absurd
   // totals where the round-trip rounds), and skipping three divides
   // matters — this runs once per live process per epoch.
-  if (w == 1.0 && total - 1.0 + 1.0 == total && total > 0.0) return 1.0;
+  if (factor == 1.0 && total - 1.0 + 1.0 == total && total > 0.0) return 1.0;
   // Share this process would have at default weight, holding the others at
   // their current weights.
-  const double total_default = total - w + 1.0;
-  const double share_now = w / total;
+  const double total_default = total - factor + 1.0;
+  const double share_now = factor / total;
   const double share_default = 1.0 / total_default;
   return share_default > 0.0 ? std::min(1.0, share_now / share_default) : 0.0;
-}
-
-double CfsScheduler::timeslice_ms(ProcessId pid) const {
-  return config_.targeted_latency_ms * absolute_share(pid);
-}
-
-std::vector<SchedFactorEntry> CfsScheduler::factor_entries() const {
-  std::vector<SchedFactorEntry> entries;
-  entries.reserve(factor_.size());
-  factor_.for_each([&](ProcessId pid, const double& factor) {
-    entries.push_back({pid, factor});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const SchedFactorEntry& a, const SchedFactorEntry& b) {
-              return a.pid < b.pid;
-            });
-  return entries;
-}
-
-void CfsScheduler::restore_factor_entries(
-    std::span<const SchedFactorEntry> entries) {
-  factor_.clear();
-  factor_.reserve(entries.size());
-  for (const SchedFactorEntry& entry : entries) {
-    factor_.insert(entry.pid, entry.factor);
-  }
 }
 
 }  // namespace valkyrie::sim

@@ -19,6 +19,7 @@ template <typename F>
 void SimSystem::for_each_hot_array(F&& f) {
   f(slot_pid_);
   f(row_s_);
+  f(factor_s_);
   f(rng_s_);
   f(cgroup_s_);
   f(effective_s_);
@@ -32,7 +33,14 @@ void SimSystem::for_each_hot_array(F&& f) {
 }
 
 SimSystem::SimSystem(const PlatformProfile& platform, std::uint64_t seed)
-    : platform_(platform), rng_(seed), scheduler_(platform.scheduler) {}
+    : platform_(platform), rng_(seed) {
+  // A zero floor would stall a process entirely — the paper's s_MIN is
+  // strictly positive.
+  if (platform_.scheduler.min_share_fraction <= 0.0) {
+    throw std::invalid_argument(
+        "SimSystem: scheduler min_share_fraction must be positive");
+  }
+}
 
 ProcessId SimSystem::spawn(std::unique_ptr<Workload> workload) {
   if (workload == nullptr) {
@@ -54,11 +62,6 @@ ProcessId SimSystem::spawn(std::unique_ptr<Workload> workload) {
     history_pool_.pop_back();
   }
 
-  // The scheduler weight registers at spawn either way: totals are
-  // live-list sums, so a pending pid's factor competes for nothing until
-  // its admission commits — but weight state configured while pending
-  // (apply_sched_threat_delta) survives the boundary like cgroup caps do.
-  scheduler_.add_process(pid);
   if (epoch_open_) {
     // The hot arrays are frozen under the running dispatch: queue the
     // admission; it commits at the epoch boundary, in spawn order.
@@ -90,11 +93,13 @@ void SimSystem::admit_slot(ProcessId pid) {
   slot_pid_.push_back(pid);
   row_s_.push_back(rec.row);
   rng_s_.push_back(rng_.fork());
-  // Seeded from the retired snapshot, not default-constructed: caps set
-  // while the admission was pending were routed there, and must apply
-  // from the process's first epoch. A fresh pid's snapshot is all
-  // defaults, so the common path is unchanged.
-  cgroup_s_.push_back(cold_[rec.row].retired.cgroup);
+  // Seeded from the retired snapshot, not default-constructed: caps and
+  // weights set while the admission was pending were routed there, and
+  // must apply from the process's first epoch. A fresh pid's snapshot is
+  // all defaults, so the common path is unchanged.
+  const RetiredState& seed = cold_[rec.row].retired;
+  factor_s_.push_back(seed.factor);
+  cgroup_s_.push_back(seed.cgroup);
   effective_s_.emplace_back();
   last_sample_s_.emplace_back();
   accum_s_.emplace_back();
@@ -124,12 +129,9 @@ void SimSystem::reserve(std::size_t max_processes) {
   // steady-state churn run would reallocate once.
   retire_queue_.reserve(2 * max_processes + kRetireCompactMin);
   for_each_hot_array([max_processes](auto& v) { v.reserve(max_processes); });
-  factor_s_.reserve(max_processes);
   pending_admit_.reserve(max_processes);
   pending_kill_.reserve(max_processes);
-  lifecycle_scratch_.reserve(max_processes);
   history_pool_.reserve(max_processes);
-  scheduler_.reserve(max_processes);
   if (max_processes > reserved_capacity_) {
     reserved_capacity_ = max_processes;
     if (plane_enabled_) {
@@ -258,17 +260,11 @@ void SimSystem::begin_epoch() {
   // Slots killed since the last epoch retire now, in one pass — a
   // step_slot on a stale slot would re-execute a dead process.
   if (retire_pending_) retire_dead_slots();
-  // Serial global phase: ONE batched prefetching gather of the live list's
-  // raw factors into the slot-indexed cache, then a slot-order sum. Every
-  // per-slot share below is then a pure function of factor_s_[slot] — the
-  // epoch loop never probes the hash table. The sum visits the same
-  // factors in the same (ascending-pid) order as the dense era's live-list
-  // pass, so the total is bit-identical.
-  const std::size_t live = slot_pid_.size();
-  factor_s_.resize(live);
-  scheduler_.gather_factors(slot_pid_, factor_s_);
-  double total = scheduler_.config().background_weight_units;
-  for (const double factor : factor_s_) total += std::max(factor, 0.0);
+  // Serial global phase: the CFS total, the background weight plus every
+  // live factor in slot (= ascending-pid) order, so each per-slot share
+  // below is a pure function of factor_s_[slot] and this one sum.
+  double total = platform_.scheduler.background_weight_units;
+  for (const double factor : factor_s_) total += factor;
   epoch_total_weight_ = total;
   epoch_any_exited_.store(false, std::memory_order_relaxed);
   epoch_open_ = true;
@@ -280,13 +276,10 @@ bool SimSystem::step_slot(std::size_t slot) {
   }
   // Effective CPU share: the scheduler's (possibly demoted) share capped
   // by any cgroup CPU quota. Other resources come from cgroup caps alone.
-  // The share comes from the factor cache begin_epoch gathered — same bits
-  // as normalized_share(pid, total), no hash probe on the hot path.
   const ResourceShares& cg = cgroup_s_[slot];
   ResourceShares eff;
-  eff.cpu = std::min(
-      CfsScheduler::share_from_factor(factor_s_[slot], epoch_total_weight_),
-      cg.cpu);
+  eff.cpu = std::min(share_from_factor(factor_s_[slot], epoch_total_weight_),
+                     cg.cpu);
   eff.mem = cg.mem;
   eff.net = cg.net;
   eff.fs = cg.fs;
@@ -657,7 +650,6 @@ void SimSystem::drain_retired() {
     const PidRec rec = pid_map_.at(entry.pid);
     release_row(rec.row);
     pid_map_.erase(entry.pid);
-    scheduler_.forget_process(entry.pid);
   }
   if (retire_head_ == retire_queue_.size()) {
     retire_queue_.clear();
@@ -675,7 +667,6 @@ void SimSystem::drain_retired() {
 
 void SimSystem::retire_dead_slots() {
   retire_pending_ = false;
-  lifecycle_scratch_.clear();
   const std::size_t n = slot_pid_.size();
   const auto dead = [this](std::size_t s) {
     return exit_s_[s] != ExitReason::kRunning;
@@ -707,6 +698,10 @@ void SimSystem::retire_dead_slots() {
       PidRec& rec = pid_map_.at(pid);
       ColdProc& cold = cold_[rec.row];
       RetiredState& retired = cold.retired;
+      // The final weight stays readable, and leaves the CFS total with
+      // the slot: a dead process stops competing for CPU from the next
+      // epoch on.
+      retired.factor = factor_s_[s];
       retired.cgroup = cgroup_s_[s];
       retired.effective = effective_s_[s];
       retired.last_sample = last_sample_s_[s];
@@ -715,7 +710,6 @@ void SimSystem::retire_dead_slots() {
       retired.epochs_run = epochs_run_s_[s];
       retired.exit = exit_s_[s];
       rec.slot = kNoSlot;
-      lifecycle_scratch_.push_back(pid);
       if (recycle_histories_) reclaim_cold(cold);
       // Retention: schedule the full reclaim for when the window closes.
       // epoch_ is monotone, so queue epochs are non-decreasing (FIFO drain
@@ -723,10 +717,6 @@ void SimSystem::retire_dead_slots() {
       if (retention_enabled_) retire_queue_.push_back({pid, epoch_});
     }
   }
-  // One batch call takes the retired pids' weights out of the CFS pool —
-  // a dead process must stop competing for CPU from the next epoch on.
-  scheduler_.remove_processes(lifecycle_scratch_);
-  lifecycle_scratch_.clear();
   // Shrinking never releases capacity, so later spawns reuse it.
   for_each_hot_array([w](auto& v) { v.resize(w); });
   if (plane_enabled_) plane_count_.resize(w);
@@ -752,14 +742,34 @@ void SimSystem::clear_cgroup_caps(ProcessId pid) {
                          : cold_[rec.row].retired.cgroup) = ResourceShares{};
 }
 
+double* SimSystem::mutable_factor(ProcessId pid) {
+  const PidRec rec = rec_checked(pid);
+  if (is_hot_slot(rec.slot)) return &factor_s_[rec.slot];
+  // A retired weight is final: a late command must not resurrect it.
+  if (rec.slot == kNoSlot) return nullptr;
+  return &cold_[rec.row].retired.factor;
+}
+
 void SimSystem::apply_sched_threat_delta(ProcessId pid, double delta_threat) {
-  (void)rec_checked(pid);  // validate pid
-  scheduler_.apply_threat_delta(pid, delta_threat);
+  // A NaN would pass Eq. 8's clamp, and the NaN total would zero every
+  // live process's share.
+  if (std::isnan(delta_threat)) {
+    throw std::invalid_argument(
+        "SimSystem::apply_sched_threat_delta: NaN threat delta");
+  }
+  if (double* factor = mutable_factor(pid)) {
+    *factor = threat_step_factor(*factor, delta_threat, platform_.scheduler);
+  }
 }
 
 void SimSystem::reset_sched_weight(ProcessId pid) {
-  (void)rec_checked(pid);  // validate pid
-  scheduler_.reset_weight(pid);
+  if (double* factor = mutable_factor(pid)) *factor = 1.0;
+}
+
+double SimSystem::weight_factor(ProcessId pid) const {
+  const PidRec rec = rec_checked(pid);
+  return is_hot_slot(rec.slot) ? factor_s_[rec.slot]
+                               : cold_[rec.row].retired.factor;
 }
 
 void SimSystem::kill(ProcessId pid) {
@@ -767,12 +777,11 @@ void SimSystem::kill(ProcessId pid) {
   const std::uint32_t slot = rec.slot;
   if (slot == kPendingSlot) {
     // Killed before its admission committed: cancel the admission. The
-    // process never runs; it exits straight into the retired state, and
-    // its spawn-registered scheduler weight parks like any retirement's.
+    // process never runs; it exits straight into the retired state, whose
+    // snapshot already holds any caps and weight set while it was pending.
     ColdProc& cold = cold_[rec.row];
     pid_map_.at(pid).slot = kNoSlot;
     cold.retired.exit = ExitReason::kKilled;
-    scheduler_.remove_process(pid);
     if (recycle_histories_) reclaim_cold(cold);
     // Cancelled admissions retire here, not in a compaction pass, so this
     // is their entry into the retention queue.
@@ -935,7 +944,7 @@ void SimSystem::snapshot_state(snapshot::SystemImage& image,
 
   image.epoch_ms = platform_.epoch_ms;
   image.hpc_noise = platform_.hpc_noise;
-  image.scheduler = scheduler_.config();
+  image.scheduler = platform_.scheduler;
   image.rng = rng_.state();
   image.epoch = epoch_;
   image.retire_pending = retire_pending_;
@@ -951,20 +960,14 @@ void SimSystem::snapshot_state(snapshot::SystemImage& image,
                                             retire_queue_[i].epoch};
   }
 
-  // Weights and cold rows are created and reclaimed together, so the
-  // scheduler's entries are keyed by exactly the tracked pids.
+  // Slots [0, live), then rows: each item overwrites its own element. A
+  // row's weight entry is filled with the row: its slot's factor, or the
+  // retired factor negated.
   const std::size_t tracked = pids.size();
-  std::vector<double> factors(tracked);
-  scheduler_.gather_factors(pids, factors);
-  image.sched_entries.resize(tracked);
-  for (std::size_t i = 0; i < tracked; ++i) {
-    image.sched_entries[i] = {pids[i], factors[i]};
-  }
-
-  // Slots [0, live), then rows: each item overwrites its own element.
   const std::size_t live = slot_pid_.size();
   image.slots.resize(live);
   image.procs.resize(tracked);
+  image.sched_entries.resize(tracked);
   const auto fill = [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < std::min(end, live); ++s) {
       snapshot::SlotImage& slot = image.slots[s];
@@ -995,6 +998,9 @@ void SimSystem::snapshot_state(snapshot::SystemImage& image,
       proc.slot = s < live && slot_pid_[s] == pids[i]
                       ? static_cast<std::uint32_t>(s)
                       : kNoSlot;
+      image.sched_entries[i] = {pids[i], proc.slot != kNoSlot
+                                             ? factor_s_[s]
+                                             : -cold.retired.factor};
       if (cold.workload != nullptr) {
         snapshot::poly_image(*cold.workload, proc.workload);
       } else {
@@ -1034,7 +1040,7 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
 
   // Compatibility: the platform/scheduler configuration is code-level (set
   // at construction); the image only records its numbers for this check.
-  const SchedulerConfig& sc = scheduler_.config();
+  const SchedulerConfig& sc = platform_.scheduler;
   const SchedulerConfig& ic = image.scheduler;
   if (platform_.epoch_ms != image.epoch_ms ||
       platform_.hpc_noise != image.hpc_noise ||
@@ -1073,12 +1079,14 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
   }
   for (std::size_t i = 0; i < procs; ++i) {
     const sim::SchedFactorEntry& entry = image.sched_entries[i];
-    // Weights and rows are created/reclaimed together, so the keyed sets
-    // are element-wise equal; the sign must match liveness (hot slots —
-    // compacted or not — are runnable, retired rows are parked).
-    const bool hot = is_hot_slot(image.procs[i].slot);
-    if (entry.pid != image.procs[i].pid || entry.factor == 0.0 ||
-        (entry.factor > 0.0) != hot) {
+    // One weight per row, keyed alike; the sign must match liveness (hot
+    // slots — compacted or not — are live, retired rows negated), and the
+    // magnitude must lie where Eq. 8, reset and the default weight keep
+    // every factor, [min_share_fraction, 1]. A NaN fails both compares.
+    const double magnitude =
+        is_hot_slot(image.procs[i].slot) ? entry.factor : -entry.factor;
+    if (entry.pid != image.procs[i].pid ||
+        !(magnitude >= sc.min_share_fraction && magnitude <= 1.0)) {
       throw SerialError(SerialError::Code::kMalformed,
                         "restore: scheduler entry inconsistent with its row");
     }
@@ -1215,6 +1223,11 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
     // Image histories are linearized oldest-first, so a full ring resumes
     // with head 0 = its oldest sample (exactly where the overwrite goes).
     cold.head = 0;
+    // A live row's weight sits in its slot (set below); a retired row's
+    // is stored negated.
+    if (!is_hot_slot(proc.slot)) {
+      cold.retired.factor = -image.sched_entries[i].factor;
+    }
     cold.retired.cgroup = proc.retired_cgroup;
     cold.retired.effective = proc.retired_effective;
     cold.retired.last_sample = proc.retired_last_sample;
@@ -1228,11 +1241,11 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
 
   const std::size_t live = image.slots.size();
   for_each_hot_array([live](auto& v) { v.resize(live); });
-  factor_s_.assign(live, 0.0);
   for (std::size_t s = 0; s < live; ++s) {
     const snapshot::SlotImage& slot = image.slots[s];
     slot_pid_[s] = slot.pid;
     row_s_[s] = pid_map_.at(slot.pid).row;
+    factor_s_[s] = image.sched_entries[row_s_[s]].factor;
     rng_s_[s].set_state(slot.rng);
     rng_s_[s].set_counter_mode(counter_rng_);
     cgroup_s_[s] = slot.cgroup;
@@ -1245,8 +1258,6 @@ void SimSystem::restore_from(const snapshot::SystemImage& image,
     invalid_streak_s_[s] = slot.invalid_streak;
     feature_streak_s_[s] = slot.feature_streak;
   }
-
-  scheduler_.restore_factor_entries(image.sched_entries);
 
   // The feature-plane arming flags are run config, not snapshot state
   // (the image carries none): the target keeps whatever sections its own

@@ -1,29 +1,30 @@
 // The epoch-driven system simulator: owns processes (each wrapping a
-// Workload), a CFS-style scheduler, and cgroup-style resource caps. Each
-// call to run_epoch() advances simulated wall-clock time by one measurement
-// epoch, computes every process's effective resource shares, executes the
-// workloads and records their HPC samples.
+// Workload), their CFS-style scheduler weights, and cgroup-style resource
+// caps. Each call to run_epoch() advances simulated wall-clock time by one
+// measurement epoch, computes every process's effective resource shares,
+// executes the workloads and records their HPC samples.
 //
 // Per-process hot state lives in a structure-of-arrays core: dense parallel
-// arrays indexed by *live slot* (rng, cgroup caps, effective shares, last
-// sample, window accumulator, last progress, epoch count, exit flag), kept
-// compact by a stable compaction pass whenever a process exits. Cold state
-// (the workload object, the retained window of raw samples, and a snapshot
-// of the hot fields taken when the process retires) sits in separate pooled
-// rows so it never pollutes the hot stride. How many raw samples a row
+// arrays indexed by *live slot* (CFS weight factor, rng, cgroup caps,
+// effective shares, last sample, window accumulator, last progress, epoch
+// count, exit flag), kept compact by a stable compaction pass whenever a
+// process exits. Cold state (the workload object, the retained window of
+// raw samples, and a snapshot of the hot fields taken when the process
+// retires) sits in separate pooled rows so it never pollutes the hot
+// stride. How many raw samples a row
 // retains is one number, the history window (set_history_window): every
 // sample for a bare system, and exactly what its detectors read once a
 // ValkyrieEngine drives it — none at all for vote and summary detectors.
-// A robin-hood pid map (util::PidMap<PidRec>: pid -> {slot, cold row})
-// makes every pid-addressed accessor O(1) while the epoch loop walks slots
-// 0..live-1 with unit stride — and, unlike the dense pid-indexed remap it
-// replaces, its memory is O(tracked processes), not O(every pid ever
-// spawned): under churn with the retention policy armed
+// A robin-hood pid map (util::PidMap<PidRec>: pid -> {slot, cold row}), the
+// one pid-keyed table, makes every pid-addressed accessor O(1) while the
+// epoch loop walks slots 0..live-1 with unit stride — and, unlike the dense
+// pid-indexed remap it replaces, its memory is O(tracked processes), not
+// O(every pid ever spawned): under churn with the retention policy armed
 // (enable_retirement_retention) a 10M-spawn run holding thousands live
 // keeps a thousands-sized table forever.
 //
 // An epoch splits into a serial global phase (begin_epoch: one CFS
-// total-weight pass over the live list, so each share lookup is O(1)), a
+// total-weight sum over the live slots, so each share is O(1)), a
 // per-slot phase (step_slot: workload execution, HPC capture,
 // window-statistics fold) that is embarrassingly parallel for distinct
 // slots, and a serial close (end_epoch: epoch count + boundary commit of
@@ -91,10 +92,10 @@ class SimSystem {
   /// Between epochs the admission is immediate (the process is live right
   /// away and first runs in the next epoch). While an epoch is open the
   /// admission is DEFERRED: the pid is assigned and the cold row created
-  /// now, but the hot-array slot, scheduler weight and liveness commit at
-  /// the epoch boundary (end_epoch/abort_epoch), in spawn order, after
-  /// retirement compaction — so slot order stays ascending-pid and the
-  /// open epoch's frozen slot layout is never disturbed. Either way the
+  /// now, but the hot-array slot and liveness commit at the epoch boundary
+  /// (end_epoch/abort_epoch), in spawn order, after retirement compaction
+  /// — so slot order stays ascending-pid and the open epoch's frozen slot
+  /// layout is never disturbed. Either way the
   /// process first executes in the epoch after the one it was admitted
   /// into (Eq. 3 next-epoch timing). Not thread-safe: call from the serial
   /// phases only, never from inside a shard. Throws std::length_error once
@@ -102,8 +103,8 @@ class SimSystem {
   ProcessId spawn(std::unique_ptr<Workload> workload);
 
   /// Pre-grows every per-process table — the SoA hot arrays, the cold-row
-  /// pool, the pid map, the scheduler's weight table, the lifecycle queues,
-  /// the retirement pool and (when enabled) the feature plane — for up to
+  /// pool, the pid map, the lifecycle queues, the retirement pool and
+  /// (when enabled) the feature plane — for up to
   /// `max_processes` processes TRACKED SIMULTANEOUSLY (live + retired rows
   /// not yet reclaimed). Without the retention policy every process ever
   /// spawned stays tracked, so this is the lifetime total, as before; with
@@ -128,11 +129,10 @@ class SimSystem {
   void enable_history_recycling() { recycle_histories_ = true; }
 
   /// Arms TRUE cold-row reclamation: a retired process stays observable
-  /// (exit reason, last sample, window statistics, parked scheduler
+  /// (exit reason, last sample, window statistics, final scheduler
   /// weight — the full retired-observability contract) for `window_epochs`
-  /// epochs after its retirement, then its pid map entry, cold row and
-  /// scheduler entry are reclaimed entirely — after that every
-  /// pid-addressed accessor (and CfsScheduler::weight_factor) throws
+  /// epochs after its retirement, then its pid map entry and cold row are
+  /// reclaimed entirely — after that every pid-addressed accessor throws
   /// std::out_of_range for the pid, exactly as for a pid never spawned.
   /// This is what bounds a churning run's memory by its PEAK population
   /// instead of its total spawn count (the 10M-process flat-RSS regime);
@@ -187,7 +187,7 @@ class SimSystem {
   // re-execute completed workloads or lose an admission) but the epoch
   // does not count.
 
-  /// Serial epoch-open phase: snapshots the CFS total weight and arms the
+  /// Serial epoch-open phase: sums the CFS total weight and arms the
   /// per-slot phase. Throws std::logic_error if an epoch is already open.
   void begin_epoch();
 
@@ -202,9 +202,9 @@ class SimSystem {
   /// boundary order: (1) deferred kills mark their slots (a natural
   /// completion in the same epoch wins — the process finished before the
   /// kill could land), (2) one stable compaction pass retires every
-  /// finished/killed slot and batch-removes the retired pids from the
-  /// scheduler, (3) deferred admissions append in spawn order — new pids
-  /// are maximal, so slot order stays ascending-pid.
+  /// finished/killed slot, taking its weight out of the CFS total, (3)
+  /// deferred admissions append in spawn order — new pids are maximal, so
+  /// slot order stays ascending-pid.
   void end_epoch();
 
   /// Epoch-close for an aborted dispatch (a workload threw): commits the
@@ -373,10 +373,13 @@ class SimSystem {
   /// Removes all cgroup caps for the process.
   void clear_cgroup_caps(ProcessId pid);
 
-  /// CFS-weight demotion/promotion for a threat-index change (Eq. 8).
+  /// CFS-weight demotion/promotion for a threat-index change (Eq. 8). A
+  /// no-op for a retired process: a late command must not resurrect its
+  /// weight. Throws std::invalid_argument on a NaN delta, so every factor
+  /// stays in [min_share_fraction, 1].
   void apply_sched_threat_delta(ProcessId pid, double delta_threat);
 
-  /// Restores the default scheduler weight.
+  /// Restores the default scheduler weight; a no-op for a retired process.
   void reset_sched_weight(ProcessId pid);
 
   /// Kills the process (termination response). Between epochs the slot is
@@ -424,7 +427,6 @@ class SimSystem {
   [[nodiscard]] const PlatformProfile& platform() const noexcept {
     return platform_;
   }
-  [[nodiscard]] CfsScheduler& scheduler() noexcept { return scheduler_; }
 
   /// False for retired processes AND for processes whose mid-epoch
   /// admission has not committed yet (they become live at the boundary).
@@ -440,6 +442,11 @@ class SimSystem {
 
   /// Current cgroup caps for the process (defaults are all 1.0).
   [[nodiscard]] const ResourceShares& cgroup_caps(ProcessId pid) const;
+
+  /// CFS weight factor relative to the default weight, in
+  /// [min_share_fraction, 1]: 1 = untouched, lower = demoted by the
+  /// actuator. A retired process answers with the last factor it held.
+  [[nodiscard]] double weight_factor(ProcessId pid) const;
 
   /// Most recent HPC sample (empty sample before the first epoch).
   [[nodiscard]] const hpc::HpcSample& last_sample(ProcessId pid) const;
@@ -483,8 +490,8 @@ class SimSystem {
   /// tables and payloads: the SoA hot arrays exactly as they stand
   /// (including slots marked dead but not yet compacted), the tracked cold
   /// rows keyed by pid (sparse — reclaimed pids simply have no row) with
-  /// workloads serialized through their snapshot hooks, the master RNG,
-  /// the scheduler's keyed factor entries, and the retention state.
+  /// workloads serialized through their snapshot hooks and one weight
+  /// entry each, the master RNG, and the retention state.
   /// Everything keyed is emitted in ascending-pid order, so capture bytes
   /// are independent of hash-table layout: the cold rows are walked in row
   /// order, which is pid order unless retention handed a reclaimed row to
@@ -511,7 +518,8 @@ class SimSystem {
   /// std::logic_error if an epoch is open (the same guard family as
   /// reserve/spawn-while-open), SerialError(kIncompatible) when the
   /// image's platform/scheduler numeric configuration does not match this
-  /// system's, and SerialError(kMalformed) on structural violations — all
+  /// system's, and SerialError(kMalformed) on structural violations (a
+  /// weight factor outside [min_share_fraction, 1] among them) — all
   /// before any state is mutated, so a failed restore leaves the target
   /// untouched.
   void restore_from(const snapshot::SystemImage& image,
@@ -538,8 +546,11 @@ class SimSystem {
   };
 
   /// Snapshot of the hot fields a process died with, so pid-addressed
-  /// observers keep working after the slot is recycled.
+  /// observers keep working after the slot is recycled. Before admission
+  /// it holds the weight and caps set while pending, which admit_slot
+  /// seeds the slot from.
   struct RetiredState {
+    double factor = 1.0;
     ResourceShares cgroup{};
     ResourceShares effective{};
     hpc::HpcSample last_sample{};
@@ -587,12 +598,12 @@ class SimSystem {
 
   /// Retention-window reclamation (boundary-serial, end of every lifecycle
   /// commit): pops expired entries off the retirement FIFO and reclaims
-  /// their pid map entries, cold rows and scheduler weights.
+  /// their pid map entries and cold rows.
   void drain_retired();
 
   /// Appends the hot-array slot for an already-created cold row: forks the
-  /// master RNG, hot fields (cgroup caps seeded from the retired snapshot,
-  /// where pending-state mutators land), plane side arrays. The
+  /// master RNG, hot fields (weight and cgroup caps seeded from the retired
+  /// snapshot, where pending-state mutators land), plane side arrays. The
   /// immediate-spawn path and the boundary admission commit share it, so
   /// the two cannot drift.
   void admit_slot(ProcessId pid);
@@ -607,19 +618,19 @@ class SimSystem {
   void reclaim_cold(ColdProc& cold);
 
   /// Stable compaction: retires every slot whose exit flag is set,
-  /// snapshotting the dead processes' hot fields into their cold entries,
-  /// batch-removing the retired pids from the scheduler, and (when
-  /// recycling is armed) returning their history buffers to the retirement
-  /// pool. Survivors after the first dead slot shift down a maximal run at
-  /// a time, one memmove per hot array (ascending pid order preserved), and
-  /// only the moved slots' pid map entries are rewritten. The feature
-  /// plane is scratch and stays behind; only its count row is resized.
+  /// snapshotting the dead processes' hot fields (weight included) into
+  /// their cold entries, and (when recycling is armed) returning their
+  /// history buffers to the retirement pool. Survivors after the first
+  /// dead slot shift down a maximal run at a time, one memmove per hot
+  /// array (ascending pid order preserved), and only the moved slots' pid
+  /// map entries are rewritten. The feature plane is scratch and stays
+  /// behind; only its count row is resized.
   void retire_dead_slots();
 
   /// Visits the slot-indexed hot arrays as f(std::vector<T>&) — the one
   /// list reserve(), the compaction's moves and resize, and restore_from's
   /// resize share, so an array added later cannot be missed by one of
-  /// them. factor_s_ and the plane are per-epoch scratch, not on it.
+  /// them. The plane is per-epoch scratch, not on it.
   template <typename F>
   void for_each_hot_array(F&& f);
 
@@ -644,6 +655,11 @@ class SimSystem {
                      std::span<const hpc::HpcSample>& older,
                      std::span<const hpc::HpcSample>& wrap) const;
 
+  /// The weight factor the scheduler mutators change: the live slot's, or
+  /// a pending admission's in its retired snapshot; nullptr for a retired
+  /// process. Throws std::out_of_range on an unknown pid.
+  [[nodiscard]] double* mutable_factor(ProcessId pid);
+
   /// Applies the armed fault plane's scheduled sensor fault for
   /// (current epoch, slot's pid) to `sample` in place, then validates the
   /// result. Returns true when the whole sample must be quarantined
@@ -660,16 +676,12 @@ class SimSystem {
 
   PlatformProfile platform_;
   util::Rng rng_;
-  CfsScheduler scheduler_;
   std::uint64_t epoch_ = 0;
 
   // --- SoA hot core: parallel arrays indexed by live slot ------------------
   std::vector<ProcessId> slot_pid_;   // slot -> pid; doubles as the live list
   std::vector<std::uint32_t> row_s_;  // slot -> cold row (hash-free hot path)
-  // Raw signed CFS factors for the live slots, batch-gathered once per
-  // epoch in begin_epoch (one prefetching pass over the pid map) so
-  // step_slot's share math never probes the hash table.
-  std::vector<double> factor_s_;
+  std::vector<double> factor_s_;      // CFS weight factor (see weight_factor)
   std::vector<util::Rng> rng_s_;
   std::vector<ResourceShares> cgroup_s_;
   std::vector<ResourceShares> effective_s_;
@@ -731,9 +743,6 @@ class SimSystem {
   std::vector<ProcessId> pending_admit_;
   // Live pids killed while the epoch was open; marked at the boundary.
   std::vector<ProcessId> pending_kill_;
-  // Scratch for one compaction pass's retired pids (batch scheduler
-  // removal without reallocating).
-  std::vector<ProcessId> lifecycle_scratch_;
   // Retirement pool: history buffers donated by retired processes, handed
   // (capacity intact) to the next admissions. Only fed while
   // recycle_histories_ is set.

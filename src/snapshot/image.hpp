@@ -130,10 +130,10 @@ struct SystemImage {
   /// Cold rows for exactly the tracked pids, ascending-pid (v5: sparse
   /// keyed form; see ProcImage::pid).
   std::vector<ProcImage> procs;
-  /// The scheduler's factor table as keyed entries, ascending-pid (v5):
-  /// positive = runnable, negative = parked (retired) weight; zero never
-  /// appears. Tracks procs exactly — weights and cold rows are created and
-  /// reclaimed together, so entry i's pid equals procs[i].pid.
+  /// One CFS weight factor per cold row, keyed alike (v5), so entry i's
+  /// pid equals procs[i].pid: a live process's factor, or a retired
+  /// process's final factor negated. Its magnitude lies in
+  /// [min_share_fraction, 1], which restore checks.
   std::vector<sim::SchedFactorEntry> sched_entries;
 };
 

@@ -1,7 +1,7 @@
 // Open-addressing robin-hood hash map specialised for dense-ish u32 pid
 // keys and small trivially-copyable payloads — the shared core behind every
 // pid-keyed table in the stack (SimSystem's pid remap + cold-row index, the
-// CFS factor table, the engine's attachment index).
+// engine's attachment index).
 //
 // Why not the dense pid-indexed vectors these tables grew up as? Those are
 // O(total-pids-ever): a churning deployment that spawns millions of
@@ -22,21 +22,13 @@
 // Determinism contract (load-bearing for the repo's bit-replay guarantees):
 // every mutation is a deterministic function of the operation sequence, so
 // two runs issuing identical operations hold bit-identical tables. Bucket
-// ITERATION order additionally depends on capacity history — callers that
-// feed iteration into anything bit-compared (snapshots, float sums) must
-// canonicalize (sort by key) first; for_each() documents this.
-//
-// find_many() is the batched lookup path: it walks the key span with a
-// software-prefetch lookahead so the dependent loads of N probes overlap,
-// instead of paying one full cache-miss latency per key. The per-epoch
-// factor gather over the live list uses it; at a few thousand live keys it
-// reclaims most of the gap to the dense-vector read the tables used to be.
+// layout additionally depends on capacity history, so the map offers no
+// iteration: a caller that needs its keys in order keeps them itself.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -143,43 +135,6 @@ class PidMap {
     dist_[hole] = 0;
     --size_;
     return true;
-  }
-
-  /// Batched lookup: emit(index-in-span, pointer-or-null) for every key, in
-  /// span order. A software-prefetch lookahead overlaps the probe loads of
-  /// `kLookahead` keys, so a cold gather pays ~one memory latency per
-  /// cache-line batch instead of one per key. Bit-equivalent to calling
-  /// find() per key in order (the tests pin this).
-  template <typename F>
-  void find_many(std::span<const Key> keys, F&& emit) const {
-    constexpr std::size_t kLookahead = 8;
-    const std::size_t n = keys.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kLookahead < n && !dist_.empty()) {
-        const std::size_t b = bucket_of(keys[i + kLookahead]);
-        __builtin_prefetch(&dist_[b]);
-        __builtin_prefetch(&keys_[b]);
-        __builtin_prefetch(&vals_[b]);
-      }
-      emit(i, find(keys[i]));
-    }
-  }
-
-  /// Visits every entry as fn(key, value&), in BUCKET order — which depends
-  /// on the table's capacity history. Callers feeding anything
-  /// bit-compared (snapshot bytes, float accumulations) must gather and
-  /// sort by key instead of relying on this order.
-  template <typename F>
-  void for_each(F&& fn) const {
-    for (std::size_t i = 0; i < dist_.size(); ++i) {
-      if (dist_[i] != 0) fn(keys_[i], vals_[i]);
-    }
-  }
-  template <typename F>
-  void for_each(F&& fn) {
-    for (std::size_t i = 0; i < dist_.size(); ++i) {
-      if (dist_[i] != 0) fn(keys_[i], vals_[i]);
-    }
   }
 
   /// Longest probe distance currently in the table (diagnostics; the

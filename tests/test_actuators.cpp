@@ -34,18 +34,18 @@ TEST(SchedulerActuator, AppliesEq8ViaScheduler) {
   Fixture f;
   SchedulerWeightActuator act;
   act.apply(f.sys, f.pid, 2.0);
-  EXPECT_NEAR(f.sys.scheduler().weight_factor(f.pid), 0.8, 1e-12);
+  EXPECT_NEAR(f.sys.weight_factor(f.pid), 0.8, 1e-12);
   act.apply(f.sys, f.pid, -1.0);
-  EXPECT_NEAR(f.sys.scheduler().weight_factor(f.pid), 0.88, 1e-12);
+  EXPECT_NEAR(f.sys.weight_factor(f.pid), 0.88, 1e-12);
   act.reset(f.sys, f.pid);
-  EXPECT_DOUBLE_EQ(f.sys.scheduler().weight_factor(f.pid), 1.0);
+  EXPECT_DOUBLE_EQ(f.sys.weight_factor(f.pid), 1.0);
 }
 
 TEST(SchedulerActuator, ZeroDeltaIsNoOp) {
   Fixture f;
   SchedulerWeightActuator act;
   act.apply(f.sys, f.pid, 0.0);
-  EXPECT_DOUBLE_EQ(f.sys.scheduler().weight_factor(f.pid), 1.0);
+  EXPECT_DOUBLE_EQ(f.sys.weight_factor(f.pid), 1.0);
 }
 
 TEST(CgroupCpuActuator, PercentagePointStepsWithFloor) {

@@ -183,11 +183,10 @@ RunResult drive_churn(sim::SimSystem& sys, Driver& engine) {
     r.epochs_run.push_back(sys.epochs_run(pid));
     r.progress.push_back(sys.workload(pid).total_progress());
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
-    r.sched_factors.push_back(sys.scheduler().has_process(pid) ||
-                                      sys.exit_reason(pid) !=
-                                          sim::ExitReason::kRunning
-                                  ? sys.scheduler().weight_factor(pid)
-                                  : -1.0);
+    r.sched_factors.push_back(
+        sys.is_live(pid) || sys.exit_reason(pid) != sim::ExitReason::kRunning
+            ? sys.weight_factor(pid)
+            : -1.0);
     r.telemetry.push_back(reference::telemetry(sys, pid));
     if (engine.is_attached(pid)) {
       r.threats.push_back(engine.monitor(pid).threat());

@@ -202,7 +202,7 @@ RunResult drive(sim::SimSystem& sys, Driver& driver) {
     r.measurements.push_back(driver.monitor(pid).measurements());
     r.exits.push_back(sys.exit_reason(pid));
     r.progress.push_back(sys.workload(pid).total_progress());
-    r.sched_factors.push_back(sys.scheduler().weight_factor(pid));
+    r.sched_factors.push_back(sys.weight_factor(pid));
     r.cpu_caps.push_back(sys.cgroup_caps(pid).cpu);
     r.telemetry.push_back(reference::telemetry(sys, pid));
   }

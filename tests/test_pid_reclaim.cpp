@@ -1,12 +1,12 @@
 // The true cold-row reclamation contract (enable_retirement_retention):
 //
 //  - a retired pid stays fully observable — exit reason, last sample,
-//    parked scheduler weight — for the retention window, then EVERY
+//    final scheduler weight — for the retention window, then EVERY
 //    pid-addressed accessor throws out_of_range, exactly as for a pid
 //    never spawned;
-//  - under churn, every per-process table (pid map, cold rows, scheduler
-//    factor table) is bounded by PEAK tracked population, never by total
-//    spawns — proven here with a >=1M-spawn soak holding ~1.5k live;
+//  - under churn, every per-process table (pid map, cold rows) is bounded
+//    by PEAK tracked population, never by total spawns — proven here with
+//    a >=1M-spawn soak holding ~1.5k live;
 //  - a mid-churn snapshot of a reclaiming system (sparse pid space) round
 //    trips byte-identically through format v5, and the restored world
 //    reclaims the same pids at the same boundaries as the original;
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 #include "sim/workload.hpp"
 #include "snapshot/image.hpp"
@@ -75,7 +74,7 @@ TEST(PidReclaim, WindowValidation) {
   EXPECT_TRUE(sys.retirement_retention_enabled());
 }
 
-TEST(PidReclaim, ParkedWeightAnswersInsideWindowThenReclaims) {
+TEST(PidReclaim, RetiredWeightAnswersInsideWindowThenReclaims) {
   constexpr std::uint64_t kWindow = 3;
   SimSystem sys;
   sys.enable_retirement_retention(kWindow);
@@ -83,49 +82,48 @@ TEST(PidReclaim, ParkedWeightAnswersInsideWindowThenReclaims) {
   sys.run_epochs(2);
 
   const ProcessId victim = 1;
-  const double live_factor = sys.scheduler().weight_factor(victim);
+  const double live_factor = sys.weight_factor(victim);
   ASSERT_GT(live_factor, 0.0);
   sys.kill(victim);
 
-  // Dead-marked but not yet retired: the parked weight still answers.
-  EXPECT_DOUBLE_EQ(sys.scheduler().weight_factor(victim), live_factor);
+  // Dead-marked but not yet retired: the weight still answers.
+  EXPECT_DOUBLE_EQ(sys.weight_factor(victim), live_factor);
   sys.run_epoch();  // retirement compaction happens here
 
   // Retired inside the window: the full retired-observability contract.
   EXPECT_FALSE(sys.is_live(victim));
   EXPECT_EQ(sys.exit_reason(victim), ExitReason::kKilled);
-  EXPECT_DOUBLE_EQ(sys.scheduler().weight_factor(victim), live_factor);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(victim), live_factor);
   EXPECT_EQ(sys.tracked_processes(), 4u);
 
   // The window elapses within a bounded number of further epochs, after
-  // which the pid answers like one never spawned — from the scheduler AND
-  // from every system accessor — and the tracked census drops.
+  // which the pid answers like one never spawned — from every system
+  // accessor, the weight among them — and the tracked census drops.
   std::uint64_t epochs_until_reclaim = 0;
-  while (sys.scheduler().table_size() == 4) {
+  while (sys.tracked_processes() == 4) {
     ASSERT_LE(++epochs_until_reclaim, kWindow + 2)
-        << "parked weight never reclaimed";
+        << "retired row never reclaimed";
     sys.run_epoch();
   }
-  EXPECT_THROW((void)sys.scheduler().weight_factor(victim), std::out_of_range);
+  EXPECT_THROW((void)sys.weight_factor(victim), std::out_of_range);
   EXPECT_THROW((void)sys.is_live(victim), std::out_of_range);
   EXPECT_THROW((void)sys.exit_reason(victim), std::out_of_range);
   EXPECT_THROW((void)sys.last_sample(victim), std::out_of_range);
   EXPECT_THROW((void)sys.epochs_run(victim), std::out_of_range);
   EXPECT_EQ(sys.tracked_processes(), 3u);
-  EXPECT_EQ(sys.scheduler().table_size(), 3u);
 
   // The survivors are untouched.
   for (const ProcessId pid : {ProcessId{0}, ProcessId{2}, ProcessId{3}}) {
     EXPECT_TRUE(sys.is_live(pid));
-    EXPECT_GT(sys.scheduler().weight_factor(pid), 0.0);
+    EXPECT_GT(sys.weight_factor(pid), 0.0);
   }
 }
 
-// The satellite regression for the scheduler's parked-weight leak: before
-// reclamation existed, every retired pid parked a factor entry forever, so
-// the factor table grew with TOTAL spawns. Under retention the table
-// capacity must stay pinned while thousands of pids march through.
-TEST(PidReclaim, SchedulerTableCapacityBoundedUnderChurn) {
+// A retired process's scheduler weight lives in its cold row, so under
+// retention the weights, like the rows, must follow the peak population
+// instead of TOTAL spawns: the row pool stays pinned while thousands of
+// pids march through.
+TEST(PidReclaim, RetiredWeightRowsBoundedUnderChurn) {
   SimSystem sys;
   sys.set_history_window(8);
   sys.enable_history_recycling();
@@ -143,15 +141,15 @@ TEST(PidReclaim, SchedulerTableCapacityBoundedUnderChurn) {
     fifo.push_back(spawn_endless(sys));
     sys.kill(fifo[head++]);
     sys.run_epoch();
-    if (round == 50) warm_capacity = sys.scheduler().table_capacity();
+    if (round == 50) warm_capacity = sys.cold_rows_allocated();
     if (round > 50) {
-      ASSERT_EQ(sys.scheduler().table_capacity(), warm_capacity)
-          << "factor table grew with total spawns at round " << round;
+      ASSERT_EQ(sys.cold_rows_allocated(), warm_capacity)
+          << "cold rows grew with total spawns at round " << round;
     }
   }
   EXPECT_GE(sys.total_spawned(), 400u);
-  // Inside-window parked pids plus live pids, nothing older.
-  EXPECT_LE(sys.scheduler().table_size(), kLive + 8);
+  // Inside-window retired pids plus live pids, nothing older.
+  EXPECT_LE(sys.tracked_processes(), kLive + 8);
 }
 
 // The headline soak: push >=1M distinct pids through a system holding
@@ -179,7 +177,6 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
 
   std::size_t warm_pid_capacity = 0;
   std::size_t warm_cold_rows = 0;
-  std::size_t warm_sched_capacity = 0;
   int round = 0;
   while (sys.total_spawned() < kTotal) {
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -192,13 +189,10 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
     if (round == 20) {
       warm_pid_capacity = sys.pid_table_capacity();
       warm_cold_rows = sys.cold_rows_allocated();
-      warm_sched_capacity = sys.scheduler().table_capacity();
     }
     if (round > 20 && round % 64 == 0) {
       ASSERT_EQ(sys.pid_table_capacity(), warm_pid_capacity) << round;
       ASSERT_EQ(sys.cold_rows_allocated(), warm_cold_rows) << round;
-      ASSERT_EQ(sys.scheduler().table_capacity(), warm_sched_capacity)
-          << round;
       ASSERT_LE(sys.tracked_processes(), kLive + kBatch * (kWindow + 2))
           << round;
     }
@@ -208,7 +202,6 @@ TEST(PidReclaim, ChurnSoakMillionPidsBoundedCapacity) {
   EXPECT_GE(sys.total_spawned(), kTotal);
   EXPECT_EQ(sys.pid_table_capacity(), warm_pid_capacity);
   EXPECT_EQ(sys.cold_rows_allocated(), warm_cold_rows);
-  EXPECT_EQ(sys.scheduler().table_capacity(), warm_sched_capacity);
   EXPECT_LE(sys.tracked_processes(), kLive + kBatch * (kWindow + 2));
 
   // Ancient pids are gone; the newest cohort is live and addressable.

@@ -101,12 +101,12 @@ TEST(Responses, PriorityReductionAppliesOnceAndSticks) {
   Fixture f;
   PriorityReductionResponse policy(10);
   policy.on_epoch(f.sys, f.pid, Inference::kMalicious);
-  const double demoted = f.sys.scheduler().weight_factor(f.pid);
+  const double demoted = f.sys.weight_factor(f.pid);
   EXPECT_LT(demoted, 1.0);
   // Further detections do not escalate; benign epochs do not restore.
   policy.on_epoch(f.sys, f.pid, Inference::kMalicious);
   policy.on_epoch(f.sys, f.pid, Inference::kBenign);
-  EXPECT_DOUBLE_EQ(f.sys.scheduler().weight_factor(f.pid), demoted);
+  EXPECT_DOUBLE_EQ(f.sys.weight_factor(f.pid), demoted);
   EXPECT_TRUE(f.sys.is_live(f.pid));  // never terminates (R1 unmet)
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,73 +96,93 @@ TEST(ResourceModel, FsMultiplierProportional) {
 }
 
 TEST(Scheduler, DefaultShareIsNormalizedToOne) {
-  CfsScheduler sched;
-  sched.add_process(0);
-  EXPECT_DOUBLE_EQ(sched.weight_factor(0), 1.0);
-  EXPECT_DOUBLE_EQ(sched.normalized_share(0), 1.0);
+  SimSystem sys;
+  const ProcessId pid = sys.spawn(std::make_unique<StubWorkload>());
+  EXPECT_DOUBLE_EQ(sys.weight_factor(pid), 1.0);
+  sys.run_epoch();
+  EXPECT_DOUBLE_EQ(sys.effective_shares(pid).cpu, 1.0);
+  EXPECT_DOUBLE_EQ(share_from_factor(1.0, 10.0), 1.0);
 }
 
 TEST(Scheduler, Eq8DemotionAndPromotion) {
-  SchedulerConfig cfg;
-  cfg.gamma = 0.1;
-  CfsScheduler sched(cfg);
-  sched.add_process(0);
-  sched.apply_threat_delta(0, 1.0);  // s *= 0.9
-  EXPECT_NEAR(sched.weight_factor(0), 0.9, 1e-12);
-  sched.apply_threat_delta(0, 2.0);  // s *= 0.8
-  EXPECT_NEAR(sched.weight_factor(0), 0.72, 1e-12);
-  sched.apply_threat_delta(0, -2.0);  // s *= 1.2
-  EXPECT_NEAR(sched.weight_factor(0), 0.864, 1e-12);
+  PlatformProfile platform;
+  platform.scheduler.gamma = 0.1;
+  SimSystem sys(platform);
+  const ProcessId pid = sys.spawn(std::make_unique<StubWorkload>());
+  sys.apply_sched_threat_delta(pid, 1.0);  // s *= 0.9
+  EXPECT_NEAR(sys.weight_factor(pid), 0.9, 1e-12);
+  sys.apply_sched_threat_delta(pid, 2.0);  // s *= 0.8
+  EXPECT_NEAR(sys.weight_factor(pid), 0.72, 1e-12);
+  sys.apply_sched_threat_delta(pid, -2.0);  // s *= 1.2
+  EXPECT_NEAR(sys.weight_factor(pid), 0.864, 1e-12);
 }
 
 TEST(Scheduler, FloorAndCeiling) {
-  CfsScheduler sched;
-  sched.add_process(0);
-  sched.apply_threat_delta(0, 1000.0);
-  EXPECT_DOUBLE_EQ(sched.weight_factor(0),
-                   sched.config().min_share_fraction);
-  sched.apply_threat_delta(0, -1e9);
-  EXPECT_DOUBLE_EQ(sched.weight_factor(0), 1.0);
+  const SchedulerConfig cfg;
+  EXPECT_DOUBLE_EQ(threat_step_factor(1.0, 1000.0, cfg),
+                   cfg.min_share_fraction);
+  EXPECT_DOUBLE_EQ(threat_step_factor(cfg.min_share_fraction, -1e9, cfg),
+                   1.0);
+  SimSystem sys;
+  const ProcessId pid = sys.spawn(std::make_unique<StubWorkload>());
+  sys.apply_sched_threat_delta(pid, 1000.0);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(pid), cfg.min_share_fraction);
+  sys.apply_sched_threat_delta(pid, -1e9);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(pid), 1.0);
 }
 
 TEST(Scheduler, ResetRestoresDefault) {
-  CfsScheduler sched;
-  sched.add_process(0);
-  sched.apply_threat_delta(0, 5.0);
-  sched.reset_weight(0);
-  EXPECT_DOUBLE_EQ(sched.weight_factor(0), 1.0);
+  SimSystem sys;
+  const ProcessId pid = sys.spawn(std::make_unique<StubWorkload>());
+  sys.apply_sched_threat_delta(pid, 5.0);
+  sys.reset_sched_weight(pid);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(pid), 1.0);
 }
 
-TEST(Scheduler, TimesliceProportionalToWeight) {
-  CfsScheduler sched;
-  sched.add_process(0);
-  sched.add_process(1);
-  const double t0 = sched.timeslice_ms(0);
-  sched.apply_threat_delta(0, 5.0);  // halve-ish the weight
-  EXPECT_LT(sched.timeslice_ms(0), t0);
-  // Eq. 7: absolute shares sum to <= 1 across processes + background.
-  EXPECT_LE(sched.absolute_share(0) + sched.absolute_share(1), 1.0);
+TEST(Scheduler, DemotedShareIsRelativeToDefaultWeight) {
+  // Eq. 7 over two live processes plus the 9 background units, with one
+  // demoted to 0.5: its share is measured against the share it would get
+  // at default weight, while the untouched one reads exactly 1.0.
+  SimSystem sys;
+  const ProcessId a = sys.spawn(std::make_unique<StubWorkload>());
+  const ProcessId b = sys.spawn(std::make_unique<StubWorkload>());
+  sys.apply_sched_threat_delta(b, 5.0);  // factor 0.5 under default gamma
+  sys.run_epoch();
+  const double total = 9.0 + 1.0 + 0.5;
+  EXPECT_DOUBLE_EQ(sys.effective_shares(a).cpu, 1.0);
+  EXPECT_EQ(sys.effective_shares(b).cpu, share_from_factor(0.5, total));
+  EXPECT_DOUBLE_EQ(share_from_factor(0.5, total),
+                   (0.5 / total) / (1.0 / (total - 0.5 + 1.0)));
+  EXPECT_LT(sys.effective_shares(b).cpu, 1.0);
+}
+
+TEST(Scheduler, NaNThreatDeltaIsRefused) {
+  // It would pass Eq. 8's clamp and zero every live process's share.
+  SimSystem sys;
+  const ProcessId a = sys.spawn(std::make_unique<StubWorkload>());
+  const ProcessId b = sys.spawn(std::make_unique<StubWorkload>());
+  EXPECT_THROW(
+      sys.apply_sched_threat_delta(b, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(b), 1.0);
+  sys.run_epoch();
+  EXPECT_DOUBLE_EQ(sys.effective_shares(a).cpu, 1.0);
+  EXPECT_DOUBLE_EQ(sys.effective_shares(b).cpu, 1.0);
 }
 
 TEST(Scheduler, UnknownPidThrows) {
-  CfsScheduler sched;
-  EXPECT_THROW((void)sched.weight_factor(7), std::out_of_range);
-  EXPECT_THROW(sched.apply_threat_delta(7, 1.0), std::out_of_range);
+  SimSystem sys;
+  EXPECT_THROW((void)sys.weight_factor(7), std::out_of_range);
+  EXPECT_THROW(sys.apply_sched_threat_delta(7, 1.0), std::out_of_range);
+  EXPECT_THROW(sys.reset_sched_weight(7), std::out_of_range);
 }
 
 TEST(Scheduler, NonPositiveMinShareRejected) {
-  SchedulerConfig cfg;
-  cfg.min_share_fraction = 0.0;
-  EXPECT_THROW(CfsScheduler{cfg}, std::invalid_argument);
-}
-
-TEST(Scheduler, DemotingOneRaisesOthersShare) {
-  CfsScheduler sched;
-  sched.add_process(0);
-  sched.add_process(1);
-  const double before = sched.absolute_share(1);
-  sched.apply_threat_delta(0, 10.0);
-  EXPECT_GT(sched.absolute_share(1), before);
+  PlatformProfile platform;
+  platform.scheduler.min_share_fraction = 0.0;
+  EXPECT_THROW(SimSystem{platform}, std::invalid_argument);
+  platform.scheduler.min_share_fraction = -0.01;
+  EXPECT_THROW(SimSystem{platform}, std::invalid_argument);
 }
 
 TEST(System, SpawnRunProgress) {
@@ -443,7 +464,7 @@ TEST(System, MidEpochSpawnFirstRunsInTheNextEpoch) {
   sys.end_epoch();
   EXPECT_EQ(sys.epochs_run(mid), 0u);
   EXPECT_TRUE(sys.is_live(mid));
-  EXPECT_TRUE(sys.scheduler().has_process(mid));
+  EXPECT_DOUBLE_EQ(sys.weight_factor(mid), 1.0);
   sys.run_epoch();
   EXPECT_EQ(sys.epochs_run(mid), 1u);
   EXPECT_EQ(sys.sample_history(mid).size(), 1u);
@@ -463,7 +484,7 @@ TEST(System, StateConfiguredWhilePendingSurvivesTheAdmission) {
   sys.step_slot(0);
   sys.end_epoch();
   EXPECT_DOUBLE_EQ(sys.cgroup_caps(mid).cpu, 0.25);
-  EXPECT_NEAR(sys.scheduler().weight_factor(mid), 0.5, 1e-12);
+  EXPECT_NEAR(sys.weight_factor(mid), 0.5, 1e-12);
   sys.run_epoch();
   // The first executed epoch already ran under both restrictions.
   EXPECT_LE(sys.effective_shares(mid).cpu, 0.25);
@@ -481,7 +502,9 @@ TEST(System, MidEpochKillOfPendingAdmissionCancelsIt) {
   EXPECT_EQ(sys.exit_reason(mid), ExitReason::kKilled);
   EXPECT_EQ(sys.epochs_run(mid), 0u);
   EXPECT_EQ(sys.live_processes().size(), 1u);
-  EXPECT_FALSE(sys.scheduler().has_process(mid));
+  // Its weight retired with it: a late demotion changes nothing.
+  sys.apply_sched_threat_delta(mid, 5.0);
+  EXPECT_DOUBLE_EQ(sys.weight_factor(mid), 1.0);
 }
 
 TEST(System, MidEpochCompletionBeatsDeferredKill) {
@@ -504,18 +527,18 @@ TEST(System, RetiredProcessesLeaveTheCfsPool) {
   const ProcessId b = sys.spawn(std::make_unique<StubWorkload>());
   sys.run_epoch();
   sys.apply_sched_threat_delta(b, 5.0);  // demote b, then kill it
-  const double demoted = sys.scheduler().weight_factor(b);
+  const double demoted = sys.weight_factor(b);
   EXPECT_LT(demoted, 1.0);
   sys.kill(b);
   sys.run_epoch();
-  EXPECT_FALSE(sys.scheduler().has_process(b));
-  EXPECT_DOUBLE_EQ(sys.scheduler().weight_factor(b), demoted)
-      << "the parked weight keeps answering with the final factor";
+  EXPECT_FALSE(sys.is_live(b));
+  EXPECT_DOUBLE_EQ(sys.weight_factor(b), demoted)
+      << "the retired weight keeps answering with the final factor";
   // Late commands against the dead pid must not resurrect its weight.
   sys.apply_sched_threat_delta(b, 1.0);
   sys.reset_sched_weight(b);
-  EXPECT_FALSE(sys.scheduler().has_process(b));
-  EXPECT_DOUBLE_EQ(sys.scheduler().weight_factor(b), demoted);
+  EXPECT_FALSE(sys.is_live(b));
+  EXPECT_DOUBLE_EQ(sys.weight_factor(b), demoted);
   // With only `a` live (weight 1.0), its normalized share is exactly 1.
   sys.run_epoch();
   EXPECT_DOUBLE_EQ(sys.effective_shares(a).cpu, 1.0);

@@ -419,6 +419,56 @@ TEST(SnapshotCorruption, PidAtTheFreeRowMarkIsRefused) {
   EXPECT_EQ(encode(full), encode(capture(target.engine)));
 }
 
+// Eq. 8, reset and the default weight keep every CFS weight factor's
+// magnitude in [min_share_fraction, 1], so restore refuses an image whose
+// weight lies outside that range or is not a number, live or retired, even
+// when the bytes carrying it are CRC-valid: an infinite live weight would
+// otherwise make the total infinite and every process's CPU share zero.
+TEST(SnapshotCorruption, SchedulerWeightOutsideItsRangeIsRefused) {
+  const ml::SvmDetector detector = ml::SvmDetector::make(tiny_corpus(), 3);
+  Fixture source(detector);
+  source.sys.kill(source.sys.live_processes().front());
+  source.engine.step();
+  const SnapshotImage image = capture(source.engine);
+  // Row 0 is the killed process; find a live one.
+  const std::vector<sim::SchedFactorEntry>& entries =
+      image.system.sched_entries;
+  ASSERT_LT(entries[0].factor, 0.0);
+  std::size_t live = 0;
+  while (live < entries.size() && entries[live].factor < 0.0) ++live;
+  ASSERT_LT(live, entries.size());
+
+  Fixture target(detector);
+  const std::vector<std::uint8_t> before = encode(capture(target.engine));
+  const double min_share = image.system.scheduler.min_share_fraction;
+  const struct {
+    std::size_t row;
+    double factor;
+    const char* what;
+  } cases[] = {
+      {live, std::numeric_limits<double>::infinity(),
+       "an infinite live weight"},
+      {live, 1.5, "a live weight above the default"},
+      {0, -std::numeric_limits<double>::quiet_NaN(), "a NaN retired weight"},
+      {0, -min_share / 2.0, "a retired weight below the floor"},
+  };
+  for (const auto& c : cases) {
+    SnapshotImage bad = image;
+    bad.system.sched_entries[c.row].factor = c.factor;
+    const SnapshotImage parsed = parse(encode(bad));
+    try {
+      restore(parsed, target.engine, RestoreContext{});
+      ADD_FAILURE() << "restore accepted " << c.what;
+    } catch (const SerialError& e) {
+      EXPECT_EQ(e.code(), SerialError::Code::kMalformed) << c.what;
+    }
+    EXPECT_EQ(before, encode(capture(target.engine))) << c.what;
+  }
+  // The untouched image still restores.
+  EXPECT_NO_THROW(restore(image, target.engine, RestoreContext{}));
+  EXPECT_EQ(encode(image), encode(capture(target.engine)));
+}
+
 // A pending retry reads its pid's liveness at the first step, so restore
 // refuses one naming a pid the image's system does not track — typed, and
 // before the system commit, so the target stays as it was.

@@ -355,19 +355,19 @@ TEST(Supervisor, DurabilityFailuresArePricedNotFatal) {
   const ml::SvmDetector detector = ml::SvmDetector::make(training_corpus(), 3);
   const std::vector<std::uint8_t> golden = golden_run(detector);
 
-  auto fail = std::make_shared<bool>(false);
+  // The sink counts its own deliveries, which arrive one at a time in
+  // request order (replay requests none): the baseline is the 1st and the
+  // step-96 checkpoint the 7th, so exactly that one fails to persist,
+  // however far the encoder lags the stepping thread.
+  auto deliveries = std::make_shared<std::size_t>(0);
   SupervisedEngine::Config config;
   config.checkpoint_interval = 16;
   config.crash_epochs = {100};
-  config.durability_sink = [fail](std::vector<std::uint8_t>) {
-    if (*fail) throw std::runtime_error("disk full");
+  config.durability_sink = [deliveries](std::vector<std::uint8_t>) {
+    if (++*deliveries == 7) throw std::runtime_error("disk full");
   };
   SupervisedEngine supervisor(scenario_factory(detector, 2), config);
-  for (std::size_t i = 0; i < kEpochs; ++i) {
-    if (i == 90) *fail = true;    // the step-96 checkpoint fails to persist
-    if (i == 108) *fail = false;  // the disk comes back before step 112's
-    supervisor.step();
-  }
+  supervisor.run(kEpochs);
 
   EXPECT_EQ(snapshot::encode(snapshot::capture(*supervisor.driver())), golden)
       << "a failed checkpoint must not perturb the world's timeline";
